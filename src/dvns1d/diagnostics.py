@@ -8,6 +8,12 @@ identities (the reciprocal-density equation and the pressure identity).
 
 Cumulative-in-time quantities are accumulated by the caller through
 RunAccumulators using trapezoid quadrature over the output cadence.
+
+`collect` evaluates a whole frame in one pass: d/dx phi(rho), the relative
+pressure and |v| are computed once and shared, and every time integral is a
+running trapezoid.  Each number is the same floating-point expression the
+stand-alone functions below evaluate, so a frame's record is bit-identical
+to calling them one by one.
 """
 
 from __future__ import annotations
@@ -76,17 +82,23 @@ class DiagnosticsRecord:
 
 @dataclass(eq=False)
 class RunAccumulators:
-    """Carries cumulative state between output frames of one run."""
+    """Carries cumulative state between output frames of one run.
 
-    times: list = dc_field(default_factory=list)
-    wvel_hist: list = dc_field(default_factory=list)
-    sql2_hist: list = dc_field(default_factory=list)
-    rho_linf_hist: list = dc_field(default_factory=list)
+    Every time integral is a running trapezoid: each frame adds the panel
+    from the previous frame, in the order a re-integration of the whole
+    history would add it, so the sums match that bit for bit.  gron_integral
+    and gron_prev_rate map the moment order p to the integral of the
+    Gronwall rate A(s) and to A at the previous frame.
+    """
+
+    t_prev: float | None = None
     cum_diss_u: float = 0.0
     cum_diss_bd: float = 0.0
     prev_du_rate: float = 0.0
     prev_dbd_rate: float = 0.0
     initial_moments: dict | None = None
+    gron_integral: dict = dc_field(default_factory=dict)
+    gron_prev_rate: dict = dc_field(default_factory=dict)
 
 
 def _velocities(state, mesh: Mesh, params: Params) -> tuple[np.ndarray, np.ndarray]:
@@ -97,25 +109,31 @@ def _velocities(state, mesh: Mesh, params: Params) -> tuple[np.ndarray, np.ndarr
     return state.vel, state.vel + correction
 
 
+def _kinetic_plus(rho, vel, relp, mesh: Mesh) -> float:
+    return integrate(0.5 * rho * vel * vel + relp, mesh)
+
+
 def energy_functional(state, mesh: Mesh, params: Params, profile: BackgroundProfile) -> float:
     """Relative entropy: integral of rho*u^2/2 + p(rho/rho_bar)."""
     u, _ = _velocities(state, mesh, params)
-    dens = 0.5 * state.rho * u * u + relative_pressure(state.rho, profile.values, params)
-    return integrate(dens, mesh)
+    return _kinetic_plus(state.rho, u, relative_pressure(state.rho, profile.values, params), mesh)
 
 
 def bd_functional(state, mesh: Mesh, params: Params, profile: BackgroundProfile) -> float:
     """The energy functional evaluated on the effective velocity v."""
     _, v = _velocities(state, mesh, params)
-    dens = 0.5 * state.rho * v * v + relative_pressure(state.rho, profile.values, params)
-    return integrate(dens, mesh)
+    return _kinetic_plus(state.rho, v, relative_pressure(state.rho, profile.values, params), mesh)
+
+
+def _dissipation_u(rho, u, mesh: Mesh, params: Params) -> float:
+    g = grad_c(u, mesh)
+    return integrate(viscosity(rho, params) * g * g, mesh)
 
 
 def dissipation_u_rate(state, mesh: Mesh, params: Params) -> float:
     """Instantaneous viscous dissipation: integral of mu(rho)*(du/dx)^2 >= 0."""
     u, _ = _velocities(state, mesh, params)
-    g = grad_c(u, mesh)
-    return integrate(viscosity(state.rho, params) * g * g, mesh)
+    return _dissipation_u(state.rho, u, mesh, params)
 
 
 def bd_dissipation_integrand(state, mesh: Mesh, params: Params) -> np.ndarray:
@@ -132,19 +150,31 @@ def dissipation_bd_rate(state, mesh: Mesh, params: Params) -> float:
     return integrate(bd_dissipation_integrand(state, mesh, params), mesh)
 
 
+def _weighted_sup(rho, u, params: Params) -> float:
+    return float(np.max(np.abs(rho ** params.beta_eff * u)))
+
+
 def weighted_sup(state, mesh: Mesh, params: Params) -> float:
     """max |rho^beta * u| with beta the configured weight exponent."""
     u, _ = _velocities(state, mesh, params)
-    return float(np.max(np.abs(state.rho ** params.beta_eff * u)))
+    return _weighted_sup(state.rho, u, params)
+
+
+def _check_order(p) -> None:
+    if int(p) != p or p < 0:
+        raise ConfigurationError(f"moment order p must be a non-negative integer, got {p!r}")
+
+
+def _moment(rho, abs_v, p: int, mesh: Mesh) -> float:
+    q = p + 2
+    return integrate(rho * abs_v ** q, mesh) ** (1.0 / q)
 
 
 def v_moment(state, mesh: Mesh, params: Params, p: int) -> float:
     """Density-weighted moment (integral rho*|v|^(p+2))^(1/(p+2))."""
-    if int(p) != p or p < 0:
-        raise ConfigurationError(f"moment order p must be a non-negative integer, got {p!r}")
+    _check_order(p)
     _, v = _velocities(state, mesh, params)
-    q = p + 2
-    return integrate(state.rho * np.abs(v) ** q, mesh) ** (1.0 / q)
+    return _moment(state.rho, np.abs(v), p, mesh)
 
 
 def _trapezoid(values, times) -> float:
@@ -152,6 +182,23 @@ def _trapezoid(values, times) -> float:
     for k in range(1, len(times)):
         total += 0.5 * (values[k] + values[k - 1]) * (times[k] - times[k - 1])
     return total
+
+
+def _gronwall_available(params: Params) -> bool:
+    return params.gamma - params.alpha - params.beta_eff >= 0.0
+
+
+def _gronwall_rate(wvel: float, sql2: float, rho_linf: float, params: Params, p: int) -> float:
+    """A(s) = wvel^(p/(p+2)) * sql2^(2/(p+2)) * rho_linf^(gamma - alpha - p*beta/(p+2))."""
+    q = p + 2
+    er = params.gamma - params.alpha - p * params.beta_eff / q
+    return (wvel ** (p / q)) * (sql2 ** (2.0 / q)) * (rho_linf ** er)
+
+
+def _gronwall_envelope(initial_moment: float, integral: float, params: Params, p: int) -> float:
+    q = p + 2
+    base = initial_moment ** q + params.gamma * q * integral
+    return base ** (1.0 / q) * math.exp(params.gamma * integral)
 
 
 def gronwall_bound_v(times, wvel_hist, sql2_hist, rho_linf_hist,
@@ -166,20 +213,13 @@ def gronwall_bound_v(times, wvel_hist, sql2_hist, rho_linf_hist,
     no closed form (the missing ingredient is a bound on 1/rho) and None is
     returned as the unavailable marker.
     """
-    beta = params.beta_eff
-    if params.gamma - params.alpha - beta < 0.0:
+    if not _gronwall_available(params):
         return None
-    q = p + 2
-    ew = p / q
-    es = 2.0 / q
-    er = params.gamma - params.alpha - p * beta / q
-    a_vals = [
-        (w ** ew) * (s ** es) * (r ** er)
+    rates = [
+        _gronwall_rate(w, s, r, params, p)
         for w, s, r in zip(wvel_hist, sql2_hist, rho_linf_hist)
     ]
-    integral = _trapezoid(a_vals, times)
-    base = initial_moment ** q + params.gamma * q * integral
-    return base ** (1.0 / q) * math.exp(params.gamma * integral)
+    return _gronwall_envelope(initial_moment, _trapezoid(rates, times), params, p)
 
 
 def reciprocal_residual(state_t, state_next, mesh: Mesh, params: Params) -> float:
@@ -198,7 +238,7 @@ def reciprocal_residual(state_t, state_next, mesh: Mesh, params: Params) -> floa
     if dt <= 0.0:
         raise ConfigurationError(f"state pair must be forward in time, got dt={dt!r}")
     rho = state_t.rho
-    _, v = _velocities(state_t, mesh, params)
+    v = state_t.vel if state_t.form == "V" else _velocities(state_t, mesh, params)[1]
     w0 = 1.0 / rho
     w1 = 1.0 / state_next.rho
     gw = grad_c(w0, mesh)
@@ -221,8 +261,11 @@ def pressure_identity_residual(state, mesh: Mesh, params: Params) -> float:
     centered-difference truncation, O(dx^2). Uses the nominal viscosity (the
     identity is an exact consequence of the power law, not of the floor).
     """
-    rho = state.rho
     u, v = _velocities(state, mesh, params)
+    return _pressure_identity(state.rho, u, v, mesh, params)
+
+
+def _pressure_identity(rho, u, v, mesh: Mesh, params: Params) -> float:
     lhs = grad_c(pressure(rho, params), mesh)
     mu_nominal = params.mu0 * rho ** params.alpha
     rhs = params.a * params.gamma * rho ** (params.gamma + 1.0) / mu_nominal * (v - u)
@@ -249,64 +292,80 @@ def density_report(state, mesh: Mesh, profile: BackgroundProfile,
 def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundProfile,
             acc: RunAccumulators, *, moment_ps=(0, 2, 8, 30), gronwall_slack: float = 0.10,
             resid_recip: float = math.nan) -> DiagnosticsRecord:
-    """Assemble one DiagnosticsRecord and advance the cumulative integrals."""
+    """Assemble one DiagnosticsRecord and advance the cumulative integrals.
+
+    state_u and state_v are the two forms of one snapshot (same density).
+    Each functional sees the velocity pair _velocities would give for the
+    state it reads: (u, u + c) from state_u, (v - c, v) from state_v, with
+    c = d/dx phi(rho) computed once.
+    """
     t = state_u.t
     rho = state_u.rho
     u = state_u.vel
     v = state_v.vel
+    c = grad_c(phi(rho, params), mesh)
+    relp = relative_pressure(rho, profile.values, params)
+    abs_v = np.abs(v)
 
-    du_rate = dissipation_u_rate(state_u, mesh, params)
-    integrand = bd_dissipation_integrand(state_u, mesh, params)
+    du_rate = _dissipation_u(rho, u, mesh, params)
+    integrand = c * grad_c(rho ** params.gamma, mesh)
     dbd_rate = integrate(integrand, mesh)
     dbd_rate_clamped = max(0.0, dbd_rate)
-    if acc.times:
-        h = t - acc.times[-1]
+    first = acc.t_prev is None
+    h = 0.0 if first else t - acc.t_prev
+    if not first:
         acc.cum_diss_u += 0.5 * (acc.prev_du_rate + du_rate) * h
         acc.cum_diss_bd += 0.5 * (acc.prev_dbd_rate + dbd_rate_clamped) * h
+    acc.t_prev = t
     acc.prev_du_rate = du_rate
     acc.prev_dbd_rate = dbd_rate_clamped
 
-    wvel = weighted_sup(state_u, mesh, params)
+    wvel = _weighted_sup(rho, u, params)
     sql2 = math.sqrt(integrate(rho * u * u, mesh))
     dens = density_report(state_u, mesh, profile, params)
-    acc.times.append(t)
-    acc.wvel_hist.append(wvel)
-    acc.sql2_hist.append(sql2)
-    acc.rho_linf_hist.append(dens["max_rho"])
 
-    moments = {int(p): v_moment(state_v, mesh, params, int(p)) for p in moment_ps}
+    moments = {}
+    for p in moment_ps:
+        _check_order(int(p))
+        moments[int(p)] = _moment(rho, abs_v, int(p), mesh)
     if acc.initial_moments is None:
         acc.initial_moments = dict(moments)
 
     gron_bound: dict = {}
     gron_pass: dict = {}
+    available = _gronwall_available(params)
     for p, measured in moments.items():
-        bound = gronwall_bound_v(
-            acc.times, acc.wvel_hist, acc.sql2_hist, acc.rho_linf_hist,
-            acc.initial_moments[p], params, p,
-        )
+        bound = None
+        if available:
+            rate = _gronwall_rate(wvel, sql2, dens["max_rho"], params, p)
+            if first:
+                acc.gron_integral[p] = 0.0
+            else:
+                acc.gron_integral[p] += 0.5 * (rate + acc.gron_prev_rate[p]) * h
+            acc.gron_prev_rate[p] = rate
+            bound = _gronwall_envelope(acc.initial_moments[p], acc.gron_integral[p], params, p)
         gron_bound[p] = bound
         gron_pass[p] = None if bound is None else bool(measured <= bound * (1.0 + gronwall_slack))
 
     return DiagnosticsRecord(
         t=t,
         mass=integrate(rho, mesh),
-        energy=energy_functional(state_u, mesh, params, profile),
-        bd_entropy=bd_functional(state_u, mesh, params, profile),
+        energy=_kinetic_plus(rho, u, relp, mesh),
+        bd_entropy=_kinetic_plus(rho, u + c, relp, mesh),
         diss_u=acc.cum_diss_u,
         diss_bd=acc.cum_diss_bd,
         diss_u_rate=du_rate,
         diss_bd_rate=dbd_rate,
-        bd_integrand_min=float(np.min(integrand)),
+        bd_integrand_min=float(integrand.min()),
         min_rho=dens["min_rho"],
         max_rho=dens["max_rho"],
         inv_rho_max=dens["inv_rho_max"],
         rho_h1=dens["rho_h1"],
-        v_inf=float(np.max(np.abs(v))),
+        v_inf=float(abs_v.max()),
         wvel_inf=wvel,
         sqrt_rho_u_l2=sql2,
         resid_recip=resid_recip,
-        resid_pident=pressure_identity_residual(state_v, mesh, params),
+        resid_pident=_pressure_identity(rho, v - c, v, mesh, params),
         moments=moments,
         gron_bound=gron_bound,
         gron_pass=gron_pass,

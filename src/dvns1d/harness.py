@@ -202,6 +202,11 @@ def build_initial(s: Scenario, mesh: Mesh, profile: BackgroundProfile,
         data = np.loadtxt(s.table, delimiter=",", skiprows=1, ndmin=2)
         if data.shape[1] < 3:
             raise ConfigurationError(f"custom table {s.table!r} needs columns x,rho,u")
+        # np.interp silently returns garbage for unsorted or non-finite nodes
+        if not np.isfinite(data).all():
+            raise ConfigurationError(f"custom table {s.table!r} has a non-finite cell")
+        if not (np.diff(data[:, 0]) > 0.0).all():
+            raise ConfigurationError(f"custom table {s.table!r}: x must be strictly increasing")
         rho = np.interp(mesh.x, data[:, 0], data[:, 1])
         u = np.interp(mesh.x, data[:, 0], data[:, 2])
     else:

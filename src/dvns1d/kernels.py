@@ -6,6 +6,11 @@ is importable).  `use_backend()` switches at runtime; callers must look the
 kernels up as module attributes (``kernels.rhs_u(...)``) so rebinding takes
 effect.  Both paths evaluate the same expressions elementwise, so they agree
 to the last ulp except where libm pow/log implementations differ.
+
+The numpy right-hand sides share face velocities and donor masks between
+fluxes and write into their own temporaries, but keep every cell's
+floating-point expression, so their output is bit-identical to the plain
+operator-by-operator form (see the reference copy in tests/test_kernels.py).
 """
 
 from __future__ import annotations
@@ -33,12 +38,19 @@ except ImportError:  # pragma: no cover - exercised only without the accel extra
 
 # ---------------------------------------------------------------------------
 # numpy implementations
+#
+# The fused right-hand sides work in place on as few temporaries as the
+# expressions allow, but every cell value is the same IEEE expression as in
+# the textbook form of each operator, signed zeros included.  The rewrites
+# that make this possible are exact in floating point: -(d/dx) == d/(-dx),
+# a - b == a + (-b), w*where(m, p, q) == where(m, w*p, w*q), and 1.0*x == x.
 # ---------------------------------------------------------------------------
 
 
 def _np_grad_c(f, dx):
     g = np.empty_like(f)
-    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
+    np.subtract(f[2:], f[:-2], out=g[1:-1])
+    g[1:-1] /= 2.0 * dx
     g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
     g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
     return g
@@ -55,62 +67,116 @@ def _np_div_flux(f, dx):
     return (faces[1:] - faces[:-1]) / dx
 
 
+def _np_diffusion_core(a, f, dx):
+    # interior cells of d/dx(a * d/dx f) with arithmetic-mean face coefficients
+    flux = a[:-1] + a[1:]
+    flux *= 0.5
+    flux *= f[1:] - f[:-1]
+    core = flux[1:] - flux[:-1]
+    core /= dx * dx
+    return core
+
+
 def _np_diffuse(a, f, dx):
-    out = np.zeros_like(f)
-    af = 0.5 * (a[:-1] + a[1:])
-    flux = af * (f[1:] - f[:-1])
-    out[1:-1] = (flux[1:] - flux[:-1]) / (dx * dx)
+    out = np.empty_like(f)
+    out[1:-1] = _np_diffusion_core(a, f, dx)
+    out[0] = out[-1] = 0.0
+    return out
+
+
+def _np_face_velocity(w):
+    # central face velocity and its donor side (True: the left cell)
+    wf = w[:-1] + w[1:]
+    wf *= 0.5
+    return wf, wf >= 0.0
+
+
+def _np_donor_div(q, w, wf, up, dx):
+    # conservative d/dx(q*w) from precomputed face velocities; dx = -h
+    # yields the exact negation of the h result
+    n = q.shape[0]
+    faces = np.empty(n + 1, dtype=q.dtype)
+    np.multiply(wf, np.where(up, q[:-1], q[1:]), out=faces[1:-1])
+    faces[0] = q[0] * w[0]
+    faces[-1] = q[-1] * w[-1]
+    out = faces[1:] - faces[:-1]
+    out /= dx
     return out
 
 
 def _np_upwind_div(q, w, dx):
     # conservative d/dx(q*w): central face velocity, donor-cell q
-    n = q.shape[0]
-    wf = 0.5 * (w[:-1] + w[1:])
-    faces = np.empty(n + 1, dtype=q.dtype)
-    faces[1:-1] = np.where(wf >= 0.0, wf * q[:-1], wf * q[1:])
-    faces[0] = q[0] * w[0]
-    faces[-1] = q[-1] * w[-1]
-    return (faces[1:] - faces[:-1]) / dx
+    return _np_donor_div(q, w, *_np_face_velocity(w), dx)
 
 
 def _np_upwind_grad(f, w, dx):
-    # pointwise one-sided d/dx(f) biased by the sign of w
-    back = np.empty_like(f)
-    fwd = np.empty_like(f)
-    back[1:] = (f[1:] - f[:-1]) / dx
-    back[0] = (f[1] - f[0]) / dx
-    fwd[:-1] = (f[1:] - f[:-1]) / dx
-    fwd[-1] = (f[-1] - f[-2]) / dx
-    return np.where(w >= 0.0, back, fwd)
+    # pointwise one-sided d/dx(f) biased by the sign of w; both one-sided
+    # differences come from the same face difference, and the end cells use
+    # the only one available
+    d = f[1:] - f[:-1]
+    d /= dx
+    out = np.empty_like(f)
+    out[1:-1] = np.where(w[1:-1] >= 0.0, d[:-1], d[1:])
+    out[0] = d[0]
+    out[-1] = d[-1]
+    return out
+
+
+def _scaled(x, c):
+    # c * x in place, skipping the exact no-op c == 1
+    if c != 1.0:
+        x *= c
+    return x
+
+
+def _np_viscosity(rho, alpha, mu0, floor):
+    mu = _scaled(rho**alpha, mu0)
+    # for rho > 0, rho**alpha is +0 or more (or NaN), which a zero floor leaves alone
+    if floor != 0.0:
+        np.maximum(mu, floor, out=mu)
+    return mu
 
 
 def _np_rhs_u(rho, u, dx, alpha, gamma, a, mu0, floor):
-    m = rho * u
-    P = a * rho**gamma
-    mu = np.maximum(mu0 * rho**alpha, floor)
-    drho = -_np_upwind_div(rho, u, dx)
-    dm = -_np_upwind_div(m, u, dx) - _np_grad_c(P, dx) + _np_diffuse(mu, u, dx)
+    # d/dt rho = -(rho u)_x,  d/dt m = -(m u)_x - P_x + (mu u_x)_x
+    wf, up = _np_face_velocity(u)
+    drho = _np_donor_div(rho, u, wf, up, -dx)
+    dm = _np_donor_div(rho * u, u, wf, up, -dx)
+    dm -= _np_grad_c(_scaled(rho**gamma, a), dx)
+    dm[1:-1] += _np_diffusion_core(_np_viscosity(rho, alpha, mu0, floor), u, dx)
+    dm[0] += 0.0
+    dm[-1] += 0.0
     return drho, dm
 
 
 def _np_rhs_v(rho, v, dx, alpha, gamma, a, mu0, floor):
+    # d/dt rho = (mu/rho rho_x)_x - (rho v)_x,  d/dt v = -u v_x - P_x / rho
     if alpha == 1.0:
-        ph = mu0 * np.log(rho)
+        ph = _scaled(np.log(rho), mu0)
     else:
-        ph = (mu0 / (alpha - 1.0)) * rho ** (alpha - 1.0)
-    u = v - _np_grad_c(ph, dx)
-    P = a * rho**gamma
-    coef = np.maximum(mu0 * rho**alpha, floor) / rho
-    drho = _np_diffuse(coef, rho, dx) - _np_upwind_div(rho, v, dx)
-    dv = -u * _np_upwind_grad(v, u, dx) - _np_grad_c(P, dx) / rho
+        ph = _scaled(rho ** (alpha - 1.0), mu0 / (alpha - 1.0))
+    u = _np_grad_c(ph, dx)
+    np.subtract(v, u, out=u)
+    coef = _np_viscosity(rho, alpha, mu0, floor)
+    coef /= rho
+    drho = _np_upwind_div(rho, v, -dx)
+    drho[1:-1] += _np_diffusion_core(coef, rho, dx)
+    drho[0] += 0.0
+    drho[-1] += 0.0
+    dv = _np_upwind_grad(v, u, -dx)
+    dv *= u
+    gp = _np_grad_c(_scaled(rho**gamma, a), dx)
+    gp /= rho
+    dv -= gp
     return drho, dv
 
 
 def _np_stability_terms(rho, vel, alpha, gamma, a, mu0, floor):
-    smax = float(np.max(np.abs(vel) + np.sqrt((a * gamma) * rho ** (gamma - 1.0))))
-    numax = float(np.max(np.maximum(mu0 * rho**alpha, floor) / rho))
-    return smax, numax
+    wave = np.sqrt(_scaled(rho ** (gamma - 1.0), a * gamma))
+    wave += np.abs(vel)
+    nu = _np_viscosity(rho, alpha, mu0, floor)
+    nu /= rho
+    return float(wave.max()), float(nu.max())
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ Both steppers use an explicit two-stage midpoint update, clamp the two
 outermost cells on each side to the incoming boundary values (the far field
 is constant by construction), and treat a non-positive density as a recorded
 vacuum-breach event rather than a numerical accident.
+
+The stability limit is evaluated once per step: `run` computes it, derives
+dt from it and hands it to the stepper as `dt_max`, which the stepper checks
+dt against instead of evaluating it again.  A stepper called without
+`dt_max` evaluates the limit itself.
 """
 
 from __future__ import annotations
@@ -98,7 +103,7 @@ def make_state(rho, vel, form: str, mesh: Mesh, t: float = 0.0) -> FlowState:
 
 
 def _require_positive(rho: np.ndarray, t: float) -> None:
-    i = int(np.argmin(rho))
+    i = int(rho.argmin())
     if rho[i] <= 0.0:
         raise DomainError(f"non-positive density {rho[i]!r} in cell {i} at t={t:g}")
 
@@ -128,9 +133,8 @@ def cfl_dt(state: FlowState, mesh: Mesh, params: Params, safety: float = 0.4) ->
     c = sqrt(a*gamma*rho^(gamma-1)) and nu the kinematic diffusivity that the
     stepper actually applies, max(mu_floor, mu(rho)) / rho.
     """
-    if not (0.0 < safety <= 1.0):
-        raise ConfigurationError(f"safety must lie in (0, 1], got {safety!r}")
-    if not (np.all(np.isfinite(state.rho)) and np.all(np.isfinite(state.vel))):
+    _check_safety(safety)
+    if not (np.isfinite(state.rho).all() and np.isfinite(state.vel).all()):
         raise DomainError(f"non-finite field at t={state.t:g}")
     _require_positive(state.rho, state.t)
     wave, nu = kernels.stability_terms(
@@ -139,33 +143,48 @@ def cfl_dt(state: FlowState, mesh: Mesh, params: Params, safety: float = 0.4) ->
     return safety * min(mesh.dx / wave, mesh.dx * mesh.dx / (2.0 * nu))
 
 
+def _check_safety(safety: float) -> None:
+    if not (0.0 < safety <= 1.0):
+        raise ConfigurationError(f"safety must lie in (0, 1], got {safety!r}")
+
+
+def _stable_dt(dt: float, state: FlowState, mesh: Mesh, params: Params, dt_max: float | None) -> float:
+    """The stability limit for this step; raises if dt exceeds it."""
+    if dt_max is None:
+        dt_max = cfl_dt(state, mesh, params, safety=1.0)
+    if dt > dt_max * (1.0 + 1e-6):
+        raise DomainError(f"dt={dt:g} exceeds the stability limit {dt_max:g}")
+    return dt_max
+
+
 def _clamp_ends(arr: np.ndarray, ref: np.ndarray) -> None:
     arr[:_CLAMP] = ref[:_CLAMP]
     arr[-_CLAMP:] = ref[-_CLAMP:]
 
 
-def _check_vacuum(rho: np.ndarray, t: float) -> None:
-    i = int(np.argmin(rho))
-    if rho[i] <= 0.0:
-        raise VacuumBreach(t, i, float(rho[i]))
+def _check_vacuum(rho: np.ndarray, t: float) -> float:
+    """Raise VacuumBreach on a non-positive cell; otherwise return min rho."""
+    i = int(rho.argmin())
+    low = float(rho[i])
+    if low <= 0.0:
+        raise VacuumBreach(t, i, low)
+    return low
 
 
-def _report(state: FlowState, dt: float, dt_max: float) -> StepReport:
-    return StepReport(
-        dt_used=dt,
-        min_rho=float(np.min(state.rho)),
-        max_rho=float(np.max(state.rho)),
-        cfl_ratio=dt / dt_max,
-    )
+def _report(rho: np.ndarray, min_rho: float, dt: float, dt_max: float) -> StepReport:
+    return StepReport(dt_used=dt, min_rho=min_rho, max_rho=float(rho.max()), cfl_ratio=dt / dt_max)
 
 
-def step_u(state: FlowState, mesh: Mesh, params: Params, dt: float) -> tuple[FlowState, StepReport]:
-    """One two-stage midpoint step of the conservative (rho, rho*u) system."""
+def step_u(state: FlowState, mesh: Mesh, params: Params, dt: float,
+           dt_max: float | None = None) -> tuple[FlowState, StepReport]:
+    """One two-stage midpoint step of the conservative (rho, rho*u) system.
+
+    dt_max is the stability limit cfl_dt(state, ..., safety=1.0) when the
+    caller has already evaluated it; otherwise it is evaluated here.
+    """
     if state.form != U_FORM:
         raise ConfigurationError("step_u expects a U-form state")
-    dt_max = cfl_dt(state, mesh, params, safety=1.0)
-    if dt > dt_max * (1.0 + 1e-6):
-        raise DomainError(f"dt={dt:g} exceeds the stability limit {dt_max:g}")
+    dt_max = _stable_dt(dt, state, mesh, params, dt_max)
     rho0, u0 = state.rho, state.vel
     m0 = rho0 * u0
     args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
@@ -185,24 +204,23 @@ def step_u(state: FlowState, mesh: Mesh, params: Params, dt: float) -> tuple[Flo
         m1 = m0 + dt * dm
         _clamp_ends(rho1, rho0)
         _clamp_ends(m1, m0)
-        _check_vacuum(rho1, state.t + dt)
+        min_rho = _check_vacuum(rho1, state.t + dt)
 
         out = FlowState(rho1, m1 / rho1, U_FORM, state.t + dt)
-    return out, _report(out, dt, dt_max)
+    return out, _report(rho1, min_rho, dt, dt_max)
 
 
-def step_v(state: FlowState, mesh: Mesh, params: Params, dt: float) -> tuple[FlowState, StepReport]:
+def step_v(state: FlowState, mesh: Mesh, params: Params, dt: float,
+           dt_max: float | None = None) -> tuple[FlowState, StepReport]:
     """One two-stage midpoint step of the (rho, v) system.
 
     Density: d/dt rho = d/dx(mu(rho)/rho * d/dx rho) - d/dx(rho v).
     Velocity: d/dt v = -u * (upwind d/dx v) - grad P / rho with
-    u = v - d/dx phi(rho) recomputed at each stage.
+    u = v - d/dx phi(rho) recomputed at each stage.  dt_max as in step_u.
     """
     if state.form != V_FORM:
         raise ConfigurationError("step_v expects a V-form state")
-    dt_max = cfl_dt(state, mesh, params, safety=1.0)
-    if dt > dt_max * (1.0 + 1e-6):
-        raise DomainError(f"dt={dt:g} exceeds the stability limit {dt_max:g}")
+    dt_max = _stable_dt(dt, state, mesh, params, dt_max)
     rho0, v0 = state.rho, state.vel
     args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
 
@@ -219,10 +237,10 @@ def step_v(state: FlowState, mesh: Mesh, params: Params, dt: float) -> tuple[Flo
         v1 = v0 + dt * dv
         _clamp_ends(rho1, rho0)
         _clamp_ends(v1, v0)
-        _check_vacuum(rho1, state.t + dt)
+        min_rho = _check_vacuum(rho1, state.t + dt)
 
         out = FlowState(rho1, v1, V_FORM, state.t + dt)
-    return out, _report(out, dt, dt_max)
+    return out, _report(rho1, min_rho, dt, dt_max)
 
 
 def _emit(traj: Trajectory, state: FlowState, mesh: Mesh, profile: BackgroundProfile,
@@ -241,8 +259,8 @@ def _emit(traj: Trajectory, state: FlowState, mesh: Mesh, profile: BackgroundPro
     # forward-time probe for the reciprocal-equation residual: one extra
     # V-form step whose pair (t, t+dt) feeds the finite-difference residual
     try:
-        probe_dt = cfl_dt(sv, mesh, params, probe_safety)
-        sv_next, _ = step_v(sv, mesh, params, probe_dt)
+        limit = cfl_dt(sv, mesh, params, 1.0)
+        sv_next, _ = step_v(sv, mesh, params, probe_safety * limit, limit)
         resid_recip = diagnostics.reciprocal_residual(sv, sv_next, mesh, params)
     except (VacuumBreach, DomainError):
         resid_recip = math.nan
@@ -271,26 +289,29 @@ def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Param
         raise ConfigurationError(f"T must be non-negative, got {T!r}")
     if output_dt <= 0.0:
         raise ConfigurationError(f"output_dt must be positive, got {output_dt!r}")
+    _check_safety(safety)
     stepper = step_u if state0.form == U_FORM else step_v
 
     state = state0.copy()
     state.t = 0.0
     traj = Trajectory(form=state0.form)
     acc = diagnostics.RunAccumulators()
-    traj.min_rho_ever = float(np.min(state.rho))
+    traj.min_rho_ever = float(state.rho.min())
     _emit(traj, state, mesh, profile, params, acc, moment_ps, gronwall_slack, safety)
 
     tiny = 1e-12 * max(T, 1.0)
     frame = 1
     while state.t < T - tiny:
         try:
-            dt = cfl_dt(state, mesh, params, safety)
+            # safety * cfl_dt(.., 1.0) == cfl_dt(.., safety) bit for bit
+            limit = cfl_dt(state, mesh, params, 1.0)
+            dt = safety * limit
             target = min(frame * output_dt, T)
             remaining = target - state.t
             hit = remaining <= dt * (1.0 + 1e-6)
             if hit:
                 dt = remaining
-            state, report = stepper(state, mesh, params, dt)
+            state, report = stepper(state, mesh, params, dt, limit)
             if hit:
                 state.t = target  # land output frames on exact times
         except VacuumBreach as breach:

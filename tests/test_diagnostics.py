@@ -26,6 +26,8 @@ from dvns1d import (
     v_moment,
     weighted_sup,
 )
+from dvns1d.diagnostics import RunAccumulators, collect
+from dvns1d.solver import recover_u
 
 P2 = Params(alpha=1.0, gamma=2.0, eps=0.125)
 
@@ -221,6 +223,41 @@ def test_gronwall_unavailable_outside_region():
     times = np.linspace(0.0, 1.0, 11)
     ones = np.ones(11)
     assert gronwall_bound_v(times, ones, ones, ones, 1.0, p_out, 0) is None
+
+
+# ------------------------------------------------------- one-pass frame
+
+@pytest.mark.parametrize("origin", ["U", "V"])
+def test_collect_matches_standalone_functions(origin):
+    # collect shares d/dx phi, the relative pressure and |v| across the
+    # functionals and keeps running time integrals; every field must equal
+    # the stand-alone function on the same snapshot bit for bit
+    params = Params(alpha=0.75, gamma=2.5, a=1.3, mu0=0.9)
+    m = build_mesh(6.0, 96)
+    prof = background_profile(m, 1.0, 1.5)
+    acc = RunAccumulators()
+    hist = []
+    for k, t in enumerate((0.0, 0.1, 0.25, 0.3)):
+        rho = prof.values + 0.3 * np.exp(-((m.x - 0.2 * k) ** 2))
+        s = make_state(rho, 0.4 * np.sin(m.x + k), origin, m, t=t)
+        if origin == "U":
+            su, sv = s, effective_velocity(s, m, params)
+        else:
+            su, sv = recover_u(s, m, params), s
+        rec = collect(su, sv, m, params, prof, acc, moment_ps=(0, 3))
+        assert rec.energy == energy_functional(su, m, params, prof)
+        assert rec.bd_entropy == bd_functional(su, m, params, prof)
+        assert rec.diss_u_rate == dissipation_u_rate(su, m, params)
+        assert rec.diss_bd_rate == dissipation_bd_rate(su, m, params)
+        assert rec.bd_integrand_min == float(np.min(bd_dissipation_integrand(su, m, params)))
+        assert rec.wvel_inf == weighted_sup(su, m, params)
+        assert rec.resid_pident == pressure_identity_residual(sv, m, params)
+        hist.append((t, rec.wvel_inf, rec.sqrt_rho_u_l2, rec.max_rho))
+        times, wvel, sql2, rho_linf = zip(*hist)
+        for p in (0, 3):
+            assert rec.moments[p] == v_moment(sv, m, params, p)
+            assert rec.gron_bound[p] == gronwall_bound_v(
+                times, wvel, sql2, rho_linf, acc.initial_moments[p], params, p)
 
 
 # ------------------------------------------------------ equation residuals

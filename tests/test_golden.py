@@ -1,0 +1,109 @@
+"""Golden-bytes guard: the artifacts of three small reference scenarios.
+
+Each scenario's files are hashed with SHA-256 and compared against digests
+recorded from the reference implementation. A pure refactor or speed-up must
+keep every digest; a change that alters computed numbers on purpose must
+refresh them (run this file as a script to print the new table) and say why.
+
+The digests depend on the platform's libm (pow/log/exp) and numpy's
+reduction order, so they are pinned for one toolchain; they were recorded
+with Python 3.11, numpy 2.4 on x86-64 Linux.
+"""
+
+import hashlib
+import sys
+import warnings
+
+import pytest
+
+from dvns1d import Params, validate_params
+from dvns1d.harness import Scenario, refinement_study, run_scenario, sweep
+
+
+def _scn(params, **over):
+    return Scenario(name="golden", params=params, theorem=validate_params(params), **over)
+
+
+def _run_both(out):
+    # non-unit a and mu0, alpha != 1 and a moving bump: every kernel branch
+    params = Params(alpha=0.75, gamma=2.0, a=1.5, mu0=0.8)
+    s = _scn(params, L=8.0, N=256, amplitude=0.5, sigma=1.0, u_amplitude=0.3,
+             T=0.03, output_dt=0.01, solver_form="both")
+    run_scenario(s, out)
+
+
+def _sweep_nearvac(out):
+    params = Params(alpha=1.0, gamma=2.0)
+    s = _scn(params, L=8.0, N=128, init_family="near-vacuum", amplitude=-0.8,
+             sigma=0.6, u_amplitude=0.2, T=0.02, output_dt=0.005)
+    sweep(s, [0.7, 1.0], [1.5, 2.5], out)
+
+
+def _refine(out):
+    params = Params(alpha=1.0, gamma=2.0, reg_n=8)
+    s = _scn(params, L=8.0, N=64, init_family="hoff-step", u_amplitude=0.4,
+             u_sigma=2.0, rho_minus=1.0, rho_plus=1.5, T=0.02, output_dt=0.01,
+             solver_form="both")
+    refinement_study(s, [64, 128, 256], out)
+
+
+SCENARIOS = {"run_both": _run_both, "sweep_nearvac": _sweep_nearvac, "refine": _refine}
+
+
+def artifact_digests(name, out) -> dict:
+    """Run one scenario into `out` and return {file name: sha256 hex}."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # exploration-mode sweep points
+        SCENARIOS[name](out)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+GOLDEN = {
+    'refine': {
+        'orders.csv':
+            '8851862bc0543924ab50ba901c0820a6054d6fa61c7587e8fb5af90039f89aec',
+    },
+    'run_both': {
+        'fields_0.000000.csv':
+            '22774707e3e57d4e1264980a8dbfe3e273a0408058755442ded4fa3177e30381',
+        'fields_0.010000.csv':
+            '1279afe8290c9c9e6faa43235d4e7f26f842415e27520814f6ccb6c397fdb899',
+        'fields_0.020000.csv':
+            'a3aae921747031c8bab3b806bd192e8a6400cd738ac7765623740b5c2dfc59d8',
+        'fields_0.030000.csv':
+            'a1ee31927e4f9acd6361be5653a79d75fe6f92ca6f6c9779517b86c5b6e52bc6',
+        'formdiff.csv':
+            '935bb9804b6543b41d223295ecb0b671225e8743ee23d82f6a18ec067bd69f9b',
+        'summary.csv':
+            'a02e460955eedd4b5e76181faad50018deda0379dad70846fe8f93e8961ed955',
+        'timeseries.csv':
+            '2c5f9f91c39c867f99076ceb5072eedc1891513e95df2c8e9e7c1a3313c4c835',
+        'timeseries_v.csv':
+            '00e2483389b5c80c1770d0611498d5f3f86c349b639619084f30956f3f32ee1f',
+    },
+    'sweep_nearvac': {
+        'sweep.csv':
+            'cc2be18286baf156f25d2636440de82c756b186a40bb6f383691b6cb674c7130',
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_artifacts_match_golden_digests(name, tmp_path):
+    got = artifact_digests(name, tmp_path)
+    want = GOLDEN[name]
+    assert sorted(got) == sorted(want), "artifact file set changed"
+    changed = [f for f in want if got[f] != want[f]]
+    assert not changed, f"artifact bytes changed: {changed}"
+
+
+if __name__ == "__main__":
+    import pprint
+    import tempfile
+    from pathlib import Path
+
+    table = {}
+    for scenario in sorted(SCENARIOS):
+        with tempfile.TemporaryDirectory() as tmp:
+            table[scenario] = artifact_digests(scenario, Path(tmp))
+    pprint.pprint(table, stream=sys.stdout, width=100)

@@ -177,6 +177,30 @@ def test_build_initial_custom_table_needs_three_columns(tmp_path):
         build_initial(s, m, background_profile(m, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("body, match", [
+    ("-5,1.5,0.0\n0,nan,0.1\n5,1.5,0.2\n", "non-finite"),
+    ("-5,1.5,0.0\n0,2.0,inf\n5,1.5,0.2\n", "non-finite"),
+    ("-5,1.5,0.0\n5,2.0,0.1\n0,1.5,0.2\n", "strictly increasing"),
+    ("-5,1.5,0.0\n0,2.0,0.1\n0,1.5,0.2\n", "strictly increasing"),
+])
+def test_build_initial_custom_table_rejects_bad_nodes(tmp_path, body, match):
+    table = tmp_path / "bad.csv"
+    table.write_text("x,rho,u\n" + body)
+    s = _scn(N=64, init_family="custom-table", table=str(table))
+    m = build_mesh(s.L, s.N)
+    with pytest.raises(ConfigurationError, match=match):
+        build_initial(s, m, background_profile(m, 1.0, 1.0))
+
+
+def test_load_config_rejects_unsorted_custom_table(tmp_path):
+    # the check runs at the config boundary, before any integration
+    table = tmp_path / "bad.csv"
+    table.write_text("x,rho,u\n5,1.5,0.0\n-5,1.5,0.0\n")
+    path = _cfg(tmp_path, MINIMAL + f"[initial]\nfamily = custom-table\ntable = {table}\n")
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        load_config(path)
+
+
 def test_build_initial_applies_mollifier():
     s = _scn(N=64, amplitude=0.5, mollify_n=2)
     m = build_mesh(s.L, s.N)

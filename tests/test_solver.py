@@ -155,6 +155,28 @@ def test_step_rejects_oversized_dt():
     dt_max = cfl_dt(st, m, SW, 1.0)
     with pytest.raises(DomainError):
         step_u(st, m, SW, 2.0 * dt_max)
+    with pytest.raises(DomainError):
+        step_u(st, m, SW, 2.0 * dt_max, dt_max)
+
+
+@pytest.mark.parametrize("form", ["U", "V"])
+def test_step_with_supplied_limit_matches(form):
+    # run hands the limit it already evaluated to the stepper; the step must
+    # be the same as one that evaluates the limit itself
+    m, st = _bump_state(64, form=form)
+    stepper = step_u if form == "U" else step_v
+    dt_max = cfl_dt(st, m, SW, 1.0)
+    a, rep_a = stepper(st, m, SW, 0.4 * dt_max)
+    b, rep_b = stepper(st, m, SW, 0.4 * dt_max, dt_max)
+    assert np.array_equal(a.rho, b.rho) and np.array_equal(a.vel, b.vel)
+    assert rep_a == rep_b
+    assert rep_a.min_rho == float(np.min(a.rho)) and rep_a.max_rho == float(np.max(a.rho))
+
+
+def test_run_rejects_bad_safety():
+    m, st = _bump_state(16)
+    with pytest.raises(ConfigurationError):
+        run(st, m, background_profile(m, 1.0, 1.0), SW, T=0.1, output_dt=0.1, safety=1.5)
 
 
 def test_step_form_mismatch():
