@@ -245,11 +245,26 @@ def _verdict(flag) -> str:
     return "pass" if flag else "fail"
 
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
+def _write_csv(path: Path, header: list, rows, first_col=None) -> None:
+    """Write one CSV file atomically.
+
+    rows is a list of mixed-type rows, or a 2-D numeric array (a block). A
+    finite float block is formatted a column at a time with repr over
+    tolist(): repr of the Python float is exactly what _fmt writes for a
+    finite cell, so the bytes match the cell-by-cell path. Any other block
+    goes through _fmt, so non-finite cells still read "undefined".
+    first_col holds already formatted cells of a leading column, one per row.
+    """
+    if isinstance(rows, np.ndarray):
+        fmt = repr if rows.dtype.kind == "f" and np.isfinite(rows).all() else _fmt
+        cols = [map(fmt, col) for col in rows.T.tolist()]
+        if first_col is not None:
+            cols.insert(0, first_col)
+        body = map(",".join, zip(*cols))
+    else:
+        body = (",".join(map(_fmt, row)) for row in rows)
     tmp = path.with_name(path.name + ".tmp")
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    tmp.write_text("\n".join(lines) + "\n")
+    tmp.write_text("\n".join([",".join(header), *body]) + "\n")
     os.replace(tmp, path)
 
 
@@ -319,17 +334,15 @@ def _summary_row(name: str, traj: Trajectory, inside: bool) -> list:
     ]
 
 
-def _fields_rows(state: FlowState, mesh: Mesh, params: Params) -> list:
+def _fields_rows(state: FlowState, mesh: Mesh, params: Params) -> np.ndarray:
+    """The (rho, u, v) block of one snapshot; run_scenario adds the x column."""
     if state.form == U_FORM:
         su = state
         sv = effective_velocity(state, mesh, params)
     else:
         sv = state
         su = solver.recover_u(state, mesh, params)
-    return [
-        [mesh.x[i], su.rho[i], su.vel[i], sv.vel[i]]
-        for i in range(mesh.N)
-    ]
+    return np.column_stack((su.rho, su.vel, sv.vel))
 
 
 def _resolve_outdir(outdir) -> Path:
@@ -370,11 +383,13 @@ def run_scenario(s: Scenario, outdir) -> int:
             _timeseries_header(s.moment_ps),
             [_timeseries_row(r, s.moment_ps) for r in trajs[V_FORM].records],
         )
+    x_cells = [_fmt(x) for x in mesh.x.tolist()]  # the same in every frame
     for t, frame in zip(primary.times, primary.frames):
         _write_csv(
             out / f"fields_{t:.6f}.csv",
             ["x", "rho", "u", "v"],
             _fields_rows(frame, mesh, s.params),
+            first_col=x_cells,
         )
     _write_csv(
         out / "summary.csv",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dvns1d import ConfigurationError, Params, background_profile, build_mesh, mollify, validate_params
+from dvns1d import harness
 from dvns1d.cli import main
 from dvns1d.harness import (
     Scenario,
@@ -302,6 +303,57 @@ def test_run_scenario_vacuum_is_recorded_not_raised(tmp_path):
     assert row["status"] == "vacuum" and row["vacuum"] == "yes"
     assert float(row["breach_time"]) > 0.0
     assert float(row["min_rho_run"]) < 0.0
+
+
+# ------------------------------------------------------------ block writer
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
+               9999999999999998.0, 1e-5, 0.1, 1.0, 123456789.125]
+
+
+def _write_both_ways(tmp_path, x, block):
+    """Write one fields block as a block and as per-cell rows; return both files' bytes."""
+    x_cells = [harness._fmt(v) for v in x.tolist()]
+    harness._write_csv(tmp_path / "block.csv", ["x", "rho", "u", "v"], block, first_col=x_cells)
+    rows = [[x[i], *block[i]] for i in range(len(x))]  # numpy scalars, one _fmt call each
+    harness._write_csv(tmp_path / "cells.csv", ["x", "rho", "u", "v"], rows)
+    return (tmp_path / "block.csv").read_bytes(), (tmp_path / "cells.csv").read_bytes()
+
+
+def test_block_writer_matches_per_cell_formatting(tmp_path, rng):
+    edges = np.array(EDGE_FLOATS)
+    col = np.concatenate([edges, -edges, rng.standard_normal(500), rng.standard_normal(500) * 1e-300])
+    block = np.column_stack((col, col[::-1], np.roll(col, 7)))
+    x = np.linspace(-3.0, 3.0, len(col))
+    got, want = _write_both_ways(tmp_path, x, block)
+    assert got == want
+    text = got.decode()
+    for cell in ("-0.0", "5e-324", "2.2250738585072014e-308", "1e+16", "9999999999999998.0", "1e-05"):
+        assert f",{cell}," in text or f",{cell}\n" in text
+
+
+def test_block_writer_non_finite_falls_back_to_undefined(tmp_path, rng):
+    block = rng.standard_normal((6, 3))
+    block[1, 0], block[3, 2], block[5, 1] = np.nan, np.inf, -np.inf
+    x = np.arange(6.0)
+    got, want = _write_both_ways(tmp_path, x, block)
+    assert got == want
+    lines = got.decode().splitlines()
+    assert lines[2].split(",")[1] == "undefined"
+    assert lines[4].split(",")[3] == "undefined"
+    assert lines[6].split(",")[2] == "undefined"
+
+
+def test_fields_x_column_is_repr_of_mesh(tmp_path):
+    s = _scn(N=97, L=7.3, amplitude=0.3, u_amplitude=0.2, T=0.02, output_dt=0.01, solver_form="both")
+    out = tmp_path / "x"
+    run_scenario(s, out)
+    m = build_mesh(s.L, s.N)
+    want = [repr(float(v)) for v in m.x]
+    snaps = sorted(out.glob("fields_*.csv"))
+    assert len(snaps) == 3
+    for snap in snaps:
+        assert [r["x"] for r in _rows(snap)] == want
 
 
 # ----------------------------------------------------------------- sweeps
