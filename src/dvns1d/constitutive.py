@@ -124,12 +124,13 @@ def dphi(rho, p: Params):
 
 
 def relative_pressure(rho, rho_bar, p: Params):
-    """Convexity gap of rho^gamma/(gamma-1) at rho_bar.
+    """Relative pressure potential: the convexity gap of a*rho^gamma/(gamma-1) at rho_bar.
 
-    p(rho/rho_bar) = rho^g/(g-1) - rho_bar^g/(g-1) - g/(g-1)*rho_bar^(g-1)*(rho-rho_bar)
-    with g = gamma.  Non-negative, zero exactly at rho == rho_bar.  Note the
-    pressure coefficient `a` is deliberately absent: the entropy-budget
-    diagnostics built on this quantity assume a = 1.
+    p(rho/rho_bar) = a*(rho^g/(g-1) - rho_bar^g/(g-1) - g/(g-1)*rho_bar^(g-1)*(rho-rho_bar))
+    with g = gamma.  Its density derivative is the enthalpy gap
+    h(rho) - h(rho_bar) with h' = P'(rho)/rho, so it scales with the pressure
+    coefficient a like P(rho) = a*rho^gamma does.  Non-negative, zero exactly
+    at rho == rho_bar.
     """
     _check_nonnegative(rho)
     _check_positive(rho_bar)
@@ -142,7 +143,7 @@ def relative_pressure(rho, rho_bar, p: Params):
     )
     # cancellation near rho == rho_bar can leave a few negative ulps; the
     # quantity is mathematically >= 0, so clip instead of propagating them
-    return np.maximum(gap, 0.0)
+    return p.a * np.maximum(gap, 0.0)
 
 
 @dataclass(frozen=True)

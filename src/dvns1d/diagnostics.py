@@ -136,14 +136,18 @@ def dissipation_u_rate(state, mesh: Mesh, params: Params) -> float:
     return _dissipation_u(state.rho, u, mesh, params)
 
 
-def bd_dissipation_integrand(state, mesh: Mesh, params: Params) -> np.ndarray:
-    """Pointwise d/dx(phi(rho)) * d/dx(rho^gamma).
+def _bd_integrand(dphi_dx, rho, mesh: Mesh, params: Params) -> np.ndarray:
+    return dphi_dx * grad_c(params.a * rho ** params.gamma, mesh)
 
-    Analytically this equals gamma*mu(rho)*rho^(gamma-3)*(drho/dx)^2 >= 0;
+
+def bd_dissipation_integrand(state, mesh: Mesh, params: Params) -> np.ndarray:
+    """Pointwise d/dx(phi(rho)) * d/dx P(rho), with P(rho) = a*rho^gamma.
+
+    Analytically this equals a*gamma*mu(rho)*rho^(gamma-3)*(drho/dx)^2 >= 0;
     discretely both centered gradients share the sign of the same density
     difference, so negativity can only come from round-off.
     """
-    return grad_c(phi(state.rho, params), mesh) * grad_c(state.rho ** params.gamma, mesh)
+    return _bd_integrand(grad_c(phi(state.rho, params), mesh), state.rho, mesh, params)
 
 
 def dissipation_bd_rate(state, mesh: Mesh, params: Params) -> float:
@@ -197,17 +201,29 @@ def _gronwall_rate(wvel: float, sql2: float, rho_linf: float, params: Params, p:
 
 def _gronwall_envelope(initial_moment: float, integral: float, params: Params, p: int) -> float:
     q = p + 2
-    base = initial_moment ** q + params.gamma * q * integral
-    return base ** (1.0 / q) * math.exp(params.gamma * integral)
+    k = params.a * params.gamma / params.mu0
+    base = initial_moment ** q + k * q * integral
+    return base ** (1.0 / q) * math.exp(k * integral)
 
 
 def gronwall_bound_v(times, wvel_hist, sql2_hist, rho_linf_hist,
                      initial_moment: float, params: Params, p: int) -> float | None:
     """Gronwall envelope for the p-th v-moment from measured history.
 
-    bound = (m0^(p+2) + gamma*(p+2)*I)^(1/(p+2)) * exp(gamma*I) with
-    I = integral of A(s) = wvel^(p/(p+2)) * sql2^(2/(p+2)) *
-    rho_linf^(gamma - alpha - p*beta/(p+2)).
+    bound = (m0^q + K*q*I)^(1/q) * exp(K*I) with q = p + 2, K = a*gamma/mu0
+    and I = integral of A(s) = wvel^(p/q) * sql2^(2/q) *
+    rho_linf^(gamma - alpha - p*beta/q).
+
+    Derivation: v solves rho*(v_t + u*v_x) + P(rho)_x = 0, so with
+    M = integral of rho*|v|^q, dM/dt = -q * integral of P_x*|v|^p*v.  Since
+    v - u = phi(rho)_x = mu0*rho^(alpha-2)*rho_x, the pressure gradient is
+    P_x = P'(rho)*rho_x = (a*gamma/mu0) * rho^(gamma+1-alpha) * (v - u), and
+    dM/dt <= q*K * integral of rho^(gamma+1-alpha)*|u|*|v|^(p+1).  Taking
+    sup|rho^beta*u|^(p/q) out and applying Hoelder with exponents q and
+    q/(p+1) bounds that integral by A(s) * M^((p+1)/q); M^((p+1)/q) <= 1 + M
+    then gives dM/dt <= q*K*A*(1 + M), whose Gronwall solution is the bound.
+    K is the factor P'(rho)/rho^(gamma-1) = a*gamma divided by the
+    viscosity coefficient mu0; it equals gamma at a = mu0 = 1.
 
     Requires gamma - alpha - beta >= 0; outside that region the envelope has
     no closed form (the missing ingredient is a bound on 1/rho) and None is
@@ -308,7 +324,7 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
     abs_v = np.abs(v)
 
     du_rate = _dissipation_u(rho, u, mesh, params)
-    integrand = c * grad_c(rho ** params.gamma, mesh)
+    integrand = _bd_integrand(c, rho, mesh, params)
     dbd_rate = integrate(integrand, mesh)
     dbd_rate_clamped = max(0.0, dbd_rate)
     first = acc.t_prev is None

@@ -133,10 +133,11 @@ def test_relative_pressure_examples():
     assert relative_pressure(0.0, 1.0, p) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_relative_pressure_no_a_dependence():
-    # entropy density is defined for the a=1 normalization regardless of a
+def test_relative_pressure_scales_with_a():
+    # the potential of P = a*rho^gamma: a times the a = 1 value
     pa = Params(alpha=1.0, gamma=2.0, a=7.0)
-    assert relative_pressure(2.0, 1.0, pa) == pytest.approx(1.0, abs=1e-15)
+    assert relative_pressure(2.0, 1.0, pa) == pytest.approx(7.0, abs=1e-14)
+    assert relative_pressure(0.0, 1.0, pa) == pytest.approx(7.0, abs=1e-14)
 
 
 @given(

@@ -75,11 +75,11 @@ GOLDEN = {
         'formdiff.csv':
             '935bb9804b6543b41d223295ecb0b671225e8743ee23d82f6a18ec067bd69f9b',
         'summary.csv':
-            'a02e460955eedd4b5e76181faad50018deda0379dad70846fe8f93e8961ed955',
+            'd6d9176a5f21e1abf3dbcdf5957c34a88959aea8e7926b5401b217820bad2cad',
         'timeseries.csv':
-            '2c5f9f91c39c867f99076ceb5072eedc1891513e95df2c8e9e7c1a3313c4c835',
+            '122a19203415a436d5f5a77e2ec0921c6caf8f99ff92c9a0961e1cd753937728',
         'timeseries_v.csv':
-            '00e2483389b5c80c1770d0611498d5f3f86c349b639619084f30956f3f32ee1f',
+            '4bf6792f1bb8a16a31232ab7390963c108a52ca5c341fa2d0a8e7e208ffd6343',
     },
     'sweep_nearvac': {
         'sweep.csv':
