@@ -433,7 +433,9 @@ def sweep(base: Scenario, alpha_grid, gamma_grid, outdir) -> int:
                     _sup(r.v_inf for r in traj.records),
                     _overall_gronwall(traj.records),
                 ])
-            except (ConfigurationError, ValueError) as exc:
+            # a point that fails (bad parameters, or a float overflow in a
+            # diagnostic near vacuum) gets an error row; the table goes on
+            except (ValueError, ArithmeticError) as exc:
                 rows.append([alpha, gamma, "no", f"error: {exc}".replace(",", ";"),
                              math.nan, "no", "none", math.nan, "unavailable"])
     _write_csv(

@@ -381,6 +381,26 @@ def test_sweep_error_row_continues(tmp_path):
     assert rows[1]["gronwall"] == "unavailable"
 
 
+def test_sweep_overflow_at_one_point_keeps_the_table(tmp_path, monkeypatch):
+    # e.g. an OverflowError from float ** or math.exp in the Gronwall
+    # envelope near vacuum: only that point becomes an error row
+    real = harness._integrate_scenario
+
+    def flaky(s, *args):
+        if s.params.alpha == 0.8:
+            raise OverflowError("math range error")
+        return real(s, *args)
+
+    monkeypatch.setattr(harness, "_integrate_scenario", flaky)
+    s = _scn(N=64, amplitude=0.2, T=0.05, output_dt=0.05)
+    sweep(s, [0.8, 1.0], [2.0, 2.5], tmp_path / "sw")
+    rows = _rows(tmp_path / "sw" / "sweep.csv")
+    assert [(r["alpha"], r["gamma"]) for r in rows] == [
+        ("0.8", "2.0"), ("0.8", "2.5"), ("1.0", "2.0"), ("1.0", "2.5")]
+    assert [r["status"] for r in rows[:2]] == ["error: math range error"] * 2
+    assert [r["status"] for r in rows[2:]] == ["completed"] * 2
+
+
 def test_sweep_order_permutation(tmp_path):
     s = _scn(N=64, amplitude=0.2, T=0.05, output_dt=0.05)
     sweep(s, [0.8, 1.0], [2.0], tmp_path / "fwd")
