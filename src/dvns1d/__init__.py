@@ -18,7 +18,7 @@ from .constitutive import (
     validate_params,
     viscosity,
 )
-from .errors import ConfigurationError, DomainError, NumericsError, VacuumBreach
+from .errors import ConfigurationError, DomainError, VacuumBreach
 from .kernels import active_backend, use_backend
 from .mesh import (
     BackgroundProfile,
@@ -77,7 +77,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Params", "TheoremReport", "viscosity", "pressure", "sound_speed", "phi",
     "dphi", "relative_pressure", "validate_params",
-    "ConfigurationError", "DomainError", "NumericsError", "VacuumBreach",
+    "ConfigurationError", "DomainError", "VacuumBreach",
     "use_backend", "active_backend",
     "Mesh", "BackgroundProfile", "build_mesh", "background_profile", "mollify",
     "grad_c", "div_flux", "diffuse", "integrate", "norm",

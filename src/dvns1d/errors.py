@@ -24,11 +24,3 @@ class VacuumBreach(RuntimeError):
         super().__init__(
             f"density {value:.3e} <= 0 in cell {cell} at t={time:.6g}"
         )
-
-
-class NumericsError(RuntimeError):
-    """Non-finite values appeared during time integration."""
-
-    def __init__(self, time: float, detail: str = "non-finite field values"):
-        self.time = float(time)
-        super().__init__(f"{detail} at t={time:.6g}")

@@ -69,7 +69,6 @@ class StepReport:
     dt_used: float
     min_rho: float
     max_rho: float
-    cfl_ratio: float
 
 
 @dataclass(eq=False)
@@ -148,13 +147,12 @@ def _check_safety(safety: float) -> None:
         raise ConfigurationError(f"safety must lie in (0, 1], got {safety!r}")
 
 
-def _stable_dt(dt: float, state: FlowState, mesh: Mesh, params: Params, dt_max: float | None) -> float:
-    """The stability limit for this step; raises if dt exceeds it."""
+def _check_dt(dt: float, state: FlowState, mesh: Mesh, params: Params, dt_max: float | None) -> None:
+    """Raise if dt exceeds the stability limit (evaluated here unless given)."""
     if dt_max is None:
         dt_max = cfl_dt(state, mesh, params, safety=1.0)
     if dt > dt_max * (1.0 + 1e-6):
         raise DomainError(f"dt={dt:g} exceeds the stability limit {dt_max:g}")
-    return dt_max
 
 
 def _clamp_ends(arr: np.ndarray, ref: np.ndarray) -> None:
@@ -171,10 +169,6 @@ def _check_vacuum(rho: np.ndarray, t: float) -> float:
     return low
 
 
-def _report(rho: np.ndarray, min_rho: float, dt: float, dt_max: float) -> StepReport:
-    return StepReport(dt_used=dt, min_rho=min_rho, max_rho=float(rho.max()), cfl_ratio=dt / dt_max)
-
-
 def step_u(state: FlowState, mesh: Mesh, params: Params, dt: float,
            dt_max: float | None = None) -> tuple[FlowState, StepReport]:
     """One two-stage midpoint step of the conservative (rho, rho*u) system.
@@ -184,7 +178,7 @@ def step_u(state: FlowState, mesh: Mesh, params: Params, dt: float,
     """
     if state.form != U_FORM:
         raise ConfigurationError("step_u expects a U-form state")
-    dt_max = _stable_dt(dt, state, mesh, params, dt_max)
+    _check_dt(dt, state, mesh, params, dt_max)
     rho0, u0 = state.rho, state.vel
     m0 = rho0 * u0
     args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
@@ -207,7 +201,7 @@ def step_u(state: FlowState, mesh: Mesh, params: Params, dt: float,
         min_rho = _check_vacuum(rho1, state.t + dt)
 
         out = FlowState(rho1, m1 / rho1, U_FORM, state.t + dt)
-    return out, _report(rho1, min_rho, dt, dt_max)
+    return out, StepReport(dt_used=dt, min_rho=min_rho, max_rho=float(rho1.max()))
 
 
 def step_v(state: FlowState, mesh: Mesh, params: Params, dt: float,
@@ -220,7 +214,7 @@ def step_v(state: FlowState, mesh: Mesh, params: Params, dt: float,
     """
     if state.form != V_FORM:
         raise ConfigurationError("step_v expects a V-form state")
-    dt_max = _stable_dt(dt, state, mesh, params, dt_max)
+    _check_dt(dt, state, mesh, params, dt_max)
     rho0, v0 = state.rho, state.vel
     args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
 
@@ -240,7 +234,7 @@ def step_v(state: FlowState, mesh: Mesh, params: Params, dt: float,
         min_rho = _check_vacuum(rho1, state.t + dt)
 
         out = FlowState(rho1, v1, V_FORM, state.t + dt)
-    return out, _report(rho1, min_rho, dt, dt_max)
+    return out, StepReport(dt_used=dt, min_rho=min_rho, max_rho=float(rho1.max()))
 
 
 def _emit(traj: Trajectory, state: FlowState, mesh: Mesh, profile: BackgroundProfile,
