@@ -248,15 +248,15 @@ def _verdict(flag) -> str:
 def _write_csv(path: Path, header: list, rows, first_col=None) -> None:
     """Write one CSV file atomically.
 
-    rows is a list of mixed-type rows, or a 2-D numeric array (a block). A
-    finite float block is formatted a column at a time with repr over
-    tolist(): repr of the Python float is exactly what _fmt writes for a
-    finite cell, so the bytes match the cell-by-cell path. Any other block
-    goes through _fmt, so non-finite cells still read "undefined".
-    first_col holds already formatted cells of a leading column, one per row.
+    rows is a list of mixed-type rows, or a 2-D float array (a block). A
+    finite block is formatted a column at a time with repr over tolist():
+    repr of the Python float is exactly what _fmt writes for a finite cell,
+    so the bytes match the cell-by-cell path. A block with a non-finite cell
+    goes through _fmt, so those cells still read "undefined". first_col
+    holds the already formatted cells of a leading column, one per row.
     """
     if isinstance(rows, np.ndarray):
-        fmt = repr if rows.dtype.kind == "f" and np.isfinite(rows).all() else _fmt
+        fmt = repr if np.isfinite(rows).all() else _fmt
         cols = [map(fmt, col) for col in rows.T.tolist()]
         if first_col is not None:
             cols.insert(0, first_col)
