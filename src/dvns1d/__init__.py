@@ -14,18 +14,15 @@ from .constitutive import (
     phi,
     pressure,
     relative_pressure,
-    sound_speed,
     validate_params,
     viscosity,
 )
 from .errors import ConfigurationError, DomainError, VacuumBreach
-from .kernels import active_backend, use_backend
 from .mesh import (
     BackgroundProfile,
     Mesh,
     background_profile,
     build_mesh,
-    div_flux,
     diffuse,
     grad_c,
     integrate,
@@ -75,12 +72,11 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Params", "TheoremReport", "viscosity", "pressure", "sound_speed", "phi",
+    "Params", "TheoremReport", "viscosity", "pressure", "phi",
     "dphi", "relative_pressure", "validate_params",
     "ConfigurationError", "DomainError", "VacuumBreach",
-    "use_backend", "active_backend",
     "Mesh", "BackgroundProfile", "build_mesh", "background_profile", "mollify",
-    "grad_c", "div_flux", "diffuse", "integrate", "norm",
+    "grad_c", "diffuse", "integrate", "norm",
     "FlowState", "StepReport", "Trajectory", "U_FORM", "V_FORM", "make_state",
     "effective_velocity", "recover_u", "cfl_dt", "step_u", "step_v", "run",
     "DiagnosticsRecord", "RunAccumulators", "energy_functional", "bd_functional",

@@ -7,7 +7,7 @@ All functions accept scalars or numpy arrays and are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ __all__ = [
     "TheoremReport",
     "viscosity",
     "pressure",
-    "sound_speed",
     "phi",
     "dphi",
     "relative_pressure",
@@ -97,12 +96,6 @@ def pressure(rho, p: Params):
     return p.a * np.power(rho, p.gamma)
 
 
-def sound_speed(rho, p: Params):
-    """c(rho) = sqrt(a * gamma * rho^(gamma-1)), the acoustic speed of the pressure law."""
-    _check_nonnegative(rho)
-    return np.sqrt(p.a * p.gamma * np.power(rho, p.gamma - 1.0))
-
-
 def phi(rho, p: Params):
     """Density potential with phi'(rho) = mu(rho)/rho^2.
 
@@ -157,7 +150,6 @@ class TheoremReport:
 
     conditions: tuple[tuple[str, bool], ...]
     inside_theorem: bool
-    beta: float = field(default=0.0)
 
     @property
     def failed(self) -> tuple[str, ...]:
@@ -191,5 +183,4 @@ def validate_params(p: Params) -> TheoremReport:
     return TheoremReport(
         conditions=conditions,
         inside_theorem=all(ok for _, ok in conditions),
-        beta=p.beta_eff,
     )

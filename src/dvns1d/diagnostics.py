@@ -30,6 +30,7 @@ from .mesh import Mesh, BackgroundProfile, diffuse, grad_c, integrate, norm
 __all__ = [
     "DiagnosticsRecord",
     "RunAccumulators",
+    "velocities",
     "energy_functional",
     "bd_functional",
     "dissipation_u_rate",
@@ -101,8 +102,12 @@ class RunAccumulators:
     gron_prev_rate: dict = dc_field(default_factory=dict)
 
 
-def _velocities(state, mesh: Mesh, params: Params) -> tuple[np.ndarray, np.ndarray]:
-    """Return (u, v) regardless of which form the snapshot carries."""
+def velocities(state, mesh: Mesh, params: Params) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (u, v), v = u + d/dx phi(rho), of a snapshot of either form.
+
+    The one U<->V conversion of the package: the solver's form maps, the
+    output frames and every functional below derive the pair here.
+    """
     correction = grad_c(phi(state.rho, params), mesh)
     if state.form == "V":
         return state.vel - correction, state.vel
@@ -115,13 +120,13 @@ def _kinetic_plus(rho, vel, relp, mesh: Mesh) -> float:
 
 def energy_functional(state, mesh: Mesh, params: Params, profile: BackgroundProfile) -> float:
     """Relative entropy: integral of rho*u^2/2 + p(rho/rho_bar)."""
-    u, _ = _velocities(state, mesh, params)
+    u, _ = velocities(state, mesh, params)
     return _kinetic_plus(state.rho, u, relative_pressure(state.rho, profile.values, params), mesh)
 
 
 def bd_functional(state, mesh: Mesh, params: Params, profile: BackgroundProfile) -> float:
     """The energy functional evaluated on the effective velocity v."""
-    _, v = _velocities(state, mesh, params)
+    _, v = velocities(state, mesh, params)
     return _kinetic_plus(state.rho, v, relative_pressure(state.rho, profile.values, params), mesh)
 
 
@@ -132,7 +137,7 @@ def _dissipation_u(rho, u, mesh: Mesh, params: Params) -> float:
 
 def dissipation_u_rate(state, mesh: Mesh, params: Params) -> float:
     """Instantaneous viscous dissipation: integral of mu(rho)*(du/dx)^2 >= 0."""
-    u, _ = _velocities(state, mesh, params)
+    u, _ = velocities(state, mesh, params)
     return _dissipation_u(state.rho, u, mesh, params)
 
 
@@ -160,7 +165,7 @@ def _weighted_sup(rho, u, params: Params) -> float:
 
 def weighted_sup(state, mesh: Mesh, params: Params) -> float:
     """max |rho^beta * u| with beta the configured weight exponent."""
-    u, _ = _velocities(state, mesh, params)
+    u, _ = velocities(state, mesh, params)
     return _weighted_sup(state.rho, u, params)
 
 
@@ -177,7 +182,7 @@ def _moment(rho, abs_v, p: int, mesh: Mesh) -> float:
 def v_moment(state, mesh: Mesh, params: Params, p: int) -> float:
     """Density-weighted moment (integral rho*|v|^(p+2))^(1/(p+2))."""
     _check_order(p)
-    _, v = _velocities(state, mesh, params)
+    _, v = velocities(state, mesh, params)
     return _moment(state.rho, np.abs(v), p, mesh)
 
 
@@ -254,7 +259,7 @@ def reciprocal_residual(state_t, state_next, mesh: Mesh, params: Params) -> floa
     if dt <= 0.0:
         raise ConfigurationError(f"state pair must be forward in time, got dt={dt!r}")
     rho = state_t.rho
-    v = state_t.vel if state_t.form == "V" else _velocities(state_t, mesh, params)[1]
+    v = state_t.vel if state_t.form == "V" else velocities(state_t, mesh, params)[1]
     w0 = 1.0 / rho
     w1 = 1.0 / state_next.rho
     gw = grad_c(w0, mesh)
@@ -277,7 +282,7 @@ def pressure_identity_residual(state, mesh: Mesh, params: Params) -> float:
     centered-difference truncation, O(dx^2). Uses the nominal viscosity (the
     identity is an exact consequence of the power law, not of the floor).
     """
-    u, v = _velocities(state, mesh, params)
+    u, v = velocities(state, mesh, params)
     return _pressure_identity(state.rho, u, v, mesh, params)
 
 
@@ -292,8 +297,7 @@ def _pressure_identity(rho, u, v, mesh: Mesh, params: Params) -> float:
     return math.sqrt(float(np.sum(core * core)) * mesh.dx)
 
 
-def density_report(state, mesh: Mesh, profile: BackgroundProfile,
-                   params: Params | None = None) -> dict:
+def density_report(state, mesh: Mesh, profile: BackgroundProfile) -> dict:
     """Density extrema, the max of 1/rho, and the H1 distance to the background."""
     min_rho = float(np.min(state.rho))
     max_rho = float(np.max(state.rho))
@@ -311,7 +315,7 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
     """Assemble one DiagnosticsRecord and advance the cumulative integrals.
 
     state_u and state_v are the two forms of one snapshot (same density).
-    Each functional sees the velocity pair _velocities would give for the
+    Each functional sees the velocity pair `velocities` would give for the
     state it reads: (u, u + c) from state_u, (v - c, v) from state_v, with
     c = d/dx phi(rho) computed once.
     """
@@ -338,7 +342,7 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
 
     wvel = _weighted_sup(rho, u, params)
     sql2 = math.sqrt(integrate(rho * u * u, mesh))
-    dens = density_report(state_u, mesh, profile, params)
+    dens = density_report(state_u, mesh, profile)
 
     moments = {}
     for p in moment_ps:

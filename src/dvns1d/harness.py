@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import solver
+from . import diagnostics, solver
 from .constitutive import Params, TheoremReport, validate_params
 from .errors import ConfigurationError
 from .mesh import Mesh, BackgroundProfile, background_profile, build_mesh, mollify
@@ -336,13 +336,7 @@ def _summary_row(name: str, traj: Trajectory, inside: bool) -> list:
 
 def _fields_rows(state: FlowState, mesh: Mesh, params: Params) -> np.ndarray:
     """The (rho, u, v) block of one snapshot; run_scenario adds the x column."""
-    if state.form == U_FORM:
-        su = state
-        sv = effective_velocity(state, mesh, params)
-    else:
-        sv = state
-        su = solver.recover_u(state, mesh, params)
-    return np.column_stack((su.rho, su.vel, sv.vel))
+    return np.column_stack((state.rho, *diagnostics.velocities(state, mesh, params)))
 
 
 def _resolve_outdir(outdir) -> Path:
@@ -461,15 +455,26 @@ def _restrict(fine: np.ndarray, n_coarse: int, x_fine: np.ndarray, x_coarse: np.
 
 
 def _order_rows(quantity: str, ns: list, values: list, scale: float) -> list:
-    """Turn a per-resolution value series into (quantity, N, value, order, flag) rows."""
+    """Turn a per-resolution value series into (quantity, N, value, order, flag) rows.
+
+    A value that needs a run which did not complete is that run's status
+    instead; its row, and the order of the next row, read "undefined" with
+    the status as the flag.
+    """
     rows = []
     for j, (n, val) in enumerate(zip(ns, values)):
+        prev = values[j - 1] if j > 0 else None
+        if isinstance(val, str):
+            rows.append([quantity, n, "undefined", "undefined", val])
+            continue
+        if isinstance(prev, str):
+            rows.append([quantity, n, val, "undefined", prev])
+            continue
         order: float | None = None
         flag = "ok"
         if val < 1e-13 * max(scale, 1.0):
             flag = "roundoff"
         if j > 0:
-            prev = values[j - 1]
             if prev <= val or val <= 0.0 or flag == "roundoff":
                 flag = "undefined" if flag == "ok" else flag
                 order = None
@@ -479,35 +484,44 @@ def _order_rows(quantity: str, ns: list, values: list, scale: float) -> list:
     return rows
 
 
+def _failed(*trajs) -> str | None:
+    """The status of the first run that did not complete, else None."""
+    return next((t.status for t in trajs if t.status != "completed"), None)
+
+
 def refinement_study(s: Scenario, n_list, outdir) -> int:
-    """Self-convergence study over a strictly increasing resolution list."""
+    """Self-convergence study over a strictly increasing resolution list.
+
+    A member that ends in vacuum or numerics is an outcome, not an error:
+    every orders.csv value that needs it reads "undefined", flagged with
+    its status.
+    """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigurationError(f"refinement needs >= 3 strictly increasing resolutions, got {n_list!r}")
     out = _resolve_outdir(outdir)
 
     both = s.solver_form == "both"
+    form = V_FORM if s.solver_form == V_FORM else U_FORM
     finals = {}
     for n in n_list:
         mesh = build_mesh(s.L, n)
         profile = background_profile(mesh, s.rho_minus, s.rho_plus)
         state0 = build_initial(s, mesh, profile)
-        form = V_FORM if s.solver_form == V_FORM else U_FORM
         traj = _integrate_scenario(s, mesh, profile, state0, form)
-        if traj.status != "completed" or not traj.frames:
-            raise ConfigurationError(f"refinement run at N={n} ended with status {traj.status!r}")
+        last, rec = traj.frames[-1], traj.records[-1]
         entry = {
             "mesh": mesh,
-            "rho": traj.frames[-1].rho,
-            "vel": traj.frames[-1].vel,
-            "resid_recip": traj.records[-1].resid_recip,
-            "resid_pident": traj.records[-1].resid_pident,
+            "status": _failed(traj),
+            "rho": last.rho,
+            "vel": last.vel,
+            "resid_recip": rec.resid_recip,
+            "resid_pident": rec.resid_pident,
         }
         if both:
             traj_v = _integrate_scenario(s, mesh, profile, state0, V_FORM)
-            if traj_v.status != "completed" or not traj_v.frames:
-                raise ConfigurationError(f"V-form refinement run at N={n} ended with status {traj_v.status!r}")
-            entry["formdiff"] = float(np.max(np.abs(traj.frames[-1].rho - traj_v.frames[-1].rho)))
+            entry["formdiff"] = _failed(traj, traj_v) or float(
+                np.max(np.abs(last.rho - traj_v.frames[-1].rho)))
         finals[n] = entry
 
     rows = []
@@ -516,11 +530,15 @@ def refinement_study(s: Scenario, n_list, outdir) -> int:
         errs = []
         for a, b in zip(n_list, n_list[1:]):
             coarse, fine = finals[a], finals[b]
+            status = coarse["status"] or fine["status"]
+            if status:
+                errs.append(status)
+                continue
             restricted = _restrict(fine[field_name], a, fine["mesh"].x, coarse["mesh"].x)
             errs.append(float(np.sum(np.abs(restricted - coarse[field_name])) * coarse["mesh"].dx))
         rows += _order_rows(field_name, n_list[1:], errs, scale)
     for resid in ("resid_recip", "resid_pident"):
-        rows += _order_rows(resid, n_list, [finals[n][resid] for n in n_list], 1.0)
+        rows += _order_rows(resid, n_list, [finals[n]["status"] or finals[n][resid] for n in n_list], 1.0)
     if both:
         rows += _order_rows("formdiff_rho", n_list, [finals[n]["formdiff"] for n in n_list], rho_scale)
 

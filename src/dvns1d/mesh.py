@@ -3,8 +3,8 @@ differing end states, mollification of initial data, and the discrete
 differential/integral operators everything else is built from.
 
 The grid is uniform and cell-centered on [-L, L].  All operators act on
-plain float64 arrays of length N; the heavy lifting is delegated to
-:mod:`dvns1d.kernels` so it inherits the numba/numpy backend choice.
+plain float64 arrays of length N, validated by `as_field`; the stencils
+themselves live in :mod:`dvns1d.kernels`.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ __all__ = [
     "build_mesh",
     "background_profile",
     "mollify",
+    "as_field",
     "grad_c",
-    "div_flux",
     "diffuse",
     "integrate",
     "norm",
@@ -88,7 +88,8 @@ def background_profile(mesh: Mesh, rho_minus: float, rho_plus: float) -> Backgro
     return BackgroundProfile(rho_minus=float(rho_minus), rho_plus=float(rho_plus), values=values)
 
 
-def _as_field(f, mesh: Mesh) -> np.ndarray:
+def as_field(f, mesh: Mesh) -> np.ndarray:
+    """f as a contiguous float64 array; ConfigurationError unless its shape is (N,)."""
     arr = np.ascontiguousarray(f, dtype=np.float64)
     if arr.shape != (mesh.N,):
         raise ConfigurationError(f"field shape {arr.shape} does not match mesh N={mesh.N}")
@@ -97,17 +98,7 @@ def _as_field(f, mesh: Mesh) -> np.ndarray:
 
 def grad_c(f, mesh: Mesh) -> np.ndarray:
     """First derivative: centered in the interior, one-sided second order at the ends."""
-    return kernels.grad_c(_as_field(f, mesh), mesh.dx)
-
-
-def div_flux(f, mesh: Mesh) -> np.ndarray:
-    """Conservative divergence of a cell flux field.
-
-    Faces take the arithmetic mean of the adjacent cells; the two boundary
-    faces take the outermost cell values, so the discrete sum telescopes:
-    sum(div_flux(f)) * dx == f[-1] - f[0] up to round-off.
-    """
-    return kernels.div_flux(_as_field(f, mesh), mesh.dx)
+    return kernels.grad_c(as_field(f, mesh), mesh.dx)
 
 
 def diffuse(coef, f, mesh: Mesh) -> np.ndarray:
@@ -117,46 +108,31 @@ def diffuse(coef, f, mesh: Mesh) -> np.ndarray:
     the steppers); on fields vanishing at the boundary the operator is
     symmetric negative-semidefinite.
     """
-    a = _as_field(coef, mesh)
+    a = as_field(coef, mesh)
     if np.any(a < 0.0):
         raise DomainError("negative diffusion coefficient")
-    return kernels.diffuse(a, _as_field(f, mesh), mesh.dx)
+    return kernels.diffuse(a, as_field(f, mesh), mesh.dx)
 
 
 def integrate(f, mesh: Mesh) -> float:
     """Midpoint-rule integral over the domain."""
-    return float(np.sum(_as_field(f, mesh)) * mesh.dx)
+    return float(np.sum(as_field(f, mesh)) * mesh.dx)
 
 
-def norm(f, mesh: Mesh, kind: str, *, p: float | None = None, gamma: float | None = None) -> float:
+def norm(f, mesh: Mesh, kind: str) -> float:
     """Grid norms.
 
     kind:
-      "lp"     - (integral |f|^p)^(1/p), requires p >= 1
       "linf"   - max |f_i|
       "h1"     - sqrt(||f||_2^2 + ||grad_c f||_2^2)
-      "orlicz" - split-threshold proxy (integral_{|f|<=1} f^2 +
-                 integral_{|f|>1} |f|^gamma)^(1/2), requires gamma;
-                 quadratic for small values, gamma-growth for large ones
     """
-    arr = _as_field(f, mesh)
+    arr = as_field(f, mesh)
     kind = kind.lower()
     if kind == "linf":
         return float(np.max(np.abs(arr)))
-    if kind == "lp":
-        if p is None or p < 1.0:
-            raise ConfigurationError(f"Lp norm requires p >= 1, got {p!r}")
-        return float(np.sum(np.abs(arr) ** p) * mesh.dx) ** (1.0 / p)
     if kind == "h1":
         g = kernels.grad_c(arr, mesh.dx)
         return math.sqrt(float(np.sum(arr * arr) * mesh.dx) + float(np.sum(g * g) * mesh.dx))
-    if kind == "orlicz":
-        if gamma is None:
-            raise ConfigurationError("orlicz norm requires gamma")
-        af = np.abs(arr)
-        small = af <= 1.0
-        val = float(np.sum(af[small] ** 2) * mesh.dx) + float(np.sum(af[~small] ** gamma) * mesh.dx)
-        return math.sqrt(val)
     raise ConfigurationError(f"unknown norm kind {kind!r}")
 
 
@@ -171,7 +147,7 @@ def mollify(f, mesh: Mesh, n: int) -> np.ndarray:
     """
     if int(n) != n or n < 1:
         raise ConfigurationError(f"mollifier index must be a positive integer, got {n!r}")
-    arr = _as_field(f, mesh)
+    arr = as_field(f, mesh)
     radius = 1.0 / n
     if radius >= mesh.L:
         raise ConfigurationError(f"mollifier support {radius:g} exceeds the domain half-width {mesh.L:g}")

@@ -7,10 +7,10 @@ velocity diffusion through the three-point flux form.  V-form evolves
 diffusion term and v obeys a non-conservative transport equation divided
 through by rho.
 
-Both steppers use an explicit two-stage midpoint update, clamp the two
-outermost cells on each side to the incoming boundary values (the far field
-is constant by construction), and treat a non-positive density as a recorded
-vacuum-breach event rather than a numerical accident.
+Both forms share one explicit two-stage midpoint update, `_midpoint`, which
+clamps the two outermost cells on each side to the incoming boundary values
+(the far field is constant by construction) and treats a non-positive
+density as a recorded vacuum-breach event rather than a numerical accident.
 
 The stability limit is evaluated once per step: `run` computes it, derives
 dt from it and hands it to the stepper as `dt_max`, which the stepper checks
@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .constitutive import Params, phi
+from . import diagnostics, kernels
+from .constitutive import Params
 from .errors import ConfigurationError, DomainError, VacuumBreach
-from .mesh import Mesh, BackgroundProfile, grad_c
+from .mesh import Mesh, BackgroundProfile, as_field
 
 __all__ = [
     "FlowState",
@@ -86,19 +86,12 @@ class Trajectory:
     min_rho_ever: float = math.inf
 
 
-def _field_like(arr, mesh: Mesh) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=np.float64)
-    if out.shape != (mesh.N,):
-        raise ConfigurationError(f"field shape {out.shape} does not match mesh N={mesh.N}")
-    return out
-
-
 def make_state(rho, vel, form: str, mesh: Mesh, t: float = 0.0) -> FlowState:
     if form not in (U_FORM, V_FORM):
         raise ConfigurationError(f"form must be 'U' or 'V', got {form!r}")
-    rho_arr = _field_like(rho, mesh)
+    rho_arr = as_field(rho, mesh)
     _require_positive(rho_arr, float(t))
-    return FlowState(rho_arr, _field_like(vel, mesh), form, float(t))
+    return FlowState(rho_arr, as_field(vel, mesh), form, float(t))
 
 
 def _require_positive(rho: np.ndarray, t: float) -> None:
@@ -112,7 +105,7 @@ def effective_velocity(state: FlowState, mesh: Mesh, params: Params) -> FlowStat
     if state.form != U_FORM:
         raise ConfigurationError("effective_velocity expects a U-form state")
     _require_positive(state.rho, state.t)
-    v = state.vel + grad_c(phi(state.rho, params), mesh)
+    _, v = diagnostics.velocities(state, mesh, params)
     return FlowState(state.rho.copy(), v, V_FORM, state.t)
 
 
@@ -121,7 +114,7 @@ def recover_u(state: FlowState, mesh: Mesh, params: Params) -> FlowState:
     if state.form != V_FORM:
         raise ConfigurationError("recover_u expects a V-form state")
     _require_positive(state.rho, state.t)
-    u = state.vel - grad_c(phi(state.rho, params), mesh)
+    u, _ = diagnostics.velocities(state, mesh, params)
     return FlowState(state.rho.copy(), u, U_FORM, state.t)
 
 
@@ -169,6 +162,43 @@ def _check_vacuum(rho: np.ndarray, t: float) -> float:
     return low
 
 
+def _keep(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    return x
+
+
+def _midpoint(state: FlowState, mesh: Mesh, params: Params, dt: float, dt_max: float | None,
+              rhs, to_unknown, to_vel) -> tuple[FlowState, StepReport]:
+    """One two-stage midpoint step of the system whose right-hand side is rhs.
+
+    The stepped pair is (rho, q) with q = to_unknown(vel, rho); rhs takes
+    (rho, vel) and returns (d/dt rho, d/dt q), and to_vel(q, rho) maps q back.
+    """
+    _check_dt(dt, state, mesh, params, dt_max)
+    rho0, vel0 = state.rho, state.vel
+    args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
+
+    # blow-ups surface as non-finite fields and become a "numerics" status;
+    # the intermediate overflow itself is expected, not worth a warning
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        q0 = to_unknown(vel0, rho0)
+        drho, dq = rhs(rho0, vel0, *args)
+        rho_h = rho0 + 0.5 * dt * drho
+        q_h = q0 + 0.5 * dt * dq
+        _clamp_ends(rho_h, rho0)
+        _clamp_ends(q_h, q0)
+        _check_vacuum(rho_h, state.t + 0.5 * dt)
+
+        drho, dq = rhs(rho_h, to_vel(q_h, rho_h), *args)
+        rho1 = rho0 + dt * drho
+        q1 = q0 + dt * dq
+        _clamp_ends(rho1, rho0)
+        _clamp_ends(q1, q0)
+        min_rho = _check_vacuum(rho1, state.t + dt)
+
+        out = FlowState(rho1, to_vel(q1, rho1), state.form, state.t + dt)
+    return out, StepReport(dt_used=dt, min_rho=min_rho, max_rho=float(rho1.max()))
+
+
 def step_u(state: FlowState, mesh: Mesh, params: Params, dt: float,
            dt_max: float | None = None) -> tuple[FlowState, StepReport]:
     """One two-stage midpoint step of the conservative (rho, rho*u) system.
@@ -178,30 +208,8 @@ def step_u(state: FlowState, mesh: Mesh, params: Params, dt: float,
     """
     if state.form != U_FORM:
         raise ConfigurationError("step_u expects a U-form state")
-    _check_dt(dt, state, mesh, params, dt_max)
-    rho0, u0 = state.rho, state.vel
-    m0 = rho0 * u0
-    args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
-
-    # blow-ups surface as non-finite fields and become a "numerics" status;
-    # the intermediate overflow itself is expected, not worth a warning
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        drho, dm = kernels.rhs_u(rho0, u0, *args)
-        rho_h = rho0 + 0.5 * dt * drho
-        m_h = m0 + 0.5 * dt * dm
-        _clamp_ends(rho_h, rho0)
-        _clamp_ends(m_h, m0)
-        _check_vacuum(rho_h, state.t + 0.5 * dt)
-
-        drho, dm = kernels.rhs_u(rho_h, m_h / rho_h, *args)
-        rho1 = rho0 + dt * drho
-        m1 = m0 + dt * dm
-        _clamp_ends(rho1, rho0)
-        _clamp_ends(m1, m0)
-        min_rho = _check_vacuum(rho1, state.t + dt)
-
-        out = FlowState(rho1, m1 / rho1, U_FORM, state.t + dt)
-    return out, StepReport(dt_used=dt, min_rho=min_rho, max_rho=float(rho1.max()))
+    # stepped unknown m = u*rho, bit-equal to rho*u
+    return _midpoint(state, mesh, params, dt, dt_max, kernels.rhs_u, np.multiply, np.divide)
 
 
 def step_v(state: FlowState, mesh: Mesh, params: Params, dt: float,
@@ -214,41 +222,14 @@ def step_v(state: FlowState, mesh: Mesh, params: Params, dt: float,
     """
     if state.form != V_FORM:
         raise ConfigurationError("step_v expects a V-form state")
-    _check_dt(dt, state, mesh, params, dt_max)
-    rho0, v0 = state.rho, state.vel
-    args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        drho, dv = kernels.rhs_v(rho0, v0, *args)
-        rho_h = rho0 + 0.5 * dt * drho
-        v_h = v0 + 0.5 * dt * dv
-        _clamp_ends(rho_h, rho0)
-        _clamp_ends(v_h, v0)
-        _check_vacuum(rho_h, state.t + 0.5 * dt)
-
-        drho, dv = kernels.rhs_v(rho_h, v_h, *args)
-        rho1 = rho0 + dt * drho
-        v1 = v0 + dt * dv
-        _clamp_ends(rho1, rho0)
-        _clamp_ends(v1, v0)
-        min_rho = _check_vacuum(rho1, state.t + dt)
-
-        out = FlowState(rho1, v1, V_FORM, state.t + dt)
-    return out, StepReport(dt_used=dt, min_rho=min_rho, max_rho=float(rho1.max()))
+    return _midpoint(state, mesh, params, dt, dt_max, kernels.rhs_v, _keep, _keep)
 
 
 def _emit(traj: Trajectory, state: FlowState, mesh: Mesh, profile: BackgroundProfile,
           params: Params, acc, moment_ps, gronwall_slack: float, probe_safety: float) -> None:
-    # local import: diagnostics consumes solver states but only through duck
-    # typing, keeping the module dependency one-directional at import time
-    from . import diagnostics
-
-    if state.form == U_FORM:
-        su = state
-        sv = effective_velocity(state, mesh, params)
-    else:
-        sv = state
-        su = recover_u(state, mesh, params)
+    u, v = diagnostics.velocities(state, mesh, params)
+    su = FlowState(state.rho, u, U_FORM, state.t)
+    sv = FlowState(state.rho, v, V_FORM, state.t)
 
     # forward-time probe for the reciprocal-equation residual: one extra
     # V-form step whose pair (t, t+dt) feeds the finite-difference residual
@@ -277,8 +258,6 @@ def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Param
     recorded on the trajectory (status "vacuum" / "numerics"); only
     configuration mistakes raise.
     """
-    from . import diagnostics
-
     if T < 0.0:
         raise ConfigurationError(f"T must be non-negative, got {T!r}")
     if output_dt <= 0.0:

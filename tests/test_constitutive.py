@@ -18,7 +18,6 @@ from dvns1d import (
     phi,
     pressure,
     relative_pressure,
-    sound_speed,
     validate_params,
     viscosity,
 )
@@ -77,15 +76,6 @@ def test_pressure_coefficient_scales():
     p1 = Params(alpha=1.0, gamma=2.0, a=1.0)
     p2 = Params(alpha=1.0, gamma=2.0, a=2.5)
     assert pressure(3.0, p2) == 2.5 * pressure(3.0, p1)
-
-
-def test_sound_speed():
-    p = Params(alpha=1.0, gamma=2.0)
-    assert sound_speed(1.0, p) == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    # c^2 = dP/drho: finite-difference cross-check
-    h = 1e-6
-    c2 = (pressure(2.0 + h, p) - pressure(2.0 - h, p)) / (2 * h)
-    assert sound_speed(2.0, p) ** 2 == pytest.approx(c2, rel=1e-9)
 
 
 # ---------------------------------------------------------------- potential
@@ -158,7 +148,6 @@ def test_validate_inside_region():
     rep = validate_params(Params(alpha=1.0, gamma=2.0, eps=0.125))
     assert rep.inside_theorem
     assert rep.failed == ()
-    assert rep.beta == 0.625
     assert "inside" in rep.describe()
 
 

@@ -354,7 +354,7 @@ def test_density_report_at_background():
     m = build_mesh(2.0, 64)
     prof = background_profile(m, 1.0, 2.0)
     st = make_state(prof.values.copy(), np.zeros(m.N), "U", m)
-    rep = density_report(st, m, prof, P2)
+    rep = density_report(st, m, prof)
     assert rep["rho_h1"] == 0.0
     assert rep["min_rho"] == 1.0 and rep["max_rho"] == 2.0
 
@@ -364,14 +364,14 @@ def test_density_report_constant_offset():
     # vanishes and the H1 distance is 0.5 * sqrt(measure) = 1
     m, prof = _flat(2.0, 64)
     st = make_state(prof.values + 0.5, np.zeros(m.N), "U", m)
-    rep = density_report(st, m, prof, P2)
+    rep = density_report(st, m, prof)
     assert rep["rho_h1"] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_density_report_reciprocal_consistency(rng):
     m, prof = _flat(2.0, 64)
     st = make_state(0.5 + rng.random(m.N), np.zeros(m.N), "U", m)
-    rep = density_report(st, m, prof, P2)
+    rep = density_report(st, m, prof)
     assert rep["inv_rho_max"] * rep["min_rho"] == pytest.approx(1.0, rel=1e-15)
 
 
@@ -422,7 +422,7 @@ def test_run_record_matches_recomputed_fields(bump_run):
     for frame, rec in zip(traj.frames, traj.records):
         assert weighted_sup(frame, m, P2) == rec.wvel_inf
         assert energy_functional(frame, m, P2, prof) == rec.energy
-        rep = density_report(frame, m, prof, P2)
+        rep = density_report(frame, m, prof)
         assert rep["min_rho"] == rec.min_rho and rep["rho_h1"] == rec.rho_h1
 
 

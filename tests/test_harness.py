@@ -444,6 +444,45 @@ def test_refinement_stationary_roundoff(tmp_path):
     assert all(r["order"] == "undefined" for r in field_rows)
 
 
+def test_refinement_reports_failed_members(tmp_path, monkeypatch):
+    # a member that ends in vacuum or numerics is an outcome, not an error:
+    # every value that needs it reads undefined, flagged with its status
+    real = harness._integrate_scenario
+
+    def failing(s, mesh, profile, state0, form):
+        traj = real(s, mesh, profile, state0, form)
+        if (mesh.N, form) == (128, "U"):
+            traj.status = "vacuum"
+        if (mesh.N, form) == (64, "V"):
+            traj.status = "numerics"
+        return traj
+
+    monkeypatch.setattr(harness, "_integrate_scenario", failing)
+    s = _scn(N=32, amplitude=0.5, T=0.02, output_dt=0.02, solver_form="both")
+    assert refinement_study(s, [32, 64, 128, 256], tmp_path / "ref") == 0
+    table = {}
+    for r in _rows(tmp_path / "ref" / "orders.csv"):
+        table.setdefault(r["quantity"], {})[int(r["N"])] = r
+    U, OK = "undefined", ("ok", "roundoff", "undefined")
+
+    def cells(quantity, n):
+        r = table[quantity][n]
+        return r["value"] == U, r["order"] == U, r["flag"]
+
+    for q in ("rho", "vel"):
+        assert cells(q, 64)[:2] == (False, True) and cells(q, 64)[2] in OK
+        assert cells(q, 128) == cells(q, 256) == (True, True, "vacuum")
+    for q in ("resid_recip", "resid_pident"):
+        assert cells(q, 32)[:2] == (False, True) and cells(q, 32)[2] in OK
+        assert cells(q, 64)[0] is False and cells(q, 64)[2] in OK
+        assert cells(q, 128) == (True, True, "vacuum")
+        assert cells(q, 256) == (False, True, "vacuum")
+    assert cells("formdiff_rho", 32)[:2] == (False, True)
+    assert cells("formdiff_rho", 64) == (True, True, "numerics")
+    assert cells("formdiff_rho", 128) == (True, True, "vacuum")
+    assert cells("formdiff_rho", 256) == (False, True, "vacuum")
+
+
 def test_refinement_rejects_bad_lists(tmp_path):
     s = _scn(N=64)
     with pytest.raises(ConfigurationError):

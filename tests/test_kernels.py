@@ -1,28 +1,13 @@
-"""Backend parity and stencil-correctness tests for the hot kernels.
+"""Stencil-correctness tests for the hot kernels.
 
-The numpy and numba paths evaluate the same expressions; primitive stencils
-must agree bit for bit, the fused right-hand sides to a few ulps (libm pow
-differences).  The in-place numpy right-hand sides must reproduce the plain
-operator-by-operator form (kept below as a reference) bit for bit.
+The in-place right-hand sides must reproduce the plain operator-by-operator
+form (kept below as a reference) bit for bit.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from dvns1d import Params, background_profile, build_mesh, kernels, make_state, run
-
-
-@pytest.fixture
-def both_backends():
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba backend not installed")
-    saved = kernels.active_backend()
-    yield
-    kernels.use_backend(saved)
 
 
 def _random_fields(n, seed):
@@ -84,45 +69,6 @@ def test_stability_terms_oracle():
     assert numax == pytest.approx(np.max(np.maximum(rho**0.75, 0.25) / rho), rel=1e-14)
 
 
-# ---------------------------------------------------------------- parity
-
-PRIMS = ["grad_c", "div_flux", "diffuse", "upwind_div", "upwind_grad"]
-
-
-@pytest.mark.parametrize("n", [16, 257])
-def test_primitive_parity_bitwise(both_backends, n):
-    rho, w = _random_fields(n, n)
-    dx = 0.034
-    results = {}
-    for backend in ("numpy", "numba"):
-        kernels.use_backend(backend)
-        results[backend] = {
-            "grad_c": kernels.grad_c(w, dx),
-            "div_flux": kernels.div_flux(w, dx),
-            "diffuse": kernels.diffuse(rho, w, dx),
-            "upwind_div": kernels.upwind_div(rho, w, dx),
-            "upwind_grad": kernels.upwind_grad(w, rho - 0.7, dx),
-        }
-    for name in PRIMS:
-        a, b = results["numpy"][name], results["numba"][name]
-        assert np.array_equal(a, b), f"{name} differs across backends"
-
-
-@pytest.mark.parametrize("alpha", [0.75, 1.0])
-def test_rhs_parity_ulp(both_backends, alpha):
-    rho, w = _random_fields(192, 7)
-    args = (0.05, alpha, 2.0, 1.0, 1.0, 0.0)
-    out = {}
-    for backend in ("numpy", "numba"):
-        kernels.use_backend(backend)
-        out[backend] = (kernels.rhs_u(rho, w, *args), kernels.rhs_v(rho, w, *args))
-    for (a1, a2), (b1, b2) in [(out["numpy"][0], out["numba"][0]), (out["numpy"][1], out["numba"][1])]:
-        scale = np.max(np.abs(a1)) + 1.0
-        assert np.max(np.abs(a1 - b1)) <= 5e-12 * scale
-        scale = np.max(np.abs(a2)) + 1.0
-        assert np.max(np.abs(a2 - b2)) <= 5e-12 * scale
-
-
 def test_rhs_u_oracle_constant_state():
     # constant density and velocity: all interior derivatives vanish
     # identically; the one-sided boundary rows carry ~1e-15 rounding noise,
@@ -133,27 +79,6 @@ def test_rhs_u_oracle_constant_state():
     assert np.all(drho == 0.0)
     assert np.all(dm[1:-1] == 0.0)
     assert np.max(np.abs(dm)) <= 1e-13
-
-
-def test_use_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.use_backend("fortran")
-
-
-def test_active_backend_roundtrip(both_backends):
-    kernels.use_backend("numpy")
-    assert kernels.active_backend() == "numpy"
-    kernels.use_backend("numba")
-    assert kernels.active_backend() == "numba"
-
-
-def test_env_flag_selects_numpy():
-    env = dict(os.environ, DVNS1D_NUMBA="0")
-    code = "import dvns1d.kernels as k; print(k.active_backend())"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numpy"
 
 
 # ------------------------------------------- reference (operator-by-operator)
@@ -231,17 +156,9 @@ ORACLE_PARAMS = [(1.0, 2.0, 1.0, 1.0, None), (0.6, 1.5, 1.0, 1.0, None),
                  (0.75, 3.5, 4.0, 3.0, 8), (1.0, 2.0, 2.0, 0.5, None)]
 
 
-@pytest.fixture
-def numpy_backend():
-    saved = kernels.active_backend()
-    kernels.use_backend("numpy")
-    yield
-    kernels.use_backend(saved)
-
-
 @pytest.mark.parametrize("n", [8, 257, 8192])
 @pytest.mark.parametrize("point", ORACLE_PARAMS)
-def test_rhs_matches_reference_bitwise(numpy_backend, n, point):
+def test_rhs_matches_reference_bitwise(n, point):
     alpha, gamma, a, mu0, reg_n = point
     floor = 0.0 if reg_n is None else 1.0 / reg_n
     rng = np.random.default_rng(n)
@@ -264,7 +181,7 @@ def test_rhs_matches_reference_bitwise(numpy_backend, n, point):
 
 
 @pytest.mark.parametrize("n", [8, 257])
-def test_primitives_match_reference_bitwise(numpy_backend, n):
+def test_primitives_match_reference_bitwise(n):
     rng = np.random.default_rng(3 * n)
     rho = 0.2 + rng.random(n)
     w = rng.normal(size=n)

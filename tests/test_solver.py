@@ -12,6 +12,7 @@ import pytest
 
 from dvns1d import (
     Params,
+    StepReport,
     background_profile,
     build_mesh,
     cfl_dt,
@@ -24,8 +25,10 @@ from dvns1d import (
     step_v,
     viscosity,
 )
+from dvns1d import kernels
 from dvns1d.errors import ConfigurationError, DomainError, VacuumBreach
 from dvns1d.mesh import grad_c
+from test_kernels import ORACLE_PARAMS, _bits
 
 SW = Params(alpha=1.0, gamma=2.0, eps=0.125)  # shallow-water-like point
 
@@ -171,6 +174,74 @@ def test_step_with_supplied_limit_matches(form):
     assert np.array_equal(a.rho, b.rho) and np.array_equal(a.vel, b.vel)
     assert rep_a == rep_b
     assert rep_a.min_rho == float(np.min(a.rho)) and rep_a.max_rho == float(np.max(a.rho))
+
+
+# The two-stage midpoint bodies step_u and step_v had before they shared one
+# implementation, kept as references: the shared body must reproduce them
+# bit for bit.
+
+def _ref_clamp(arr, ref):
+    arr[:2] = ref[:2]
+    arr[-2:] = ref[-2:]
+
+
+def _ref_step_u(state, mesh, params, dt):
+    rho0, u0 = state.rho, state.vel
+    m0 = rho0 * u0
+    args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
+    drho, dm = kernels.rhs_u(rho0, u0, *args)
+    rho_h = rho0 + 0.5 * dt * drho
+    m_h = m0 + 0.5 * dt * dm
+    _ref_clamp(rho_h, rho0)
+    _ref_clamp(m_h, m0)
+    drho, dm = kernels.rhs_u(rho_h, m_h / rho_h, *args)
+    rho1 = rho0 + dt * drho
+    m1 = m0 + dt * dm
+    _ref_clamp(rho1, rho0)
+    _ref_clamp(m1, m0)
+    return rho1, m1 / rho1
+
+
+def _ref_step_v(state, mesh, params, dt):
+    rho0, v0 = state.rho, state.vel
+    args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
+    drho, dv = kernels.rhs_v(rho0, v0, *args)
+    rho_h = rho0 + 0.5 * dt * drho
+    v_h = v0 + 0.5 * dt * dv
+    _ref_clamp(rho_h, rho0)
+    _ref_clamp(v_h, v0)
+    drho, dv = kernels.rhs_v(rho_h, v_h, *args)
+    rho1 = rho0 + dt * drho
+    v1 = v0 + dt * dv
+    _ref_clamp(rho1, rho0)
+    _ref_clamp(v1, v0)
+    return rho1, v1
+
+
+@pytest.mark.parametrize("n", [8, 257])
+@pytest.mark.parametrize("point", ORACLE_PARAMS)
+def test_step_matches_reference_bitwise(n, point):
+    alpha, gamma, a, mu0, reg_n = point
+    params = Params(alpha=alpha, gamma=gamma, a=a, mu0=mu0, reg_n=reg_n)
+    m = build_mesh(4.0, n)
+    rng = np.random.default_rng(n)
+    rho = 0.5 + rng.random(n)
+    w = 0.3 * rng.normal(size=n)
+    # exact zeros of both signs exercise the signed-zero paths
+    w[rng.random(n) < 0.1] = 0.0
+    w[rng.random(n) < 0.1] = -0.0
+    for vel in (w, np.full(n, -0.0)):
+        for form, stepper, ref in (("U", step_u, _ref_step_u), ("V", step_v, _ref_step_v)):
+            st = make_state(rho, vel, form, m, t=0.25)
+            limit = cfl_dt(st, m, params, 1.0)
+            dt = 0.4 * limit
+            want_rho, want_vel = ref(st, m, params, dt)
+            want_rep = StepReport(dt_used=dt, min_rho=float(want_rho.min()), max_rho=float(want_rho.max()))
+            for dt_max in (None, limit):
+                out, rep = stepper(st, m, params, dt, dt_max)
+                assert np.array_equal(_bits(out.rho), _bits(want_rho)), form
+                assert np.array_equal(_bits(out.vel), _bits(want_vel)), form
+                assert (out.form, out.t, rep) == (form, 0.25 + dt, want_rep)
 
 
 def test_run_rejects_bad_safety():
