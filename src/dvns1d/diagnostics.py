@@ -13,7 +13,9 @@ RunAccumulators using trapezoid quadrature over the output cadence.
 pressure and |v| are computed once and shared, and every time integral is a
 running trapezoid.  Each number is the same floating-point expression the
 stand-alone functions below evaluate, so a frame's record is bit-identical
-to calling them one by one.
+to calling them one by one.  Its v moments and their Gronwall check come
+from `moment_record`, which is also the whole per-frame work of a sweep
+point.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from .errors import ConfigurationError
 from .mesh import Mesh, BackgroundProfile, diffuse, grad_c, integrate, norm
 
 __all__ = [
+    "MomentRecord",
     "DiagnosticsRecord",
     "RunAccumulators",
+    "phi_gradient",
     "velocities",
     "energy_functional",
     "bd_functional",
@@ -42,23 +46,41 @@ __all__ = [
     "reciprocal_residual",
     "pressure_identity_residual",
     "density_report",
+    "moment_orders",
+    "moment_record",
     "collect",
 ]
 
 
 @dataclass(frozen=True)
-class DiagnosticsRecord:
-    """One output frame's worth of monitored quantities.
+class MomentRecord:
+    """The v moments of one output frame and their Gronwall check.
 
-    diss_u / diss_bd are cumulative time integrals up to t; the *_rate
-    fields are the instantaneous integrands of those time integrals.
     moments maps p to the density-weighted L^{p+2} norm of v; gron_bound
     maps p to the Gronwall envelope (None when the parameter point sits
     outside the theorem region) and gron_pass to the slack-adjusted
-    comparison outcome (None when the bound is unavailable).
+    comparison outcome (None when the bound is unavailable).  wvel_inf and
+    sqrt_rho_u_l2 are the two velocity norms the envelope's rate reads.
     """
 
     t: float
+    v_inf: float
+    wvel_inf: float
+    sqrt_rho_u_l2: float
+    moments: dict
+    gron_bound: dict
+    gron_pass: dict
+
+
+@dataclass(frozen=True)
+class DiagnosticsRecord(MomentRecord):
+    """One output frame's worth of monitored quantities.
+
+    A MomentRecord plus the budgets, norms and identity residuals.  diss_u /
+    diss_bd are cumulative time integrals up to t; the *_rate fields are the
+    instantaneous integrands of those time integrals.
+    """
+
     mass: float
     energy: float
     bd_entropy: float
@@ -71,14 +93,8 @@ class DiagnosticsRecord:
     max_rho: float
     inv_rho_max: float
     rho_h1: float
-    v_inf: float
-    wvel_inf: float
-    sqrt_rho_u_l2: float
     resid_recip: float
     resid_pident: float
-    moments: dict
-    gron_bound: dict
-    gron_pass: dict
 
 
 @dataclass(eq=False)
@@ -101,14 +117,30 @@ class RunAccumulators:
     gron_integral: dict = dc_field(default_factory=dict)
     gron_prev_rate: dict = dc_field(default_factory=dict)
 
+    def advance(self, t: float) -> float | None:
+        """Make t the current frame time; return the panel width since the
+        previous frame, or None at the first frame."""
+        h = None if self.t_prev is None else t - self.t_prev
+        self.t_prev = t
+        return h
 
-def velocities(state, mesh: Mesh, params: Params) -> tuple[np.ndarray, np.ndarray]:
+
+def phi_gradient(rho, mesh: Mesh, params: Params) -> np.ndarray:
+    """d/dx phi(rho), the difference v - u of the two velocities."""
+    return grad_c(phi(rho, params), mesh)
+
+
+def velocities(state, mesh: Mesh, params: Params,
+               correction: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The pair (u, v), v = u + d/dx phi(rho), of a snapshot of either form.
 
     The one U<->V conversion of the package: the solver's form maps, the
     output frames and every functional below derive the pair here.
+    correction is phi_gradient(state.rho, ...) when the caller already
+    holds it; otherwise it is derived here.
     """
-    correction = grad_c(phi(state.rho, params), mesh)
+    if correction is None:
+        correction = phi_gradient(state.rho, mesh, params)
     if state.form == "V":
         return state.vel - correction, state.vel
     return state.vel, state.vel + correction
@@ -152,7 +184,7 @@ def bd_dissipation_integrand(state, mesh: Mesh, params: Params) -> np.ndarray:
     discretely both centered gradients share the sign of the same density
     difference, so negativity can only come from round-off.
     """
-    return _bd_integrand(grad_c(phi(state.rho, params), mesh), state.rho, mesh, params)
+    return _bd_integrand(phi_gradient(state.rho, mesh, params), state.rho, mesh, params)
 
 
 def dissipation_bd_rate(state, mesh: Mesh, params: Params) -> float:
@@ -172,6 +204,13 @@ def weighted_sup(state, mesh: Mesh, params: Params) -> float:
 def _check_order(p) -> None:
     if int(p) != p or p < 0:
         raise ConfigurationError(f"moment order p must be a non-negative integer, got {p!r}")
+
+
+def moment_orders(moment_ps) -> tuple:
+    """The moment orders as ints; raises unless each is a non-negative integer."""
+    for p in moment_ps:
+        _check_order(p)
+    return tuple(int(p) for p in moment_ps)
 
 
 def _moment(rho, abs_v, p: int, mesh: Mesh) -> float:
@@ -309,45 +348,21 @@ def density_report(state, mesh: Mesh, profile: BackgroundProfile) -> dict:
     }
 
 
-def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundProfile,
-            acc: RunAccumulators, *, moment_ps=(0, 2, 8, 30), gronwall_slack: float = 0.10,
-            resid_recip: float = math.nan) -> DiagnosticsRecord:
-    """Assemble one DiagnosticsRecord and advance the cumulative integrals.
+def moment_record(t: float, rho, u, v, mesh: Mesh, params: Params, acc: RunAccumulators,
+                  h: float | None, moment_ps, gronwall_slack: float) -> MomentRecord:
+    """The v moments of one frame and their Gronwall check.
 
-    state_u and state_v are the two forms of one snapshot (same density).
-    Each functional sees the velocity pair `velocities` would give for the
-    state it reads: (u, u + c) from state_u, (v - c, v) from state_v, with
-    c = d/dx phi(rho) computed once.
+    h is acc.advance(t).  The first frame's moments become the envelope's
+    initial moments; every later frame adds its panel to the running
+    trapezoid of the rate A(s) and compares each moment with the envelope.
+    moment_ps holds validated orders (moment_orders).
     """
-    t = state_u.t
-    rho = state_u.rho
-    u = state_u.vel
-    v = state_v.vel
-    c = grad_c(phi(rho, params), mesh)
-    relp = relative_pressure(rho, profile.values, params)
     abs_v = np.abs(v)
-
-    du_rate = _dissipation_u(rho, u, mesh, params)
-    integrand = _bd_integrand(c, rho, mesh, params)
-    dbd_rate = integrate(integrand, mesh)
-    dbd_rate_clamped = max(0.0, dbd_rate)
-    first = acc.t_prev is None
-    h = 0.0 if first else t - acc.t_prev
-    if not first:
-        acc.cum_diss_u += 0.5 * (acc.prev_du_rate + du_rate) * h
-        acc.cum_diss_bd += 0.5 * (acc.prev_dbd_rate + dbd_rate_clamped) * h
-    acc.t_prev = t
-    acc.prev_du_rate = du_rate
-    acc.prev_dbd_rate = dbd_rate_clamped
-
     wvel = _weighted_sup(rho, u, params)
     sql2 = math.sqrt(integrate(rho * u * u, mesh))
-    dens = density_report(state_u, mesh, profile)
+    rho_linf = float(np.max(rho))
 
-    moments = {}
-    for p in moment_ps:
-        _check_order(int(p))
-        moments[int(p)] = _moment(rho, abs_v, int(p), mesh)
+    moments = {p: _moment(rho, abs_v, p, mesh) for p in moment_ps}
     if acc.initial_moments is None:
         acc.initial_moments = dict(moments)
 
@@ -357,8 +372,8 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
     for p, measured in moments.items():
         bound = None
         if available:
-            rate = _gronwall_rate(wvel, sql2, dens["max_rho"], params, p)
-            if first:
+            rate = _gronwall_rate(wvel, sql2, rho_linf, params, p)
+            if h is None:
                 acc.gron_integral[p] = 0.0
             else:
                 acc.gron_integral[p] += 0.5 * (rate + acc.gron_prev_rate[p]) * h
@@ -367,8 +382,50 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
         gron_bound[p] = bound
         gron_pass[p] = None if bound is None else bool(measured <= bound * (1.0 + gronwall_slack))
 
-    return DiagnosticsRecord(
+    return MomentRecord(
         t=t,
+        v_inf=float(abs_v.max()),
+        wvel_inf=wvel,
+        sqrt_rho_u_l2=sql2,
+        moments=moments,
+        gron_bound=gron_bound,
+        gron_pass=gron_pass,
+    )
+
+
+def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundProfile,
+            acc: RunAccumulators, *, moment_ps=(0, 2, 8, 30), gronwall_slack: float = 0.10,
+            resid_recip: float = math.nan, correction: np.ndarray | None = None) -> DiagnosticsRecord:
+    """Assemble one DiagnosticsRecord and advance the cumulative integrals.
+
+    state_u and state_v are the two forms of one snapshot (same density).
+    Each functional sees the velocity pair `velocities` would give for the
+    state it reads: (u, u + c) from state_u, (v - c, v) from state_v, with
+    c = d/dx phi(rho) computed once, or passed in as correction.
+    moment_ps holds validated orders (moment_orders).
+    """
+    t = state_u.t
+    rho = state_u.rho
+    u = state_u.vel
+    v = state_v.vel
+    c = phi_gradient(rho, mesh, params) if correction is None else correction
+    relp = relative_pressure(rho, profile.values, params)
+
+    du_rate = _dissipation_u(rho, u, mesh, params)
+    integrand = _bd_integrand(c, rho, mesh, params)
+    dbd_rate = integrate(integrand, mesh)
+    dbd_rate_clamped = max(0.0, dbd_rate)
+    h = acc.advance(t)
+    if h is not None:
+        acc.cum_diss_u += 0.5 * (acc.prev_du_rate + du_rate) * h
+        acc.cum_diss_bd += 0.5 * (acc.prev_dbd_rate + dbd_rate_clamped) * h
+    acc.prev_du_rate = du_rate
+    acc.prev_dbd_rate = dbd_rate_clamped
+
+    dens = density_report(state_u, mesh, profile)
+    mom = moment_record(t, rho, u, v, mesh, params, acc, h, moment_ps, gronwall_slack)
+    return DiagnosticsRecord(
+        **vars(mom),
         mass=integrate(rho, mesh),
         energy=_kinetic_plus(rho, u, relp, mesh),
         bd_entropy=_kinetic_plus(rho, u + c, relp, mesh),
@@ -381,12 +438,6 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
         max_rho=dens["max_rho"],
         inv_rho_max=dens["inv_rho_max"],
         rho_h1=dens["rho_h1"],
-        v_inf=float(abs_v.max()),
-        wvel_inf=wvel,
-        sqrt_rho_u_l2=sql2,
         resid_recip=resid_recip,
         resid_pident=_pressure_identity(rho, v - c, v, mesh, params),
-        moments=moments,
-        gron_bound=gron_bound,
-        gron_pass=gron_pass,
     )

@@ -16,6 +16,12 @@ The stability limit is evaluated once per step: `run` computes it, derives
 dt from it and hands it to the stepper as `dt_max`, which the stepper checks
 dt against instead of evaluating it again.  A stepper called without
 `dt_max` evaluates the limit itself.
+
+`run` is the one stepping loop.  What it records at an output frame is up
+to a frame function passed as `monitor`: the default, `_emit`, builds the
+full DiagnosticsRecord (with its reciprocal-residual probe step); a caller
+that reads only part of a record passes a leaner one.  The run's status
+comes from the loop alone, whichever frame function is used.
 """
 
 from __future__ import annotations
@@ -73,7 +79,11 @@ class StepReport:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Output frames of one run plus its termination metadata."""
+    """Output frames of one run plus its termination metadata.
+
+    records holds what run's frame function returned at each frame: a
+    DiagnosticsRecord by default.
+    """
 
     form: str
     times: list = field(default_factory=list)
@@ -132,7 +142,12 @@ def cfl_dt(state: FlowState, mesh: Mesh, params: Params, safety: float = 0.4) ->
     wave, nu = kernels.stability_terms(
         state.rho, state.vel, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor
     )
-    return safety * min(mesh.dx / wave, mesh.dx * mesh.dx / (2.0 * nu))
+    limit = min(mesh.dx / wave, mesh.dx * mesh.dx / (2.0 * nu))
+    # a finite state whose wave speed or diffusivity overflows has no
+    # usable step: that is a loss of numerics, not a step of zero length
+    if not limit > 0.0:
+        raise DomainError(f"stability limit {limit!r} is not positive at t={state.t:g}")
+    return safety * limit
 
 
 def _check_safety(safety: float) -> None:
@@ -225,9 +240,11 @@ def step_v(state: FlowState, mesh: Mesh, params: Params, dt: float,
     return _midpoint(state, mesh, params, dt, dt_max, kernels.rhs_v, _keep, _keep)
 
 
-def _emit(traj: Trajectory, state: FlowState, mesh: Mesh, profile: BackgroundProfile,
-          params: Params, acc, moment_ps, gronwall_slack: float, probe_safety: float) -> None:
-    u, v = diagnostics.velocities(state, mesh, params)
+def _emit(state: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Params,
+          acc, moment_ps, gronwall_slack: float, probe_safety: float):
+    """The default frame function of `run`: the full DiagnosticsRecord."""
+    c = diagnostics.phi_gradient(state.rho, mesh, params)
+    u, v = diagnostics.velocities(state, mesh, params, c)
     su = FlowState(state.rho, u, U_FORM, state.t)
     sv = FlowState(state.rho, v, V_FORM, state.t)
 
@@ -240,37 +257,54 @@ def _emit(traj: Trajectory, state: FlowState, mesh: Mesh, profile: BackgroundPro
     except (VacuumBreach, DomainError):
         resid_recip = math.nan
 
-    rec = diagnostics.collect(
+    return diagnostics.collect(
         su, sv, mesh, params, profile, acc,
         moment_ps=moment_ps, gronwall_slack=gronwall_slack, resid_recip=resid_recip,
+        correction=c,
     )
-    traj.times.append(state.t)
-    traj.frames.append(state.copy())
-    traj.records.append(rec)
 
 
 def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Params, *,
         T: float, output_dt: float, safety: float = 0.4,
-        moment_ps: tuple = (0, 2, 8, 30), gronwall_slack: float = 0.10) -> Trajectory:
+        moment_ps: tuple = (0, 2, 8, 30), gronwall_slack: float = 0.10,
+        monitor=None) -> Trajectory:
     """Integrate from t=0 to T, emitting diagnostics every output_dt.
 
     A vacuum breach or a loss of finiteness terminates the run and is
     recorded on the trajectory (status "vacuum" / "numerics"); only
     configuration mistakes raise.
+
+    monitor is the frame function: at every output frame it is called as
+    monitor(state, mesh, profile, params, acc, moment_ps, gronwall_slack,
+    safety), with acc the run's RunAccumulators, and returns the frame's
+    record.  The default, `_emit`, returns the full DiagnosticsRecord; a
+    caller that reads only part of it (a sweep point) can pass a leaner
+    one.  The frame function decides no status: that is the stepping
+    loop's alone.
     """
     if T < 0.0:
         raise ConfigurationError(f"T must be non-negative, got {T!r}")
     if output_dt <= 0.0:
         raise ConfigurationError(f"output_dt must be positive, got {output_dt!r}")
     _check_safety(safety)
+    moment_ps = diagnostics.moment_orders(moment_ps)
+    if monitor is None:
+        monitor = _emit  # looked up per run, so a replaced module attribute is seen
     stepper = step_u if state0.form == U_FORM else step_v
 
     state = state0.copy()
     state.t = 0.0
     traj = Trajectory(form=state0.form)
     acc = diagnostics.RunAccumulators()
+
+    def emit() -> None:
+        rec = monitor(state, mesh, profile, params, acc, moment_ps, gronwall_slack, safety)
+        traj.times.append(state.t)
+        traj.frames.append(state.copy())
+        traj.records.append(rec)
+
     traj.min_rho_ever = float(state.rho.min())
-    _emit(traj, state, mesh, profile, params, acc, moment_ps, gronwall_slack, safety)
+    emit()
 
     tiny = 1e-12 * max(T, 1.0)
     frame = 1
@@ -304,7 +338,7 @@ def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Param
             traj.breach_time = state.t
             break
         if hit:
-            _emit(traj, state, mesh, profile, params, acc, moment_ps, gronwall_slack, safety)
+            emit()
             if state.t >= frame * output_dt - tiny:
                 frame += 1
     return traj

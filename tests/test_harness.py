@@ -1,13 +1,15 @@
 """Scenario configs, initial-data families, artifact emission, CLI plumbing."""
 
 import csv
+import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dvns1d import ConfigurationError, Params, background_profile, build_mesh, mollify, validate_params
-from dvns1d import harness
+from dvns1d import diagnostics, harness, solver
 from dvns1d.cli import main
 from dvns1d.harness import (
     Scenario,
@@ -103,6 +105,7 @@ def test_load_config_missing_file():
     dict(output_dt=0.0),
     dict(safety=1.5),
     dict(moment_ps=(0, -2)),
+    dict(moment_ps=(2.5,)),
     dict(init_family="custom-table", table=None),
     dict(amplitude=-1.5),  # drives min rho0 negative
 ])
@@ -358,17 +361,101 @@ def test_fields_x_column_is_repr_of_mesh(tmp_path):
 
 # ----------------------------------------------------------------- sweeps
 
-def test_sweep_single_point_matches_run(tmp_path):
-    s = _scn(N=96, amplitude=0.4, T=0.1, output_dt=0.05)
-    run_scenario(s, tmp_path / "ref")
-    sweep(s, [1.0], [2.0], tmp_path / "sw1")
-    summary = _rows(tmp_path / "ref" / "summary.csv")[0]
-    row = _rows(tmp_path / "sw1" / "sweep.csv")[0]
-    assert row["inside_theorem"] == "yes"
-    assert row["status"] == summary["status"]
-    assert row["min_rho_run"] == summary["min_rho_run"]
-    assert row["sup_v_inf"] == summary["sup_v_inf"]
-    assert row["gronwall"] == summary["gronwall"]
+def _spike_scenario(tmp_path, **over):
+    # a pressure spike over near-vacuum gas; over the grid below it completes
+    # inside and outside the Gronwall region and ends in vacuum at alpha = 1
+    table = tmp_path / "spike.csv"
+    table.write_text("x,rho,u\n-5,1e-4,0\n-0.1,1e-4,0\n0,2.0,0\n0.1,1e-4,0\n5,1e-4,0\n")
+    return _scn(N=128, init_family="custom-table", table=str(table), T=0.02, output_dt=0.01, **over)
+
+
+def test_sweep_rows_match_full_run(tmp_path):
+    # every row of the lean sweep equals the summary of a full run (default
+    # frame function, probe step and every functional) at the same point
+    s = _spike_scenario(tmp_path)
+    sweep(s, [0.7, 1.0], [1.2, 3.0], tmp_path / "sw")
+    rows = _rows(tmp_path / "sw" / "sweep.csv")
+    assert [(r["alpha"], r["gamma"]) for r in rows] == [
+        ("0.7", "1.2"), ("0.7", "3.0"), ("1.0", "1.2"), ("1.0", "3.0")]
+    for row in rows:
+        params = dataclasses.replace(s.params, alpha=float(row["alpha"]), gamma=float(row["gamma"]))
+        point = dataclasses.replace(s, params=params, theorem=validate_params(params))
+        out = tmp_path / f"ref_{row['alpha']}_{row['gamma']}"
+        run_scenario(point, out)
+        summary = _rows(out / "summary.csv")[0]
+        for key in ("inside_theorem", "status", "min_rho_run", "vacuum", "breach_time",
+                    "sup_v_inf", "gronwall"):
+            assert row[key] == summary[key], key
+    assert {r["gronwall"] for r in rows} == {"pass", "fail", "unavailable"}
+    assert rows[0]["inside_theorem"] == "no" and rows[0]["gronwall"] == "unavailable"
+    assert [r["status"] for r in rows[2:]] == ["vacuum", "vacuum"]
+
+
+@pytest.mark.parametrize("form", ["U", "V"])
+def test_sweep_monitor_records_equal_full_records(form):
+    # the sweep's frame function shares the Gronwall piece with collect, so
+    # each field it keeps is the full record's value bit for bit
+    params = Params(alpha=0.75, gamma=2.5, a=1.3, mu0=0.9)
+    s = _scn(N=96, amplitude=0.4, u_amplitude=0.3, T=0.04, output_dt=0.01, params=params)
+    mesh = build_mesh(s.L, s.N)
+    profile = background_profile(mesh, s.rho_minus, s.rho_plus)
+    state0 = build_initial(s, mesh, profile)
+    full = harness._integrate_scenario(s, mesh, profile, state0, form)
+    lean = harness._integrate_scenario(s, mesh, profile, state0, form, harness._sweep_monitor)
+    assert (lean.status, lean.steps, lean.times) == (full.status, full.steps, full.times)
+    assert len(lean.records) == len(full.records) == 5
+    for mine, ref in zip(lean.records, full.records):
+        assert vars(mine) == {key: getattr(ref, key) for key in vars(mine)}
+    assert any(flag is not None for rec in lean.records for flag in rec.gron_pass.values())
+
+
+def test_u_form_sweep_runs_no_full_frame(tmp_path, monkeypatch):
+    # a U-form sweep point computes only what its row reads: no collect,
+    # no reciprocal-residual probe and so no V-form step
+    calls = {"collect": 0, "reciprocal_residual": 0, "step_v": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(diagnostics, "collect")
+    counting(diagnostics, "reciprocal_residual")
+    counting(solver, "step_v")
+    s = _scn(N=64, amplitude=0.2, T=0.05, output_dt=0.025)
+    sweep(s, [0.8, 1.0], [2.0, 2.5], tmp_path / "sw")
+    assert [r["status"] for r in _rows(tmp_path / "sw" / "sweep.csv")] == ["completed"] * 4
+    assert calls == {"collect": 0, "reciprocal_residual": 0, "step_v": 0}
+    # the counters see the full frame of a plain run
+    run_scenario(s, tmp_path / "run")
+    assert calls == {"collect": 3, "reciprocal_residual": 3, "step_v": 3}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_zero_stability_limit_is_numerics_in_run_and_sweep(tmp_path):
+    # one cell at the smallest denormal: the floored diffusivity
+    # max(mu, 1/n)/rho overflows, so the stability limit is 0; that is a
+    # numerics outcome in a run and in a sweep point, not a config error
+    params = Params(alpha=0.7, gamma=2.0, reg_n=10)
+    mesh = build_mesh(10.0, 64)
+    rho = np.ones(mesh.N)
+    rho[32] = 5e-324
+    table = tmp_path / "denormal.csv"
+    table.write_text("x,rho,u\n" + "".join(f"{x!r},{r!r},0\n" for x, r in zip(mesh.x.tolist(), rho.tolist())))
+    s = _scn(N=64, params=params, init_family="custom-table", table=str(table), T=0.1, output_dt=0.05)
+    profile = background_profile(mesh, 1.0, 1.0)
+    state0 = build_initial(s, mesh, profile)
+    assert float(state0.rho.min()) == 5e-324
+    traj = solver.run(state0, mesh, profile, params, T=s.T, output_dt=s.output_dt)
+    assert traj.status == "numerics" and traj.steps == 0
+    assert math.isnan(traj.records[0].resid_recip)
+    sweep(s, [0.7], [2.0], tmp_path / "sw")
+    row = _rows(tmp_path / "sw" / "sweep.csv")[0]
+    assert row["status"] == "numerics" and row["breach_time"] == "0.0"
 
 
 def test_sweep_error_row_continues(tmp_path):

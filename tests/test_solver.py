@@ -25,7 +25,7 @@ from dvns1d import (
     step_v,
     viscosity,
 )
-from dvns1d import kernels
+from dvns1d import diagnostics, kernels
 from dvns1d.errors import ConfigurationError, DomainError, VacuumBreach
 from dvns1d.mesh import grad_c
 from test_kernels import ORACLE_PARAMS, _bits
@@ -427,3 +427,42 @@ def test_run_rejects_bad_horizon():
         run(st, m, prof, SW, T=-1.0, output_dt=0.1)
     with pytest.raises(ConfigurationError):
         run(st, m, prof, SW, T=1.0, output_dt=0.0)
+
+
+def test_run_rejects_non_integer_moment_order():
+    # checked once on the raw values, before the first frame: 2.5 is not
+    # read as the order 2
+    m, st = _bump_state(64)
+    prof = background_profile(m, 1.0, 1.0)
+    for bad in ((2.5,), (0, -2)):
+        with pytest.raises(ConfigurationError, match="moment order"):
+            run(st, m, prof, SW, T=0.01, output_dt=0.01, moment_ps=bad)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cfl_dt_rejects_a_zero_limit():
+    # a finite, positive state whose floored diffusivity overflows has a
+    # zero stability limit: a domain error, so run ends it as "numerics"
+    m = build_mesh(10.0, 64)
+    rho = np.ones(64)
+    rho[32] = 5e-324
+    st = make_state(rho, np.zeros(64), "U", m)
+    with pytest.raises(DomainError, match="stability limit"):
+        cfl_dt(st, m, Params(alpha=0.7, gamma=2.0, reg_n=10))
+
+
+@pytest.mark.parametrize("form", ["U", "V"])
+def test_run_evaluates_phi_once_per_frame(form, monkeypatch):
+    # the frame derives d/dx phi(rho) once and hands it to collect
+    calls = []
+    inner = diagnostics.phi
+
+    def counting(*args):
+        calls.append(1)
+        return inner(*args)
+
+    m, st = _bump_state(128, form=form)
+    monkeypatch.setattr(diagnostics, "phi", counting)
+    traj = run(st, m, background_profile(m, 1.0, 1.0), SW, T=0.05, output_dt=0.01)
+    assert traj.status == "completed" and len(traj.records) == 6
+    assert len(calls) == len(traj.records)
