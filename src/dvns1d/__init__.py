@@ -53,7 +53,6 @@ from .diagnostics import (
     dissipation_bd_rate,
     dissipation_u_rate,
     energy_functional,
-    gronwall_bound_v,
     pressure_identity_residual,
     reciprocal_residual,
     v_moment,
@@ -81,7 +80,7 @@ __all__ = [
     "effective_velocity", "recover_u", "cfl_dt", "step_u", "step_v", "run",
     "DiagnosticsRecord", "RunAccumulators", "energy_functional", "bd_functional",
     "dissipation_u_rate", "dissipation_bd_rate", "bd_dissipation_integrand",
-    "weighted_sup", "v_moment", "gronwall_bound_v", "reciprocal_residual",
+    "weighted_sup", "v_moment", "reciprocal_residual",
     "pressure_identity_residual", "density_report", "collect",
     "Scenario", "load_config", "build_initial", "run_scenario", "sweep",
     "refinement_study", "regularization_study",

@@ -3,7 +3,9 @@
 Subcommands: run, sweep, refine, regularize, validate.  Output directory
 resolution: --outdir flag, else the DVNS1D_OUTDIR environment variable, else
 ./runs/<scenario name>.  Exit codes: 0 success (a recorded vacuum breach is a
-scientific outcome, not a failure), 1 configuration error, 2 I/O error.
+scientific outcome, not a failure), 1 configuration error, 2 I/O error,
+3 arithmetic error (an overflow in a diagnostic, such as the Gronwall
+envelope near vacuum; a sweep records it as an error row instead).
 """
 
 from __future__ import annotations
@@ -85,6 +87,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"arithmetic error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

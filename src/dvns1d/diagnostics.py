@@ -42,7 +42,6 @@ __all__ = [
     "dissipation_bd_rate",
     "weighted_sup",
     "v_moment",
-    "gronwall_bound_v",
     "reciprocal_residual",
     "pressure_identity_residual",
     "density_report",
@@ -225,13 +224,6 @@ def v_moment(state, mesh: Mesh, params: Params, p: int) -> float:
     return _moment(state.rho, np.abs(v), p, mesh)
 
 
-def _trapezoid(values, times) -> float:
-    total = 0.0
-    for k in range(1, len(times)):
-        total += 0.5 * (values[k] + values[k - 1]) * (times[k] - times[k - 1])
-    return total
-
-
 def _gronwall_available(params: Params) -> bool:
     return params.gamma - params.alpha - params.beta_eff >= 0.0
 
@@ -244,19 +236,11 @@ def _gronwall_rate(wvel: float, sql2: float, rho_linf: float, params: Params, p:
 
 
 def _gronwall_envelope(initial_moment: float, integral: float, params: Params, p: int) -> float:
-    q = p + 2
-    k = params.a * params.gamma / params.mu0
-    base = initial_moment ** q + k * q * integral
-    return base ** (1.0 / q) * math.exp(k * integral)
+    """Gronwall envelope for the p-th v-moment.
 
-
-def gronwall_bound_v(times, wvel_hist, sql2_hist, rho_linf_hist,
-                     initial_moment: float, params: Params, p: int) -> float | None:
-    """Gronwall envelope for the p-th v-moment from measured history.
-
-    bound = (m0^q + K*q*I)^(1/q) * exp(K*I) with q = p + 2, K = a*gamma/mu0
-    and I = integral of A(s) = wvel^(p/q) * sql2^(2/q) *
-    rho_linf^(gamma - alpha - p*beta/q).
+    bound = (m0^q + K*q*I)^(1/q) * exp(K*I) with q = p + 2, K = a*gamma/mu0,
+    m0 the initial moment and I the time integral of the rate A(s) of
+    _gronwall_rate, wvel^(p/q) * sql2^(2/q) * rho_linf^(gamma - alpha - p*beta/q).
 
     Derivation: v solves rho*(v_t + u*v_x) + P(rho)_x = 0, so with
     M = integral of rho*|v|^q, dM/dt = -q * integral of P_x*|v|^p*v.  Since
@@ -269,17 +253,14 @@ def gronwall_bound_v(times, wvel_hist, sql2_hist, rho_linf_hist,
     K is the factor P'(rho)/rho^(gamma-1) = a*gamma divided by the
     viscosity coefficient mu0; it equals gamma at a = mu0 = 1.
 
-    Requires gamma - alpha - beta >= 0; outside that region the envelope has
-    no closed form (the missing ingredient is a bound on 1/rho) and None is
-    returned as the unavailable marker.
+    Requires gamma - alpha - beta >= 0 (_gronwall_available); outside that
+    region the envelope has no closed form (the missing ingredient is a
+    bound on 1/rho) and moment_record reports it as unavailable.
     """
-    if not _gronwall_available(params):
-        return None
-    rates = [
-        _gronwall_rate(w, s, r, params, p)
-        for w, s, r in zip(wvel_hist, sql2_hist, rho_linf_hist)
-    ]
-    return _gronwall_envelope(initial_moment, _trapezoid(rates, times), params, p)
+    q = p + 2
+    k = params.a * params.gamma / params.mu0
+    base = initial_moment ** q + k * q * integral
+    return base ** (1.0 / q) * math.exp(k * integral)
 
 
 def reciprocal_residual(state_t, state_next, mesh: Mesh, params: Params) -> float:

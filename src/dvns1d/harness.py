@@ -76,6 +76,7 @@ class Scenario:
     safety: float = 0.4
     moment_ps: tuple = (0, 2, 8, 30)
     gronwall_slack: float = 0.10
+    time_scheme: str = solver.IMEX
 
     @property
     def inside_theorem(self) -> bool:
@@ -151,6 +152,7 @@ def load_config(path) -> Scenario:
         safety=_get(cfg, "run", "safety", float, 0.4),
         moment_ps=_get(cfg, "run", "moment_ps", _parse_int_tuple, (0, 2, 8, 30)),
         gronwall_slack=_get(cfg, "run", "gronwall_slack", float, 0.10),
+        time_scheme=_get(cfg, "run", "time_scheme", str, solver.IMEX),
     )
     validate_scenario(scenario)
     return scenario
@@ -169,6 +171,7 @@ def validate_scenario(s: Scenario) -> None:
         raise ConfigurationError(f"output_dt must be positive, got {s.output_dt!r}")
     if not (0.0 < s.safety <= 1.0):
         raise ConfigurationError(f"safety must lie in (0, 1], got {s.safety!r}")
+    solver.uses_imex(s.time_scheme)
     diagnostics.moment_orders(s.moment_ps)
     if s.init_family == "custom-table" and not s.table:
         raise ConfigurationError("custom-table family requires the 'table' field")
@@ -352,6 +355,7 @@ def _integrate_scenario(s: Scenario, mesh: Mesh, profile: BackgroundProfile,
         st0, mesh, profile, s.params,
         T=s.T, output_dt=s.output_dt, safety=s.safety,
         moment_ps=s.moment_ps, gronwall_slack=s.gronwall_slack, monitor=monitor,
+        time_scheme=s.time_scheme,
     )
 
 

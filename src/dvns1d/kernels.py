@@ -86,7 +86,7 @@ def _scaled(x, c):
     return x
 
 
-def _viscosity(rho, alpha, mu0, floor):
+def viscosity(rho, alpha, mu0, floor):
     mu = _scaled(rho**alpha, mu0)
     # for rho > 0, rho**alpha is +0 or more (or NaN), which a zero floor leaves alone
     if floor != 0.0:
@@ -94,32 +94,41 @@ def _viscosity(rho, alpha, mu0, floor):
     return mu
 
 
-def rhs_u(rho, u, dx, alpha, gamma, a, mu0, floor):
-    # d/dt rho = -(rho u)_x,  d/dt m = -(m u)_x - P_x + (mu u_x)_x
+def transport_u(rho, u, dx, gamma, a):
+    # rhs_u without the viscous term: d/dt rho = -(rho u)_x, d/dt m = -(m u)_x - P_x
     wf, up = _face_velocity(u)
     drho = _donor_div(rho, u, wf, up, -dx)
     dm = _donor_div(rho * u, u, wf, up, -dx)
     dm -= grad_c(_scaled(rho**gamma, a), dx)
-    dm[1:-1] += _diffusion_core(_viscosity(rho, alpha, mu0, floor), u, dx)
+    return drho, dm
+
+
+def rhs_u(rho, u, dx, alpha, gamma, a, mu0, floor):
+    # d/dt rho = -(rho u)_x,  d/dt m = -(m u)_x - P_x + (mu u_x)_x
+    drho, dm = transport_u(rho, u, dx, gamma, a)
+    dm[1:-1] += _diffusion_core(viscosity(rho, alpha, mu0, floor), u, dx)
     dm[0] += 0.0
     dm[-1] += 0.0
     return drho, dm
 
 
-def rhs_v(rho, v, dx, alpha, gamma, a, mu0, floor):
-    # d/dt rho = (mu/rho rho_x)_x - (rho v)_x,  d/dt v = -u v_x - P_x / rho
+def diffusivity(rho, alpha, mu0, floor):
+    # the V-form density diffusivity max(floor, mu(rho)) / rho
+    nu = viscosity(rho, alpha, mu0, floor)
+    nu /= rho
+    return nu
+
+
+def transport_v(rho, v, dx, alpha, gamma, a, mu0):
+    # rhs_v without the density diffusion: d/dt rho = -(rho v)_x,
+    # d/dt v = -u v_x - P_x / rho with u = v - phi(rho)_x
     if alpha == 1.0:
         ph = _scaled(np.log(rho), mu0)
     else:
         ph = _scaled(rho ** (alpha - 1.0), mu0 / (alpha - 1.0))
     u = grad_c(ph, dx)
     np.subtract(v, u, out=u)
-    coef = _viscosity(rho, alpha, mu0, floor)
-    coef /= rho
     drho = upwind_div(rho, v, -dx)
-    drho[1:-1] += _diffusion_core(coef, rho, dx)
-    drho[0] += 0.0
-    drho[-1] += 0.0
     dv = upwind_grad(v, u, -dx)
     dv *= u
     gp = grad_c(_scaled(rho**gamma, a), dx)
@@ -128,9 +137,86 @@ def rhs_v(rho, v, dx, alpha, gamma, a, mu0, floor):
     return drho, dv
 
 
+def rhs_v(rho, v, dx, alpha, gamma, a, mu0, floor):
+    # d/dt rho = (mu/rho rho_x)_x - (rho v)_x,  d/dt v = -u v_x - P_x / rho
+    drho, dv = transport_v(rho, v, dx, alpha, gamma, a, mu0)
+    drho[1:-1] += _diffusion_core(diffusivity(rho, alpha, mu0, floor), rho, dx)
+    drho[0] += 0.0
+    drho[-1] += 0.0
+    return drho, dv
+
+
 def stability_terms(rho, vel, alpha, gamma, a, mu0, floor):
     wave = np.sqrt(_scaled(rho ** (gamma - 1.0), a * gamma))
     wave += np.abs(vel)
-    nu = _viscosity(rho, alpha, mu0, floor)
-    nu /= rho
-    return float(wave.max()), float(nu.max())
+    return float(wave.max()), float(diffusivity(rho, alpha, mu0, floor).max())
+
+
+def diffusion_bands(base, coef, k):
+    """Bands of the system base*f - k*dx^2*D_coef f with D_coef the stencil
+    of _diffusion_core, on rows 2..N-3; the two clamped cells at each end
+    are identity rows.  For base > 0 and coef >= 0 it is an M-matrix."""
+    w = coef[:-1] + coef[1:]
+    w *= 0.5 * k
+    lower = np.zeros_like(base)
+    upper = np.zeros_like(base)
+    diag = base.copy()
+    lower[2:-2] = -w[1:-2]
+    upper[2:-2] = -w[2:-1]
+    diag[2:-2] += w[1:-2]
+    diag[2:-2] += w[2:-1]
+    diag[:2] = diag[-2:] = 1.0
+    return lower, diag, upper
+
+
+# systems at most this long are finished by a sequential Thomas sweep
+_THOMAS_MAX = 64
+
+
+def solve_tridiagonal(lower, diag, upper, rhs):
+    """Solve lower[i]*x[i-1] + diag[i]*x[i] + upper[i]*x[i+1] = rhs[i].
+
+    lower[0] and upper[-1] must be zero.  Odd-even cyclic reduction
+    eliminates the odd unknowns from the even rows, vectorised, until at
+    most _THOMAS_MAX rows remain for a Thomas sweep.  There is no pivoting,
+    so the system must be diagonally dominant.  For an M-matrix every
+    product and quotient below has a fixed sign, so a positive rhs gives a
+    positive solution.
+    """
+    n = diag.shape[0]
+    if n <= _THOMAS_MAX:
+        return _thomas(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist())
+    ae, be, ce, de = lower[::2], diag[::2], upper[::2], rhs[::2]
+    ao, bo, co, do = lower[1::2], diag[1::2], upper[1::2], rhs[1::2]
+    ne, no = be.shape[0], bo.shape[0]
+    # even row 2k meets odd row k-1 on its left and odd row k on its right
+    fl = -ae[1:] / bo[:ne - 1]
+    fr = -ce[:no] / bo
+    a2, c2, b2, d2 = np.zeros(ne), np.zeros(ne), be.copy(), de.copy()
+    a2[1:] = fl * ao[:ne - 1]
+    c2[:no] = fr * co
+    b2[1:] += fl * co[:ne - 1]
+    b2[:no] += fr * ao
+    d2[1:] += fl * do[:ne - 1]
+    d2[:no] += fr * do
+    x = np.zeros(n + 1)  # x[n] = 0 stands for the missing right neighbour
+    x[:n:2] = solve_tridiagonal(a2, b2, c2, d2)
+    xo = do - ao * x[:n - 1:2]
+    xo -= co * x[2::2]
+    xo /= bo
+    x[1:n:2] = xo
+    return x[:n]
+
+
+def _thomas(a, b, c, d):
+    # sequential elimination on Python floats: the small system of a reduction
+    n = len(b)
+    for i in range(1, n):
+        f = a[i] / b[i - 1]
+        b[i] -= f * c[i - 1]
+        d[i] -= f * d[i - 1]
+    x = [0.0] * n
+    x[-1] = d[-1] / b[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (d[i] - c[i] * x[i + 1]) / b[i]
+    return np.array(x)

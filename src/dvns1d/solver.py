@@ -7,10 +7,15 @@ velocity diffusion through the three-point flux form.  V-form evolves
 diffusion term and v obeys a non-conservative transport equation divided
 through by rho.
 
-Both forms share one explicit two-stage midpoint update, `_midpoint`, which
-clamps the two outermost cells on each side to the incoming boundary values
-(the far field is constant by construction) and treats a non-positive
-density as a recorded vacuum-breach event rather than a numerical accident.
+Two time schemes step either form.  `explicit` is a two-stage midpoint
+update, `_midpoint`, bound by the diffusive limit dx^2/(2 nu) as well as the
+acoustic one; it is the reference scheme.  `imex`, the default of `run`, is
+ARS(2,2,2), `_ars`: the viscosity (U form) or the density diffusion (V form)
+is implicit, one tridiagonal solve per implicit stage, and only the acoustic
+limit binds.  Both clamp the two outermost cells on each side to the
+incoming boundary values (the far field is constant by construction) and
+treat a non-positive density as a recorded vacuum-breach event rather than
+a numerical accident.
 
 The stability limit is evaluated once per step: `run` computes it, derives
 dt from it and hands it to the stepper as `dt_max`, which the stepper checks
@@ -44,6 +49,10 @@ __all__ = [
     "V_FORM",
     "effective_velocity",
     "recover_u",
+    "EXPLICIT",
+    "IMEX",
+    "TIME_SCHEMES",
+    "uses_imex",
     "cfl_dt",
     "step_u",
     "step_v",
@@ -52,6 +61,15 @@ __all__ = [
 
 U_FORM = "U"
 V_FORM = "V"
+
+EXPLICIT = "explicit"
+IMEX = "imex"
+TIME_SCHEMES = (IMEX, EXPLICIT)
+
+# ARS(2,2,2): implicit diagonal gamma and the explicit weight delta of the
+# first stage in the last (Ascher, Ruuth & Spiteri 1997)
+_ARS_G = 1.0 - 1.0 / math.sqrt(2.0)
+_ARS_D = 1.0 - 1.0 / (2.0 * _ARS_G)
 
 # number of cells frozen to far-field values at each end
 _CLAMP = 2
@@ -128,21 +146,33 @@ def recover_u(state: FlowState, mesh: Mesh, params: Params) -> FlowState:
     return FlowState(state.rho.copy(), u, U_FORM, state.t)
 
 
-def cfl_dt(state: FlowState, mesh: Mesh, params: Params, safety: float = 0.4) -> float:
-    """Explicit stability limit: min of the acoustic and diffusive restrictions.
+def cfl_dt(state: FlowState, mesh: Mesh, params: Params, safety: float = 0.4,
+           time_scheme: str = EXPLICIT) -> float:
+    """Stability limit of one step of the given time scheme.
 
-    dt = safety * min( dx / max(|vel| + c), dx^2 / (2 max nu) ) with
+    explicit: safety * min( dx / max(|vel| + c), dx^2 / (2 max nu) ) with
     c = sqrt(a*gamma*rho^(gamma-1)) and nu the kinematic diffusivity that the
     stepper actually applies, max(mu_floor, mu(rho)) / rho.
+    imex: the diffusion is implicit, so only the acoustic limit of the
+    explicit terms, safety * dx / max(|w| + c); w is u in the U form and the
+    larger of |v| and the speed |u| = |v - phi(rho)_x| that carries v in the
+    V form.
     """
     _check_safety(safety)
+    imex = uses_imex(time_scheme)
     if not (np.isfinite(state.rho).all() and np.isfinite(state.vel).all()):
         raise DomainError(f"non-finite field at t={state.t:g}")
     _require_positive(state.rho, state.t)
+    speed = state.vel
+    if imex and state.form == V_FORM:
+        u, _ = diagnostics.velocities(state, mesh, params)
+        speed = np.maximum(np.abs(u), np.abs(state.vel))
     wave, nu = kernels.stability_terms(
-        state.rho, state.vel, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor
+        state.rho, speed, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor
     )
-    limit = min(mesh.dx / wave, mesh.dx * mesh.dx / (2.0 * nu))
+    limit = mesh.dx / wave
+    if not imex:
+        limit = min(limit, mesh.dx * mesh.dx / (2.0 * nu))
     # a finite state whose wave speed or diffusivity overflows has no
     # usable step: that is a loss of numerics, not a step of zero length
     if not limit > 0.0:
@@ -155,10 +185,18 @@ def _check_safety(safety: float) -> None:
         raise ConfigurationError(f"safety must lie in (0, 1], got {safety!r}")
 
 
-def _check_dt(dt: float, state: FlowState, mesh: Mesh, params: Params, dt_max: float | None) -> None:
+def uses_imex(time_scheme: str) -> bool:
+    """Whether time_scheme is IMEX; ConfigurationError unless it is one of TIME_SCHEMES."""
+    if time_scheme not in TIME_SCHEMES:
+        raise ConfigurationError(f"time_scheme must be one of {TIME_SCHEMES}, got {time_scheme!r}")
+    return time_scheme == IMEX
+
+
+def _check_dt(dt: float, state: FlowState, mesh: Mesh, params: Params, dt_max: float | None,
+              time_scheme: str = EXPLICIT) -> None:
     """Raise if dt exceeds the stability limit (evaluated here unless given)."""
     if dt_max is None:
-        dt_max = cfl_dt(state, mesh, params, safety=1.0)
+        dt_max = cfl_dt(state, mesh, params, 1.0, time_scheme)
     if dt > dt_max * (1.0 + 1e-6):
         raise DomainError(f"dt={dt:g} exceeds the stability limit {dt_max:g}")
 
@@ -214,22 +252,99 @@ def _midpoint(state: FlowState, mesh: Mesh, params: Params, dt: float, dt_max: f
     return out, StepReport(dt_used=dt, min_rho=min_rho, max_rho=float(rho1.max()))
 
 
-def step_u(state: FlowState, mesh: Mesh, params: Params, dt: float,
-           dt_max: float | None = None) -> tuple[FlowState, StepReport]:
-    """One two-stage midpoint step of the conservative (rho, rho*u) system.
+def _ars(state: FlowState, mesh: Mesh, params: Params, dt: float, dt_max: float | None,
+         explicit, stage) -> tuple[FlowState, StepReport]:
+    """One ARS(2,2,2) step: two explicit evaluations, two implicit stages.
 
-    dt_max is the stability limit cfl_dt(state, ..., safety=1.0) when the
-    caller has already evaluated it; otherwise it is evaluated here.
+    explicit(rho, vel, mesh, params) returns the explicit terms (d/dt rho,
+    d/dt q) of the stepped pair.  stage(state, mesh, params, dt, inc, g, t)
+    completes a stage from the explicit increments inc and returns
+    (rho, vel, g2): at the second stage g is None and g2 its implicit terms,
+    which the last stage receives, scaled, as g (and returns None).  The
+    last stage is the step (stiffly accurate).
+    """
+    _check_dt(dt, state, mesh, params, dt_max, IMEX)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        f1 = explicit(state.rho, state.vel, mesh, params)
+        inc = [(_ARS_G * dt) * f for f in f1]
+        rho2, vel2, g2 = stage(state, mesh, params, dt, inc, None, state.t + _ARS_G * dt)
+        f2 = explicit(rho2, vel2, mesh, params)
+        inc = [dt * (_ARS_D * a + (1.0 - _ARS_D) * b) for a, b in zip(f1, f2)]
+        rho1, vel1, _ = stage(state, mesh, params, dt, inc, ((1.0 - _ARS_G) * dt) * g2, state.t + dt)
+    out = FlowState(rho1, vel1, state.form, state.t + dt)
+    return out, StepReport(dt_used=dt, min_rho=_check_vacuum(rho1, out.t), max_rho=float(rho1.max()))
+
+
+def _explicit_u(rho, u, mesh: Mesh, p: Params):
+    return kernels.transport_u(rho, u, mesh.dx, p.gamma, p.a)
+
+
+def _explicit_v(rho, v, mesh: Mesh, p: Params):
+    return kernels.transport_v(rho, v, mesh.dx, p.alpha, p.gamma, p.a, p.mu0)
+
+
+def _stage_u(state: FlowState, mesh: Mesh, p: Params, dt: float, inc, g, t: float):
+    """The mass is explicit; the velocity then solves
+    (rho_s - gamma*dt*D_mu(rho_s)) u_s = m0 + inc_m (+ g)."""
+    rho0, u0 = state.rho, state.vel
+    rho = rho0 + inc[0]
+    _clamp_ends(rho, rho0)
+    _check_vacuum(rho, t)
+    m = u0 * rho0 + inc[1]
+    if g is not None:
+        m += g
+    _clamp_ends(m, u0)  # identity rows
+    mu = kernels.viscosity(rho, p.alpha, p.mu0, p.visc_floor)
+    u = kernels.solve_tridiagonal(*kernels.diffusion_bands(rho, mu, _ARS_G * dt / mesh.dx**2), m)
+    return rho, u, kernels.diffuse(mu, u, mesh.dx) if g is None else None
+
+
+def _stage_v(state: FlowState, mesh: Mesh, p: Params, dt: float, inc, g, t: float):
+    """v is explicit; the density then solves
+    (I - gamma*dt*D_c) rho_s = rho0 + inc_rho (+ g) for its increment
+    rho_s - rho0, whose right-hand side is exactly 0 on a constant state.
+
+    The diffusivity c is taken at rho0 for a first solve and at that first
+    answer for the second: a diffusivity lagging the stage by O(dt) would
+    leave the step first order for alpha != 1.
+    """
+    rho0, v0, dx = state.rho, state.vel, mesh.dx
+    v = v0 + inc[1]
+    _clamp_ends(v, v0)
+    known = inc[0] if g is None else inc[0] + g
+    rho = rho0
+    for _ in range(2):
+        c = kernels.diffusivity(rho, p.alpha, p.mu0, p.visc_floor)
+        rhs = known + (_ARS_G * dt) * kernels.diffuse(c, rho0, dx)
+        rhs[:_CLAMP] = rhs[-_CLAMP:] = 0.0  # identity rows
+        bands = kernels.diffusion_bands(np.ones_like(rho0), c, _ARS_G * dt / dx**2)
+        rho = rho0 + kernels.solve_tridiagonal(*bands, rhs)
+        _check_vacuum(rho, t)
+    if g is not None:
+        return rho, v, None
+    return rho, v, kernels.diffuse(kernels.diffusivity(rho, p.alpha, p.mu0, p.visc_floor), rho, dx)
+
+
+def step_u(state: FlowState, mesh: Mesh, params: Params, dt: float,
+           dt_max: float | None = None, time_scheme: str = EXPLICIT) -> tuple[FlowState, StepReport]:
+    """One step of the conservative (rho, rho*u) system: two-stage midpoint
+    (explicit) or ARS(2,2,2) with implicit viscosity (imex).
+
+    dt_max is the stability limit cfl_dt(state, ..., 1.0, time_scheme) when
+    the caller has already evaluated it; otherwise it is evaluated here.
     """
     if state.form != U_FORM:
         raise ConfigurationError("step_u expects a U-form state")
+    if uses_imex(time_scheme):
+        return _ars(state, mesh, params, dt, dt_max, _explicit_u, _stage_u)
     # stepped unknown m = u*rho, bit-equal to rho*u
     return _midpoint(state, mesh, params, dt, dt_max, kernels.rhs_u, np.multiply, np.divide)
 
 
 def step_v(state: FlowState, mesh: Mesh, params: Params, dt: float,
-           dt_max: float | None = None) -> tuple[FlowState, StepReport]:
-    """One two-stage midpoint step of the (rho, v) system.
+           dt_max: float | None = None, time_scheme: str = EXPLICIT) -> tuple[FlowState, StepReport]:
+    """One step of the (rho, v) system: two-stage midpoint (explicit) or
+    ARS(2,2,2) with implicit density diffusion (imex).
 
     Density: d/dt rho = d/dx(mu(rho)/rho * d/dx rho) - d/dx(rho v).
     Velocity: d/dt v = -u * (upwind d/dx v) - grad P / rho with
@@ -237,6 +352,8 @@ def step_v(state: FlowState, mesh: Mesh, params: Params, dt: float,
     """
     if state.form != V_FORM:
         raise ConfigurationError("step_v expects a V-form state")
+    if uses_imex(time_scheme):
+        return _ars(state, mesh, params, dt, dt_max, _explicit_v, _stage_v)
     return _midpoint(state, mesh, params, dt, dt_max, kernels.rhs_v, _keep, _keep)
 
 
@@ -249,7 +366,10 @@ def _emit(state: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Para
     sv = FlowState(state.rho, v, V_FORM, state.t)
 
     # forward-time probe for the reciprocal-equation residual: one extra
-    # V-form step whose pair (t, t+dt) feeds the finite-difference residual
+    # V-form step whose pair (t, t+dt) feeds the finite-difference residual.
+    # It is explicit under either scheme, so the residual measures the same
+    # quantity; an imex step at the acoustic limit would add an O(dx) time
+    # difference to it
     try:
         limit = cfl_dt(sv, mesh, params, 1.0)
         sv_next, _ = step_v(sv, mesh, params, probe_safety * limit, limit)
@@ -267,12 +387,13 @@ def _emit(state: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Para
 def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Params, *,
         T: float, output_dt: float, safety: float = 0.4,
         moment_ps: tuple = (0, 2, 8, 30), gronwall_slack: float = 0.10,
-        monitor=None) -> Trajectory:
+        monitor=None, time_scheme: str = IMEX) -> Trajectory:
     """Integrate from t=0 to T, emitting diagnostics every output_dt.
 
     A vacuum breach or a loss of finiteness terminates the run and is
     recorded on the trajectory (status "vacuum" / "numerics"); only
-    configuration mistakes raise.
+    configuration mistakes raise.  time_scheme, one of TIME_SCHEMES, picks
+    the stepper and its stability limit.
 
     monitor is the frame function: at every output frame it is called as
     monitor(state, mesh, profile, params, acc, moment_ps, gronwall_slack,
@@ -287,6 +408,7 @@ def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Param
     if output_dt <= 0.0:
         raise ConfigurationError(f"output_dt must be positive, got {output_dt!r}")
     _check_safety(safety)
+    uses_imex(time_scheme)
     moment_ps = diagnostics.moment_orders(moment_ps)
     if monitor is None:
         monitor = _emit  # looked up per run, so a replaced module attribute is seen
@@ -311,14 +433,14 @@ def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Param
     while state.t < T - tiny:
         try:
             # safety * cfl_dt(.., 1.0) == cfl_dt(.., safety) bit for bit
-            limit = cfl_dt(state, mesh, params, 1.0)
+            limit = cfl_dt(state, mesh, params, 1.0, time_scheme)
             dt = safety * limit
             target = min(frame * output_dt, T)
             remaining = target - state.t
             hit = remaining <= dt * (1.0 + 1e-6)
             if hit:
                 dt = remaining
-            state, report = stepper(state, mesh, params, dt, limit)
+            state, report = stepper(state, mesh, params, dt, limit, time_scheme)
             if hit:
                 state.t = target  # land output frames on exact times
         except VacuumBreach as breach:

@@ -4,6 +4,11 @@ Each criterion gets its own test function so `pytest -v tests/test_acceptance.py
 prints exactly one pass/fail line per criterion. Expensive trajectories are
 shared through module-scoped fixtures; the whole battery targets well under a
 minute on one core.
+
+Every trajectory is integrated with the `time_scheme` fixture's scheme: the
+default, imex, here, and the explicit reference scheme in
+tests/test_acceptance_explicit.py, which runs the same criteria with the same
+thresholds.
 """
 
 import csv
@@ -28,10 +33,15 @@ from dvns1d.harness import Scenario, build_initial, refinement_study, regulariza
 SW = Params(alpha=1.0, gamma=2.0, eps=0.125)  # the shallow-water point
 
 
-def _scn(**over):
+@pytest.fixture(scope="module")
+def time_scheme():
+    return "imex"
+
+
+def _scn(time_scheme, **over):
     params = over.pop("params", SW)
     return Scenario(name=over.pop("name", "acc"), params=params,
-                    theorem=validate_params(params), **over)
+                    theorem=validate_params(params), time_scheme=time_scheme, **over)
 
 
 def _bump(N, L=10.0, amp=0.5):
@@ -42,10 +52,10 @@ def _bump(N, L=10.0, amp=0.5):
 
 
 @pytest.fixture(scope="module")
-def ladder_orders(tmp_path_factory):
+def ladder_orders(tmp_path_factory, time_scheme):
     """Self-convergence table for the smooth bump, both forms, N in {256,512,1024}."""
     out = tmp_path_factory.mktemp("ladder")
-    s = _scn(N=256, amplitude=0.5, T=0.2, output_dt=0.1, solver_form="both")
+    s = _scn(time_scheme, N=256, amplitude=0.5, T=0.2, output_dt=0.1, solver_form="both")
     assert refinement_study(s, [256, 512, 1024], out) == 0
     table = {}
     with open(out / "orders.csv", newline="") as fh:
@@ -55,7 +65,7 @@ def ladder_orders(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def budget_runs():
+def budget_runs(time_scheme):
     """Fine-cadence bump runs used for the energy and entropy budgets.
 
     The cumulative dissipations are trapezoid sums over the output cadence,
@@ -66,28 +76,29 @@ def budget_runs():
     out = {}
     for n in (512, 1024):
         m, prof, st = _bump(n)
-        out[n] = run(st, m, prof, SW, T=0.2, output_dt=0.00125)
+        out[n] = run(st, m, prof, SW, T=0.2, output_dt=0.00125, time_scheme=time_scheme)
         assert out[n].status == "completed"
     return out
 
 
 @pytest.fixture(scope="module")
-def sw_traj():
+def sw_traj(time_scheme):
     m, prof, st = _bump(512)
-    traj = run(st, m, prof, SW, T=1.0, output_dt=0.05)
+    traj = run(st, m, prof, SW, T=1.0, output_dt=0.05, time_scheme=time_scheme)
     assert traj.status == "completed"
     return traj
 
 
 @pytest.fixture(scope="module")
-def hoff_mins():
+def hoff_mins(time_scheme):
     mins = {}
     for n in (512, 1024):
         m = build_mesh(10.0, n)
         prof = background_profile(m, 1.0, 2.0)
-        s = _scn(N=n, rho_minus=1.0, rho_plus=2.0, init_family="hoff-step",
+        s = _scn(time_scheme, N=n, rho_minus=1.0, rho_plus=2.0, init_family="hoff-step",
                  u_amplitude=0.3, u_sigma=2.0, T=1.0, output_dt=0.1)
-        traj = run(build_initial(s, m, prof), m, prof, SW, T=1.0, output_dt=0.1)
+        traj = run(build_initial(s, m, prof), m, prof, SW, T=1.0, output_dt=0.1,
+                   time_scheme=time_scheme)
         assert traj.status == "completed"
         mins[n] = traj.min_rho_ever
     return mins
@@ -104,13 +115,13 @@ def _budget_delta(records, energy_attr, diss_attr):
 
 # --------------------------------------------------------------- criteria
 
-def test_01_stationary_fixed_point():
+def test_01_stationary_fixed_point(time_scheme):
     # constant state, both forms, N=256, T=0.5: every field frozen to 1e-12
     m = build_mesh(10.0, 256)
     prof = background_profile(m, 1.0, 1.0)
     for form in ("U", "V"):
         st = make_state(np.ones(256), np.zeros(256), form, m)
-        traj = run(st, m, prof, SW, T=0.5, output_dt=0.1)
+        traj = run(st, m, prof, SW, T=0.5, output_dt=0.1, time_scheme=time_scheme)
         assert traj.status == "completed"
         for fr in traj.frames:
             assert np.max(np.abs(fr.rho - 1.0)) <= 1e-12
@@ -182,17 +193,18 @@ def test_09_no_vacuum_step_data(hoff_mins):
     assert abs(hoff_mins[512] - hoff_mins[1024]) / hoff_mins[512] <= 0.05
 
 
-def test_10_regularization_consistency(tmp_path):
-    s = _scn(N=512, init_family="near-vacuum", amplitude=-0.6, T=0.2, output_dt=0.1)
+def test_10_regularization_consistency(tmp_path, time_scheme):
+    s = _scn(time_scheme, N=512, init_family="near-vacuum", amplitude=-0.6, T=0.2, output_dt=0.1)
     m = build_mesh(10.0, 512)
     prof = background_profile(m, 1.0, 1.0)
 
     # floor below min viscosity + kernel support below dx: bit-identical run
-    base = run(build_initial(s, m, prof), m, prof, SW, T=0.2, output_dt=0.1)
+    base = run(build_initial(s, m, prof), m, prof, SW, T=0.2, output_dt=0.1,
+               time_scheme=time_scheme)
     big = dataclasses.replace(SW, reg_n=10**6)
     st_reg = build_initial(dataclasses.replace(s, params=big), m, prof,
                            mollify_override=10**6)
-    regd = run(st_reg, m, prof, big, T=0.2, output_dt=0.1)
+    regd = run(st_reg, m, prof, big, T=0.2, output_dt=0.1, time_scheme=time_scheme)
     assert float(np.max(np.abs(base.frames[-1].rho - regd.frames[-1].rho))) <= 1e-13
 
     # approximation ladder: distance to the most-resolved member non-increasing
@@ -222,10 +234,10 @@ def _phi_probe(rho):
     return phi(rho, Params(alpha=0.75, gamma=2.0, eps=0.125))
 
 
-def test_12_sweep_determinism(tmp_path):
+def test_12_sweep_determinism(tmp_path, time_scheme):
     # 5x5 grid straddling the admissibility line, run twice: every row
     # populated and the two tables byte-identical
-    s = _scn(N=256, amplitude=0.5, T=1.0, output_dt=0.2)
+    s = _scn(time_scheme, N=256, amplitude=0.5, T=1.0, output_dt=0.2)
     alphas = [0.6, 0.7, 0.8, 0.9, 1.0]
     gammas = [1.2, 1.5, 1.8, 2.1, 2.4]
     sweep(s, alphas, gammas, tmp_path / "a")

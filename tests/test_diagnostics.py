@@ -18,7 +18,6 @@ from dvns1d import (
     dissipation_u_rate,
     effective_velocity,
     energy_functional,
-    gronwall_bound_v,
     make_state,
     pressure_identity_residual,
     reciprocal_residual,
@@ -26,6 +25,7 @@ from dvns1d import (
     v_moment,
     weighted_sup,
 )
+from dvns1d import diagnostics
 from dvns1d.diagnostics import RunAccumulators, collect
 from dvns1d.solver import recover_u
 
@@ -210,6 +210,28 @@ def test_v_moment_rejects_bad_order():
 
 
 # ------------------------------------------------------------ moment bound
+
+# The envelope re-integrated over a whole measured history, kept as the
+# reference for the running trapezoid that moment_record accumulates frame
+# by frame (and, through it, for the envelope's closed forms below).
+
+def _trapezoid(values, times) -> float:
+    total = 0.0
+    for k in range(1, len(times)):
+        total += 0.5 * (values[k] + values[k - 1]) * (times[k] - times[k - 1])
+    return total
+
+
+def gronwall_bound_v(times, wvel_hist, sql2_hist, rho_linf_hist, initial_moment, params, p):
+    """The p-th v-moment's envelope from the history; None outside its region."""
+    if not diagnostics._gronwall_available(params):
+        return None
+    rates = [
+        diagnostics._gronwall_rate(w, s, r, params, p)
+        for w, s, r in zip(wvel_hist, sql2_hist, rho_linf_hist)
+    ]
+    return diagnostics._gronwall_envelope(initial_moment, _trapezoid(rates, times), params, p)
+
 
 def test_gronwall_zero_velocity_history():
     times = np.array([0.0, 0.5, 1.0])

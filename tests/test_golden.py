@@ -3,7 +3,10 @@
 Each scenario's files are hashed with SHA-256 and compared against digests
 recorded from the reference implementation. A pure refactor or speed-up must
 keep every digest; a change that alters computed numbers on purpose must
-refresh them (run this file as a script to print the new table) and say why.
+refresh them (run this file as a script to print the new tables) and say why.
+
+Each scenario runs under both time schemes: GOLDEN pins the explicit
+midpoint reference scheme, GOLDEN_IMEX the default imex scheme.
 
 The digests depend on the platform's libm (pow/log/exp) and numpy's
 reduction order, so they are pinned for one toolchain; they were recorded
@@ -20,28 +23,29 @@ from dvns1d import Params, validate_params
 from dvns1d.harness import Scenario, refinement_study, run_scenario, sweep
 
 
-def _scn(params, **over):
-    return Scenario(name="golden", params=params, theorem=validate_params(params), **over)
+def _scn(params, time_scheme, **over):
+    return Scenario(name="golden", params=params, theorem=validate_params(params),
+                    time_scheme=time_scheme, **over)
 
 
-def _run_both(out):
+def _run_both(out, time_scheme):
     # non-unit a and mu0, alpha != 1 and a moving bump: every kernel branch
     params = Params(alpha=0.75, gamma=2.0, a=1.5, mu0=0.8)
-    s = _scn(params, L=8.0, N=256, amplitude=0.5, sigma=1.0, u_amplitude=0.3,
+    s = _scn(params, time_scheme, L=8.0, N=256, amplitude=0.5, sigma=1.0, u_amplitude=0.3,
              T=0.03, output_dt=0.01, solver_form="both")
     run_scenario(s, out)
 
 
-def _sweep_nearvac(out):
+def _sweep_nearvac(out, time_scheme):
     params = Params(alpha=1.0, gamma=2.0)
-    s = _scn(params, L=8.0, N=128, init_family="near-vacuum", amplitude=-0.8,
+    s = _scn(params, time_scheme, L=8.0, N=128, init_family="near-vacuum", amplitude=-0.8,
              sigma=0.6, u_amplitude=0.2, T=0.02, output_dt=0.005)
     sweep(s, [0.7, 1.0], [1.5, 2.5], out)
 
 
-def _refine(out):
+def _refine(out, time_scheme):
     params = Params(alpha=1.0, gamma=2.0, reg_n=8)
-    s = _scn(params, L=8.0, N=64, init_family="hoff-step", u_amplitude=0.4,
+    s = _scn(params, time_scheme, L=8.0, N=64, init_family="hoff-step", u_amplitude=0.4,
              u_sigma=2.0, rho_minus=1.0, rho_plus=1.5, T=0.02, output_dt=0.01,
              solver_form="both")
     refinement_study(s, [64, 128, 256], out)
@@ -50,11 +54,11 @@ def _refine(out):
 SCENARIOS = {"run_both": _run_both, "sweep_nearvac": _sweep_nearvac, "refine": _refine}
 
 
-def artifact_digests(name, out) -> dict:
+def artifact_digests(name, out, time_scheme="explicit") -> dict:
     """Run one scenario into `out` and return {file name: sha256 hex}."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # exploration-mode sweep points
-        SCENARIOS[name](out)
+        SCENARIOS[name](out, time_scheme)
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
 
 
@@ -88,6 +92,38 @@ GOLDEN = {
 }
 
 
+# The near-vacuum sweep rows read the same under both schemes: every point's
+# minimum density and sup |v| are those of the initial data.
+GOLDEN_IMEX = {
+    'refine': {
+        'orders.csv':
+            'b8ae136a6e226d505f128f3f4dff1fcbb5765a35ff4338f7b0001fd83033a559',
+    },
+    'run_both': {
+        'fields_0.000000.csv':
+            '22774707e3e57d4e1264980a8dbfe3e273a0408058755442ded4fa3177e30381',
+        'fields_0.010000.csv':
+            '9b7c9897f340d1abac7a4e820627a9f517323c8090ffb3e01d45ee864ab41470',
+        'fields_0.020000.csv':
+            '23c997ecdc4df6815d3dbf1f935ca86baedd8295785f790f9041645f0e7395a9',
+        'fields_0.030000.csv':
+            '033de5428ec4dca92d66638c37f74e7d2f160729a8f2fa5a75de9ca926e7ab99',
+        'formdiff.csv':
+            '89fcd486b456a04ea00cd5a70897899ab9c6260f47d92338b021a77c776cd7d2',
+        'summary.csv':
+            '6b24d92e6d087d7d7278b3b1f4f79b0b91e43850c4c59b24f9e3c599fc22e125',
+        'timeseries.csv':
+            '3711c3656d0092dd3c44e939f3364ffca6eaad3ee46b8cbe0859f66439de5225',
+        'timeseries_v.csv':
+            '20a8321f7ac3acb67960862c6b302f98862457f0cef592d497c959feafa73c10',
+    },
+    'sweep_nearvac': {
+        'sweep.csv':
+            'cc2be18286baf156f25d2636440de82c756b186a40bb6f383691b6cb674c7130',
+    },
+}
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_artifacts_match_golden_digests(name, tmp_path):
     got = artifact_digests(name, tmp_path)
@@ -97,13 +133,23 @@ def test_artifacts_match_golden_digests(name, tmp_path):
     assert not changed, f"artifact bytes changed: {changed}"
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_imex_artifacts_match_golden_digests(name, tmp_path):
+    # pinned, and a rerun writes the same bytes
+    got = artifact_digests(name, tmp_path / "a", "imex")
+    assert got == GOLDEN_IMEX[name]
+    assert artifact_digests(name, tmp_path / "b", "imex") == got
+
+
 if __name__ == "__main__":
     import pprint
     import tempfile
     from pathlib import Path
 
-    table = {}
-    for scenario in sorted(SCENARIOS):
-        with tempfile.TemporaryDirectory() as tmp:
-            table[scenario] = artifact_digests(scenario, Path(tmp))
-    pprint.pprint(table, stream=sys.stdout, width=100)
+    for time_scheme in ("explicit", "imex"):
+        table = {}
+        for scenario in sorted(SCENARIOS):
+            with tempfile.TemporaryDirectory() as tmp:
+                table[scenario] = artifact_digests(scenario, Path(tmp), time_scheme)
+        print(time_scheme)
+        pprint.pprint(table, stream=sys.stdout, width=100)

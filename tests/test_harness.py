@@ -3,6 +3,9 @@
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +62,21 @@ def test_load_config_full(tmp_path):
         "[grid]\nL = 6\nN = 96\n"
         "[initial]\nfamily = near-vacuum\namplitude = -0.9\nsigma = 0.5\nmollify_n = 4\n"
         "[run]\nname = probe\nT = 0.25\noutput_dt = 0.05\nsolver_form = both\n"
-        "safety = 0.3\nmoment_ps = 0, 2, 4\n"
+        "safety = 0.3\nmoment_ps = 0, 2, 4\ntime_scheme = explicit\n"
     )
     s = load_config(_cfg(tmp_path, text))
     assert s.name == "probe" and s.N == 96 and s.L == 6.0
     assert s.params.mu0 == 0.9 and s.params.a == 1.2
     assert s.solver_form == "both" and s.mollify_n == 4
     assert s.moment_ps == (0, 2, 4)
+    assert s.time_scheme == "explicit"
+    assert load_config(_cfg(tmp_path, MINIMAL, "minimal.ini")).time_scheme == "imex"
+
+
+def test_load_config_rejects_unknown_time_scheme(tmp_path):
+    text = MINIMAL + "[run]\ntime_scheme = rk4\n"
+    with pytest.raises(ConfigurationError, match="time_scheme"):
+        load_config(_cfg(tmp_path, text))
 
 
 def test_load_config_outside_region_warns(tmp_path):
@@ -108,6 +119,7 @@ def test_load_config_missing_file():
     dict(moment_ps=(2.5,)),
     dict(init_family="custom-table", table=None),
     dict(amplitude=-1.5),  # drives min rho0 negative
+    dict(time_scheme="rk4"),
 ])
 def test_validate_scenario_rejections(patch):
     s = _scn(N=64, **patch)
@@ -299,7 +311,8 @@ def test_run_scenario_vacuum_is_recorded_not_raised(tmp_path):
     # CFL estimate and drives a cell negative
     table = tmp_path / "spike.csv"
     table.write_text("x,rho,u\n-5,1e-6,0\n-0.1,1e-6,0\n0,2.0,0\n0.1,1e-6,0\n5,1e-6,0\n")
-    s = _scn(N=256, init_family="custom-table", table=str(table), T=0.5, output_dt=0.1)
+    s = _scn(N=256, init_family="custom-table", table=str(table), T=0.5, output_dt=0.1,
+             time_scheme="explicit")
     out = tmp_path / "vac"
     assert run_scenario(s, out) == 0
     row = _rows(out / "summary.csv")[0]
@@ -371,8 +384,9 @@ def _spike_scenario(tmp_path, **over):
 
 def test_sweep_rows_match_full_run(tmp_path):
     # every row of the lean sweep equals the summary of a full run (default
-    # frame function, probe step and every functional) at the same point
-    s = _spike_scenario(tmp_path)
+    # frame function, probe step and every functional) at the same point;
+    # the explicit scheme gives this grid all three verdicts and two vacua
+    s = _spike_scenario(tmp_path, time_scheme="explicit")
     sweep(s, [0.7, 1.0], [1.2, 3.0], tmp_path / "sw")
     rows = _rows(tmp_path / "sw" / "sweep.csv")
     assert [(r["alpha"], r["gamma"]) for r in rows] == [
@@ -446,11 +460,13 @@ def test_zero_stability_limit_is_numerics_in_run_and_sweep(tmp_path):
     rho[32] = 5e-324
     table = tmp_path / "denormal.csv"
     table.write_text("x,rho,u\n" + "".join(f"{x!r},{r!r},0\n" for x, r in zip(mesh.x.tolist(), rho.tolist())))
-    s = _scn(N=64, params=params, init_family="custom-table", table=str(table), T=0.1, output_dt=0.05)
+    s = _scn(N=64, params=params, init_family="custom-table", table=str(table), T=0.1, output_dt=0.05,
+             time_scheme="explicit")
     profile = background_profile(mesh, 1.0, 1.0)
     state0 = build_initial(s, mesh, profile)
     assert float(state0.rho.min()) == 5e-324
-    traj = solver.run(state0, mesh, profile, params, T=s.T, output_dt=s.output_dt)
+    traj = solver.run(state0, mesh, profile, params, T=s.T, output_dt=s.output_dt,
+                      time_scheme="explicit")
     assert traj.status == "numerics" and traj.steps == 0
     assert math.isnan(traj.records[0].resid_recip)
     sweep(s, [0.7], [2.0], tmp_path / "sw")
@@ -648,9 +664,43 @@ def test_cli_missing_file_exit_code(capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["run"], ["refine", "--N", "32", "48", "64"], ["regularize", "--n", "2", "4"]])
+def test_cli_overflow_exit_code(tmp_path, capsys, monkeypatch, command):
+    # e.g. an OverflowError from math.exp in the Gronwall envelope near
+    # vacuum: one line on stderr and exit code 3, not a traceback
+    def overflow(*args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(diagnostics, "_gronwall_envelope", overflow)
+    cfg = str(_cfg(tmp_path, RUN_CFG))
+    assert main([command[0], cfg, "--outdir", str(tmp_path / "out"), *command[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err == "arithmetic error: math range error\n"
+
+
 def test_cli_sweep_smoke(tmp_path):
     out = tmp_path / "sw"
     code = main(["sweep", str(_cfg(tmp_path, RUN_CFG)), "--outdir", str(out),
                  "--alpha", "1.0", "--gamma", "2.0"])
     assert code == 0
     assert (out / "sweep.csv").exists()
+
+
+def test_imex_run_imports_no_scipy(tmp_path):
+    # the tridiagonal solver is numpy only: importing scipy would add
+    # seconds-scale set-up and tens of MB of resident memory to every run
+    cfg = _cfg(tmp_path, RUN_CFG)
+    code = (
+        "import sys, dvns1d\n"
+        "from dvns1d import harness\n"
+        f"s = harness.load_config({str(cfg)!r})\n"
+        "assert s.time_scheme == 'imex'\n"
+        f"harness.run_scenario(s, {str(tmp_path / 'out')!r})\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "False"

@@ -7,7 +7,8 @@ form (kept below as a reference) bit for bit.
 import numpy as np
 import pytest
 
-from dvns1d import Params, background_profile, build_mesh, kernels, make_state, run
+from dvns1d import (Params, background_profile, build_mesh, effective_velocity, kernels,
+                    make_state, run)
 
 
 def _random_fields(n, seed):
@@ -197,7 +198,8 @@ def test_primitives_match_reference_bitwise(n):
 
 def test_one_stability_evaluation_per_step(monkeypatch):
     # run evaluates the limit once per step and once per output frame (for
-    # the probe step); the steppers reuse it instead of re-evaluating
+    # the explicit probe step), under either scheme and in either form; the
+    # steppers reuse it instead of re-evaluating
     calls = []
     inner = kernels.stability_terms
 
@@ -210,6 +212,81 @@ def test_one_stability_evaluation_per_step(monkeypatch):
     mesh = build_mesh(6.0, 64)
     profile = background_profile(mesh, 1.0, 1.0)
     st = make_state(1.0 + 0.4 * np.exp(-mesh.x**2), 0.2 * np.sin(mesh.x), "U", mesh)
-    traj = run(st, mesh, profile, params, T=0.05, output_dt=0.01)
-    assert traj.status == "completed" and traj.steps > len(traj.records) > 1
-    assert len(calls) == traj.steps + len(traj.records)
+    for time_scheme in ("explicit", "imex"):
+        for state in (st, effective_velocity(st, mesh, params)):
+            calls.clear()
+            traj = run(state, mesh, profile, params, T=0.2, output_dt=0.05, time_scheme=time_scheme)
+            assert traj.status == "completed" and traj.steps > len(traj.records) > 1
+            assert len(calls) == traj.steps + len(traj.records)
+
+
+# ------------------------------------------------------- tridiagonal solver
+
+def _dense(lower, diag, upper):
+    return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+
+
+def _matvec(lower, diag, upper, x):
+    # the three terms of each row of the tridiagonal product, unsummed
+    left = np.zeros_like(x)
+    right = np.zeros_like(x)
+    left[1:] = lower[1:] * x[:-1]
+    right[:-1] = upper[:-1] * x[1:]
+    return left, diag * x, right
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 128, 257, 8192])
+def test_solve_tridiagonal_matches_dense_solve(n):
+    # sizes on both sides of the Thomas cut-off, and odd and even lengths
+    # at every reduction level (8192 halves evenly down to 64, 257 gives
+    # 129, 65); rows 0, 1 and the last two are identity rows, as the
+    # clamped cells of a stage solve are.  At 8192 the dense matrix would
+    # take 512 MB, so the reference there is the sequential Thomas sweep on
+    # the whole system, which shares no step with the reduction.
+    rng = np.random.default_rng(n)
+    lower = -rng.random(n)
+    upper = -rng.random(n)
+    diag = 0.1 + rng.random(n) - lower - upper
+    if n >= 8:
+        for i in (0, 1, n - 2, n - 1):
+            lower[i] = upper[i] = 0.0
+            diag[i] = 1.0
+    lower[0] = upper[-1] = 0.0
+    rhs = rng.normal(size=n)
+    x = kernels.solve_tridiagonal(lower, diag, upper, rhs)
+    if n <= 257:
+        want = np.linalg.solve(_dense(lower, diag, upper), rhs)
+    else:
+        want = kernels._thomas(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist())
+    assert x.shape == (n,)
+    assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [5, 64, 1000, 8192])
+def test_solve_tridiagonal_keeps_m_matrix_solutions_positive(n):
+    # the implicit density stage: I - k*D with face diffusivities spanning
+    # many decades (near vacuum) is an M-matrix, so a positive right-hand
+    # side, even one as small as 1e-300 in places, gives a positive
+    # solution, and each row holds to round-off relative to its own terms
+    rng = np.random.default_rng(7)
+    coef = 10.0 ** rng.uniform(-8, 8, n)
+    lower, diag, upper = kernels.diffusion_bands(np.ones(n), coef, 50.0)
+    rhs = 10.0 ** rng.uniform(-300, 0, n)
+    x = kernels.solve_tridiagonal(lower, diag, upper, rhs)
+    assert (x > 0.0).all()
+    left, mid, right = _matvec(lower, diag, upper, x)
+    scale = np.abs(left) + mid + np.abs(right) + rhs
+    assert (np.abs(left + mid + right - rhs) <= 1e-12 * scale).all()
+
+
+def test_diffusion_bands_apply_the_diffusion_stencil():
+    # interior rows are base*f - k*dx^2*diffuse(coef, f); the two cells at
+    # each end are identity rows
+    rng = np.random.default_rng(3)
+    n, dx, k = 40, 0.1, 0.7
+    base, coef, f = 0.5 + rng.random(n), rng.random(n), rng.normal(size=n)
+    left, mid, right = _matvec(*kernels.diffusion_bands(base, coef, k), f)
+    got = left + mid + right
+    want = base * f - k * dx * dx * kernels.diffuse(coef, f, dx)
+    assert np.allclose(got[2:-2], want[2:-2], rtol=1e-13, atol=1e-13)
+    assert np.array_equal(got[[0, 1, -2, -1]], f[[0, 1, -2, -1]])

@@ -258,15 +258,18 @@ def test_step_form_mismatch():
 
 def test_constant_state_is_exact_fixed_point():
     # interior stencils vanish identically on constants and the boundary
-    # clamp removes the one-sided rounding rows: bitwise fixed point
+    # clamp removes the one-sided rounding rows: bitwise fixed point.  The
+    # imex V stage solves for the density increment, whose right-hand side
+    # is then exactly zero.
     m = build_mesh(10.0, 128)
-    for form, stepper in (("U", step_u), ("V", step_v)):
-        st = make_state(np.full(128, 1.5), np.zeros(128), form, m)
-        dt = cfl_dt(st, m, SW, 0.4)
-        out, rep = stepper(st, m, SW, dt)
-        assert np.array_equal(out.rho, st.rho)
-        assert np.array_equal(out.vel, st.vel)
-        assert rep.min_rho == 1.5 and rep.max_rho == 1.5
+    for time_scheme in ("explicit", "imex"):
+        for form, stepper in (("U", step_u), ("V", step_v)):
+            st = make_state(np.full(128, 1.5), np.zeros(128), form, m)
+            dt = cfl_dt(st, m, SW, 0.4, time_scheme)
+            out, rep = stepper(st, m, SW, dt, None, time_scheme)
+            assert np.array_equal(out.rho, st.rho)
+            assert np.array_equal(out.vel, st.vel)
+            assert rep.min_rho == 1.5 and rep.max_rho == 1.5
 
 
 def test_step_reports_extrema():
@@ -376,7 +379,7 @@ def test_run_vacuum_status():
     rho = np.full(N, 1e-6)
     rho[N // 2] = 2.0
     st = make_state(rho, np.zeros(N), "U", m)
-    traj = run(st, m, prof, SW, T=0.5, output_dt=0.1)
+    traj = run(st, m, prof, SW, T=0.5, output_dt=0.1, time_scheme="explicit")
     assert traj.status == "vacuum"
     assert traj.breach_cell == N // 2
     assert traj.breach_time is not None and 0.0 < traj.breach_time < 0.5
@@ -394,7 +397,7 @@ def test_run_numerics_status():
     rho = np.full(N, 1e-4)
     u = np.where((np.arange(N) // 8) % 2 == 0, -5.0, 5.0)
     st = make_state(rho, u, "U", m)
-    traj = run(st, m, prof, SW, T=1.0, output_dt=0.5, safety=0.9)
+    traj = run(st, m, prof, SW, T=1.0, output_dt=0.5, safety=0.9, time_scheme="explicit")
     assert traj.status == "numerics"
     assert traj.breach_time is not None
 
@@ -453,7 +456,9 @@ def test_cfl_dt_rejects_a_zero_limit():
 
 @pytest.mark.parametrize("form", ["U", "V"])
 def test_run_evaluates_phi_once_per_frame(form, monkeypatch):
-    # the frame derives d/dx phi(rho) once and hands it to collect
+    # the frame derives d/dx phi(rho) once and hands it to collect (an imex
+    # V-form step derives u for its limit as well, so the count is taken
+    # under the explicit scheme)
     calls = []
     inner = diagnostics.phi
 
@@ -463,6 +468,85 @@ def test_run_evaluates_phi_once_per_frame(form, monkeypatch):
 
     m, st = _bump_state(128, form=form)
     monkeypatch.setattr(diagnostics, "phi", counting)
-    traj = run(st, m, background_profile(m, 1.0, 1.0), SW, T=0.05, output_dt=0.01)
+    traj = run(st, m, background_profile(m, 1.0, 1.0), SW, T=0.05, output_dt=0.01,
+               time_scheme="explicit")
     assert traj.status == "completed" and len(traj.records) == 6
     assert len(calls) == len(traj.records)
+
+
+# ------------------------------------------------------------------- imex
+
+def test_run_vacuum_status_imex():
+    # a V-form state over 1e-6 gas pulled apart at +-5: the first implicit
+    # density stage goes negative, and run records it as a vacuum outcome
+    N = 256
+    m = build_mesh(10.0, N)
+    prof = background_profile(m, 1e-6, 1e-6)
+    rho = np.full(N, 1e-6)
+    rho[N // 2 - 4:N // 2 + 4] = 2.0
+    st = effective_velocity(make_state(rho, np.where(m.x < 0.0, -5.0, 5.0), "U", m), m, SW)
+    traj = run(st, m, prof, SW, T=0.5, output_dt=0.1, safety=0.9, time_scheme="imex")
+    assert traj.status == "vacuum" and traj.steps == 0
+    assert 0.0 < traj.breach_time < 0.5 and traj.min_rho_ever < 0.0
+
+
+def _bump_final(form, params, safety, N=256, T=0.5):
+    m = build_mesh(10.0, N)
+    st = make_state(1.0 + 0.5 * np.exp(-m.x**2), 0.3 * np.exp(-m.x**2), "U", m)
+    if form == "V":
+        st = effective_velocity(st, m, params)
+    traj = run(st, m, background_profile(m, 1.0, 1.0), params, T=T, output_dt=T,
+               safety=safety, time_scheme="imex")
+    assert traj.status == "completed" and len(traj.frames) == 2
+    return traj.frames[-1]
+
+
+@pytest.mark.parametrize("form", ["U", "V"])
+@pytest.mark.parametrize("alpha, safeties", [(1.0, (0.4, 0.2, 0.1)), (0.75, (0.05, 0.025, 0.0125))])
+def test_imex_temporal_self_convergence(form, alpha, safeties):
+    # second order in time at fixed N: halving dt quarters the change.  At
+    # alpha = 0.75 the V-form diffusivity depends on rho, and at small dt a
+    # diffusivity lagged by one stage would show as order ~1
+    params = Params(alpha=alpha, gamma=2.0, eps=0.125)
+    finals = [_bump_final(form, params, s) for s in safeties]
+    for attr in ("rho", "vel"):
+        e1, e2 = (np.max(np.abs(getattr(a, attr) - getattr(b, attr)))
+                  for a, b in zip(finals, finals[1:]))
+        assert math.log2(e1 / e2) >= 1.8, attr
+
+
+def test_imex_v_limit_covers_the_transport_speed():
+    # a steep density ramp with v = 0: u = -phi(rho)_x peaks at 20, far
+    # above the sound speed, and v is carried by u, so the imex limit must
+    # see |u| + c
+    m = build_mesh(10.0, 256)
+    rho = np.exp(-5.0 * (1.0 + np.tanh(4.0 * m.x)))
+    sv = make_state(rho, np.zeros(256), "V", m)
+    u, _ = diagnostics.velocities(sv, m, SW)
+    c = np.sqrt(SW.a * SW.gamma * rho ** (SW.gamma - 1.0))
+    assert np.max(np.abs(u)) > 10.0 * np.max(c)
+    assert cfl_dt(sv, m, SW, 1.0, "imex") <= m.dx / np.max(np.abs(u) + c)
+
+
+def test_run_and_steppers_reject_unknown_scheme():
+    m, st = _bump_state(16)
+    prof = background_profile(m, 1.0, 1.0)
+    with pytest.raises(ConfigurationError, match="time_scheme"):
+        run(st, m, prof, SW, T=0.1, output_dt=0.1, time_scheme="rk4")
+    with pytest.raises(ConfigurationError, match="time_scheme"):
+        step_u(st, m, SW, 1e-6, None, "rk4")
+
+
+def test_imex_keeps_the_clamped_cells():
+    # the two cells at each end are identity rows of every stage solve, so
+    # they keep their values exactly, also where the data are not flat there
+    params = Params(alpha=0.7, gamma=2.0, eps=0.125)
+    m = build_mesh(10.0, 64)
+    rng = np.random.default_rng(1)
+    su = make_state(1.0 + 0.3 * rng.random(64), 0.2 * rng.normal(size=64), "U", m)
+    ends = [0, 1, -2, -1]
+    for st in (su, effective_velocity(su, m, params)):
+        traj = run(st, m, background_profile(m, 1.0, 1.0), params, T=0.1, output_dt=0.1)
+        assert traj.status == "completed" and traj.steps > 1
+        assert np.array_equal(traj.frames[-1].rho[ends], st.rho[ends])
+        assert np.array_equal(traj.frames[-1].vel[ends], st.vel[ends])
