@@ -152,7 +152,6 @@ def load_config(path) -> Scenario:
         safety=_get(cfg, "run", "safety", float, 0.4),
         moment_ps=_get(cfg, "run", "moment_ps", _parse_int_tuple, (0, 2, 8, 30)),
         gronwall_slack=_get(cfg, "run", "gronwall_slack", float, 0.10),
-        time_scheme=_get(cfg, "run", "time_scheme", str, solver.IMEX),
     )
     validate_scenario(scenario)
     return scenario

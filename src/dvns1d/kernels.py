@@ -94,8 +94,9 @@ def viscosity(rho, alpha, mu0, floor):
     return mu
 
 
-def transport_u(rho, u, dx, gamma, a):
-    # rhs_u without the viscous term: d/dt rho = -(rho u)_x, d/dt m = -(m u)_x - P_x
+def transport_u(rho, u, dx, alpha, gamma, a, mu0, floor):
+    # rhs_u without the viscous term, same signature: d/dt rho = -(rho u)_x,
+    # d/dt m = -(m u)_x - P_x
     wf, up = _face_velocity(u)
     drho = _donor_div(rho, u, wf, up, -dx)
     dm = _donor_div(rho * u, u, wf, up, -dx)
@@ -105,7 +106,7 @@ def transport_u(rho, u, dx, gamma, a):
 
 def rhs_u(rho, u, dx, alpha, gamma, a, mu0, floor):
     # d/dt rho = -(rho u)_x,  d/dt m = -(m u)_x - P_x + (mu u_x)_x
-    drho, dm = transport_u(rho, u, dx, gamma, a)
+    drho, dm = transport_u(rho, u, dx, alpha, gamma, a, mu0, floor)
     dm[1:-1] += _diffusion_core(viscosity(rho, alpha, mu0, floor), u, dx)
     dm[0] += 0.0
     dm[-1] += 0.0
@@ -119,8 +120,8 @@ def diffusivity(rho, alpha, mu0, floor):
     return nu
 
 
-def transport_v(rho, v, dx, alpha, gamma, a, mu0):
-    # rhs_v without the density diffusion: d/dt rho = -(rho v)_x,
+def transport_v(rho, v, dx, alpha, gamma, a, mu0, floor):
+    # rhs_v without the density diffusion, same signature: d/dt rho = -(rho v)_x,
     # d/dt v = -u v_x - P_x / rho with u = v - phi(rho)_x
     if alpha == 1.0:
         ph = _scaled(np.log(rho), mu0)
@@ -139,7 +140,7 @@ def transport_v(rho, v, dx, alpha, gamma, a, mu0):
 
 def rhs_v(rho, v, dx, alpha, gamma, a, mu0, floor):
     # d/dt rho = (mu/rho rho_x)_x - (rho v)_x,  d/dt v = -u v_x - P_x / rho
-    drho, dv = transport_v(rho, v, dx, alpha, gamma, a, mu0)
+    drho, dv = transport_v(rho, v, dx, alpha, gamma, a, mu0, floor)
     drho[1:-1] += _diffusion_core(diffusivity(rho, alpha, mu0, floor), rho, dx)
     drho[0] += 0.0
     drho[-1] += 0.0
@@ -180,8 +181,9 @@ def solve_tridiagonal(lower, diag, upper, rhs):
     eliminates the odd unknowns from the even rows, vectorised, until at
     most _THOMAS_MAX rows remain for a Thomas sweep.  There is no pivoting,
     so the system must be diagonally dominant.  For an M-matrix every
-    product and quotient below has a fixed sign, so a positive rhs gives a
-    positive solution.
+    product and quotient below has a fixed sign, so in exact arithmetic a
+    positive rhs gives a positive solution; in floating point only while
+    the diagonal's excess over the off-diagonals is not lost to rounding.
     """
     n = diag.shape[0]
     if n <= _THOMAS_MAX:

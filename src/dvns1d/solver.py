@@ -9,10 +9,10 @@ through by rho.
 
 Two time schemes step either form.  `explicit` is a two-stage midpoint
 update, `_midpoint`, bound by the diffusive limit dx^2/(2 nu) as well as the
-acoustic one; it is the reference scheme.  `imex`, the default of `run`, is
-ARS(2,2,2), `_ars`: the viscosity (U form) or the density diffusion (V form)
-is implicit, one tridiagonal solve per implicit stage, and only the acoustic
-limit binds.  Both clamp the two outermost cells on each side to the
+acoustic one; it is the reference scheme.  `imex`, the default of `run`,
+`cfl_dt`, `step_u` and `step_v` alike, is ARS(2,2,2), `_ars`: the viscosity
+(U form) or the density diffusion (V form) is implicit, one tridiagonal
+solve per implicit stage, and only the acoustic limit binds.  Both clamp the two outermost cells on each side to the
 incoming boundary values (the far field is constant by construction) and
 treat a non-positive density as a recorded vacuum-breach event rather than
 a numerical accident.
@@ -52,7 +52,6 @@ __all__ = [
     "EXPLICIT",
     "IMEX",
     "TIME_SCHEMES",
-    "uses_imex",
     "cfl_dt",
     "step_u",
     "step_v",
@@ -146,9 +145,9 @@ def recover_u(state: FlowState, mesh: Mesh, params: Params) -> FlowState:
     return FlowState(state.rho.copy(), u, U_FORM, state.t)
 
 
-def cfl_dt(state: FlowState, mesh: Mesh, params: Params, safety: float = 0.4,
-           time_scheme: str = EXPLICIT) -> float:
-    """Stability limit of one step of the given time scheme.
+def cfl_dt(state: FlowState, mesh: Mesh, params: Params, safety: float = 0.4, *,
+           time_scheme: str = IMEX) -> float:
+    """Stability limit of one step of time_scheme (default imex, as in run).
 
     explicit: safety * min( dx / max(|vel| + c), dx^2 / (2 max nu) ) with
     c = sqrt(a*gamma*rho^(gamma-1)) and nu the kinematic diffusivity that the
@@ -193,10 +192,10 @@ def uses_imex(time_scheme: str) -> bool:
 
 
 def _check_dt(dt: float, state: FlowState, mesh: Mesh, params: Params, dt_max: float | None,
-              time_scheme: str = EXPLICIT) -> None:
-    """Raise if dt exceeds the stability limit (evaluated here unless given)."""
+              time_scheme: str) -> None:
+    """Raise if dt exceeds the scheme's stability limit (evaluated here unless given)."""
     if dt_max is None:
-        dt_max = cfl_dt(state, mesh, params, 1.0, time_scheme)
+        dt_max = cfl_dt(state, mesh, params, 1.0, time_scheme=time_scheme)
     if dt > dt_max * (1.0 + 1e-6):
         raise DomainError(f"dt={dt:g} exceeds the stability limit {dt_max:g}")
 
@@ -226,7 +225,7 @@ def _midpoint(state: FlowState, mesh: Mesh, params: Params, dt: float, dt_max: f
     The stepped pair is (rho, q) with q = to_unknown(vel, rho); rhs takes
     (rho, vel) and returns (d/dt rho, d/dt q), and to_vel(q, rho) maps q back.
     """
-    _check_dt(dt, state, mesh, params, dt_max)
+    _check_dt(dt, state, mesh, params, dt_max, EXPLICIT)
     rho0, vel0 = state.rho, state.vel
     args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
 
@@ -256,31 +255,25 @@ def _ars(state: FlowState, mesh: Mesh, params: Params, dt: float, dt_max: float 
          explicit, stage) -> tuple[FlowState, StepReport]:
     """One ARS(2,2,2) step: two explicit evaluations, two implicit stages.
 
-    explicit(rho, vel, mesh, params) returns the explicit terms (d/dt rho,
-    d/dt q) of the stepped pair.  stage(state, mesh, params, dt, inc, g, t)
-    completes a stage from the explicit increments inc and returns
-    (rho, vel, g2): at the second stage g is None and g2 its implicit terms,
-    which the last stage receives, scaled, as g (and returns None).  The
-    last stage is the step (stiffly accurate).
+    explicit is a kernel with the signature of rhs_u/rhs_v that returns the
+    explicit terms (d/dt rho, d/dt q) of the stepped pair.
+    stage(state, mesh, params, dt, inc, g, t) completes a stage from the
+    explicit increments inc and returns (rho, vel, g2): at the second stage
+    g is None and g2 its implicit terms, which the last stage receives,
+    scaled, as g (and returns None).  The last stage is the step (stiffly
+    accurate).
     """
     _check_dt(dt, state, mesh, params, dt_max, IMEX)
+    args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        f1 = explicit(state.rho, state.vel, mesh, params)
+        f1 = explicit(state.rho, state.vel, *args)
         inc = [(_ARS_G * dt) * f for f in f1]
         rho2, vel2, g2 = stage(state, mesh, params, dt, inc, None, state.t + _ARS_G * dt)
-        f2 = explicit(rho2, vel2, mesh, params)
+        f2 = explicit(rho2, vel2, *args)
         inc = [dt * (_ARS_D * a + (1.0 - _ARS_D) * b) for a, b in zip(f1, f2)]
         rho1, vel1, _ = stage(state, mesh, params, dt, inc, ((1.0 - _ARS_G) * dt) * g2, state.t + dt)
     out = FlowState(rho1, vel1, state.form, state.t + dt)
     return out, StepReport(dt_used=dt, min_rho=_check_vacuum(rho1, out.t), max_rho=float(rho1.max()))
-
-
-def _explicit_u(rho, u, mesh: Mesh, p: Params):
-    return kernels.transport_u(rho, u, mesh.dx, p.gamma, p.a)
-
-
-def _explicit_v(rho, v, mesh: Mesh, p: Params):
-    return kernels.transport_v(rho, v, mesh.dx, p.alpha, p.gamma, p.a, p.mu0)
 
 
 def _stage_u(state: FlowState, mesh: Mesh, p: Params, dt: float, inc, g, t: float):
@@ -326,34 +319,36 @@ def _stage_v(state: FlowState, mesh: Mesh, p: Params, dt: float, inc, g, t: floa
 
 
 def step_u(state: FlowState, mesh: Mesh, params: Params, dt: float,
-           dt_max: float | None = None, time_scheme: str = EXPLICIT) -> tuple[FlowState, StepReport]:
+           dt_max: float | None = None, *, time_scheme: str = IMEX) -> tuple[FlowState, StepReport]:
     """One step of the conservative (rho, rho*u) system: two-stage midpoint
     (explicit) or ARS(2,2,2) with implicit viscosity (imex).
 
-    dt_max is the stability limit cfl_dt(state, ..., 1.0, time_scheme) when
-    the caller has already evaluated it; otherwise it is evaluated here.
+    time_scheme defaults to imex, as in run and cfl_dt.  dt_max is the
+    stability limit cfl_dt(state, ..., 1.0, time_scheme=time_scheme) when the
+    caller has already evaluated it; otherwise it is evaluated here.
     """
     if state.form != U_FORM:
         raise ConfigurationError("step_u expects a U-form state")
     if uses_imex(time_scheme):
-        return _ars(state, mesh, params, dt, dt_max, _explicit_u, _stage_u)
+        return _ars(state, mesh, params, dt, dt_max, kernels.transport_u, _stage_u)
     # stepped unknown m = u*rho, bit-equal to rho*u
     return _midpoint(state, mesh, params, dt, dt_max, kernels.rhs_u, np.multiply, np.divide)
 
 
 def step_v(state: FlowState, mesh: Mesh, params: Params, dt: float,
-           dt_max: float | None = None, time_scheme: str = EXPLICIT) -> tuple[FlowState, StepReport]:
+           dt_max: float | None = None, *, time_scheme: str = IMEX) -> tuple[FlowState, StepReport]:
     """One step of the (rho, v) system: two-stage midpoint (explicit) or
     ARS(2,2,2) with implicit density diffusion (imex).
 
     Density: d/dt rho = d/dx(mu(rho)/rho * d/dx rho) - d/dx(rho v).
     Velocity: d/dt v = -u * (upwind d/dx v) - grad P / rho with
-    u = v - d/dx phi(rho) recomputed at each stage.  dt_max as in step_u.
+    u = v - d/dx phi(rho) recomputed at each stage.  time_scheme and dt_max
+    as in step_u.
     """
     if state.form != V_FORM:
         raise ConfigurationError("step_v expects a V-form state")
     if uses_imex(time_scheme):
-        return _ars(state, mesh, params, dt, dt_max, _explicit_v, _stage_v)
+        return _ars(state, mesh, params, dt, dt_max, kernels.transport_v, _stage_v)
     return _midpoint(state, mesh, params, dt, dt_max, kernels.rhs_v, _keep, _keep)
 
 
@@ -371,8 +366,8 @@ def _emit(state: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Para
     # quantity; an imex step at the acoustic limit would add an O(dx) time
     # difference to it
     try:
-        limit = cfl_dt(sv, mesh, params, 1.0)
-        sv_next, _ = step_v(sv, mesh, params, probe_safety * limit, limit)
+        limit = cfl_dt(sv, mesh, params, 1.0, time_scheme=EXPLICIT)
+        sv_next, _ = step_v(sv, mesh, params, probe_safety * limit, limit, time_scheme=EXPLICIT)
         resid_recip = diagnostics.reciprocal_residual(sv, sv_next, mesh, params)
     except (VacuumBreach, DomainError):
         resid_recip = math.nan
@@ -433,14 +428,14 @@ def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Param
     while state.t < T - tiny:
         try:
             # safety * cfl_dt(.., 1.0) == cfl_dt(.., safety) bit for bit
-            limit = cfl_dt(state, mesh, params, 1.0, time_scheme)
+            limit = cfl_dt(state, mesh, params, 1.0, time_scheme=time_scheme)
             dt = safety * limit
             target = min(frame * output_dt, T)
             remaining = target - state.t
             hit = remaining <= dt * (1.0 + 1e-6)
             if hit:
                 dt = remaining
-            state, report = stepper(state, mesh, params, dt, limit, time_scheme)
+            state, report = stepper(state, mesh, params, dt, limit, time_scheme=time_scheme)
             if hit:
                 state.t = target  # land output frames on exact times
         except VacuumBreach as breach:

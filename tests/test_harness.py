@@ -62,21 +62,13 @@ def test_load_config_full(tmp_path):
         "[grid]\nL = 6\nN = 96\n"
         "[initial]\nfamily = near-vacuum\namplitude = -0.9\nsigma = 0.5\nmollify_n = 4\n"
         "[run]\nname = probe\nT = 0.25\noutput_dt = 0.05\nsolver_form = both\n"
-        "safety = 0.3\nmoment_ps = 0, 2, 4\ntime_scheme = explicit\n"
+        "safety = 0.3\nmoment_ps = 0, 2, 4\n"
     )
     s = load_config(_cfg(tmp_path, text))
     assert s.name == "probe" and s.N == 96 and s.L == 6.0
     assert s.params.mu0 == 0.9 and s.params.a == 1.2
     assert s.solver_form == "both" and s.mollify_n == 4
     assert s.moment_ps == (0, 2, 4)
-    assert s.time_scheme == "explicit"
-    assert load_config(_cfg(tmp_path, MINIMAL, "minimal.ini")).time_scheme == "imex"
-
-
-def test_load_config_rejects_unknown_time_scheme(tmp_path):
-    text = MINIMAL + "[run]\ntime_scheme = rk4\n"
-    with pytest.raises(ConfigurationError, match="time_scheme"):
-        load_config(_cfg(tmp_path, text))
 
 
 def test_load_config_outside_region_warns(tmp_path):

@@ -25,7 +25,8 @@ from dvns1d import (
     step_v,
     viscosity,
 )
-from dvns1d import diagnostics, kernels
+from dvns1d import diagnostics, kernels, solver
+from dvns1d.solver import EXPLICIT, IMEX
 from dvns1d.errors import ConfigurationError, DomainError, VacuumBreach
 from dvns1d.mesh import grad_c
 from test_kernels import ORACLE_PARAMS, _bits
@@ -126,14 +127,14 @@ def test_cfl_reference_value():
     # dt = 0.4 * dx^2/2 = 8e-5
     m = build_mesh(10.0, 1000)
     st = make_state(np.ones(1000), np.zeros(1000), "U", m)
-    assert cfl_dt(st, m, SW, 0.4) == pytest.approx(8e-5, abs=1e-18)
+    assert cfl_dt(st, m, SW, 0.4, time_scheme=EXPLICIT) == pytest.approx(8e-5, abs=1e-18)
 
 
 def test_cfl_diffusive_scaling():
     st_fine = make_state(np.ones(1000), np.zeros(1000), "U", build_mesh(10.0, 1000))
     st_coarse = make_state(np.ones(500), np.zeros(500), "U", build_mesh(10.0, 500))
-    fine = cfl_dt(st_fine, build_mesh(10.0, 1000), SW, 0.4)
-    coarse = cfl_dt(st_coarse, build_mesh(10.0, 500), SW, 0.4)
+    fine = cfl_dt(st_fine, build_mesh(10.0, 1000), SW, 0.4, time_scheme=EXPLICIT)
+    coarse = cfl_dt(st_coarse, build_mesh(10.0, 500), SW, 0.4, time_scheme=EXPLICIT)
     assert coarse == pytest.approx(4.0 * fine, rel=1e-14)
 
 
@@ -233,12 +234,12 @@ def test_step_matches_reference_bitwise(n, point):
     for vel in (w, np.full(n, -0.0)):
         for form, stepper, ref in (("U", step_u, _ref_step_u), ("V", step_v, _ref_step_v)):
             st = make_state(rho, vel, form, m, t=0.25)
-            limit = cfl_dt(st, m, params, 1.0)
+            limit = cfl_dt(st, m, params, 1.0, time_scheme=EXPLICIT)
             dt = 0.4 * limit
             want_rho, want_vel = ref(st, m, params, dt)
             want_rep = StepReport(dt_used=dt, min_rho=float(want_rho.min()), max_rho=float(want_rho.max()))
             for dt_max in (None, limit):
-                out, rep = stepper(st, m, params, dt, dt_max)
+                out, rep = stepper(st, m, params, dt, dt_max, time_scheme=EXPLICIT)
                 assert np.array_equal(_bits(out.rho), _bits(want_rho)), form
                 assert np.array_equal(_bits(out.vel), _bits(want_vel)), form
                 assert (out.form, out.t, rep) == (form, 0.25 + dt, want_rep)
@@ -262,11 +263,11 @@ def test_constant_state_is_exact_fixed_point():
     # imex V stage solves for the density increment, whose right-hand side
     # is then exactly zero.
     m = build_mesh(10.0, 128)
-    for time_scheme in ("explicit", "imex"):
+    for time_scheme in (EXPLICIT, IMEX):
         for form, stepper in (("U", step_u), ("V", step_v)):
             st = make_state(np.full(128, 1.5), np.zeros(128), form, m)
-            dt = cfl_dt(st, m, SW, 0.4, time_scheme)
-            out, rep = stepper(st, m, SW, dt, None, time_scheme)
+            dt = cfl_dt(st, m, SW, 0.4, time_scheme=time_scheme)
+            out, rep = stepper(st, m, SW, dt, time_scheme=time_scheme)
             assert np.array_equal(out.rho, st.rho)
             assert np.array_equal(out.vel, st.vel)
             assert rep.min_rho == 1.5 and rep.max_rho == 1.5
@@ -291,7 +292,7 @@ def test_stepper_vacuum_breach():
     rho[N // 2] = 2.0
     st = make_state(rho, np.zeros(N), "U", m)
     with pytest.raises(VacuumBreach) as exc:
-        step_u(st, m, SW, cfl_dt(st, m, SW, 1.0))
+        step_u(st, m, SW, cfl_dt(st, m, SW, 1.0, time_scheme=EXPLICIT), time_scheme=EXPLICIT)
     assert exc.value.cell == N // 2
     assert exc.value.value < 0.0
     assert exc.value.time > 0.0
@@ -379,7 +380,7 @@ def test_run_vacuum_status():
     rho = np.full(N, 1e-6)
     rho[N // 2] = 2.0
     st = make_state(rho, np.zeros(N), "U", m)
-    traj = run(st, m, prof, SW, T=0.5, output_dt=0.1, time_scheme="explicit")
+    traj = run(st, m, prof, SW, T=0.5, output_dt=0.1, time_scheme=EXPLICIT)
     assert traj.status == "vacuum"
     assert traj.breach_cell == N // 2
     assert traj.breach_time is not None and 0.0 < traj.breach_time < 0.5
@@ -397,7 +398,7 @@ def test_run_numerics_status():
     rho = np.full(N, 1e-4)
     u = np.where((np.arange(N) // 8) % 2 == 0, -5.0, 5.0)
     st = make_state(rho, u, "U", m)
-    traj = run(st, m, prof, SW, T=1.0, output_dt=0.5, safety=0.9, time_scheme="explicit")
+    traj = run(st, m, prof, SW, T=1.0, output_dt=0.5, safety=0.9, time_scheme=EXPLICIT)
     assert traj.status == "numerics"
     assert traj.breach_time is not None
 
@@ -451,7 +452,7 @@ def test_cfl_dt_rejects_a_zero_limit():
     rho[32] = 5e-324
     st = make_state(rho, np.zeros(64), "U", m)
     with pytest.raises(DomainError, match="stability limit"):
-        cfl_dt(st, m, Params(alpha=0.7, gamma=2.0, reg_n=10))
+        cfl_dt(st, m, Params(alpha=0.7, gamma=2.0, reg_n=10), time_scheme=EXPLICIT)
 
 
 @pytest.mark.parametrize("form", ["U", "V"])
@@ -469,7 +470,7 @@ def test_run_evaluates_phi_once_per_frame(form, monkeypatch):
     m, st = _bump_state(128, form=form)
     monkeypatch.setattr(diagnostics, "phi", counting)
     traj = run(st, m, background_profile(m, 1.0, 1.0), SW, T=0.05, output_dt=0.01,
-               time_scheme="explicit")
+               time_scheme=EXPLICIT)
     assert traj.status == "completed" and len(traj.records) == 6
     assert len(calls) == len(traj.records)
 
@@ -485,7 +486,7 @@ def test_run_vacuum_status_imex():
     rho = np.full(N, 1e-6)
     rho[N // 2 - 4:N // 2 + 4] = 2.0
     st = effective_velocity(make_state(rho, np.where(m.x < 0.0, -5.0, 5.0), "U", m), m, SW)
-    traj = run(st, m, prof, SW, T=0.5, output_dt=0.1, safety=0.9, time_scheme="imex")
+    traj = run(st, m, prof, SW, T=0.5, output_dt=0.1, safety=0.9, time_scheme=IMEX)
     assert traj.status == "vacuum" and traj.steps == 0
     assert 0.0 < traj.breach_time < 0.5 and traj.min_rho_ever < 0.0
 
@@ -496,7 +497,7 @@ def _bump_final(form, params, safety, N=256, T=0.5):
     if form == "V":
         st = effective_velocity(st, m, params)
     traj = run(st, m, background_profile(m, 1.0, 1.0), params, T=T, output_dt=T,
-               safety=safety, time_scheme="imex")
+               safety=safety, time_scheme=IMEX)
     assert traj.status == "completed" and len(traj.frames) == 2
     return traj.frames[-1]
 
@@ -525,7 +526,7 @@ def test_imex_v_limit_covers_the_transport_speed():
     u, _ = diagnostics.velocities(sv, m, SW)
     c = np.sqrt(SW.a * SW.gamma * rho ** (SW.gamma - 1.0))
     assert np.max(np.abs(u)) > 10.0 * np.max(c)
-    assert cfl_dt(sv, m, SW, 1.0, "imex") <= m.dx / np.max(np.abs(u) + c)
+    assert cfl_dt(sv, m, SW, 1.0) <= m.dx / np.max(np.abs(u) + c)
 
 
 def test_run_and_steppers_reject_unknown_scheme():
@@ -534,7 +535,9 @@ def test_run_and_steppers_reject_unknown_scheme():
     with pytest.raises(ConfigurationError, match="time_scheme"):
         run(st, m, prof, SW, T=0.1, output_dt=0.1, time_scheme="rk4")
     with pytest.raises(ConfigurationError, match="time_scheme"):
-        step_u(st, m, SW, 1e-6, None, "rk4")
+        step_u(st, m, SW, 1e-6, time_scheme="rk4")
+    with pytest.raises(ConfigurationError, match="time_scheme"):
+        cfl_dt(st, m, SW, time_scheme="rk4")
 
 
 def test_imex_keeps_the_clamped_cells():
@@ -550,3 +553,23 @@ def test_imex_keeps_the_clamped_cells():
         assert traj.status == "completed" and traj.steps > 1
         assert np.array_equal(traj.frames[-1].rho[ends], st.rho[ends])
         assert np.array_equal(traj.frames[-1].vel[ends], st.vel[ends])
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.7, 1.0])
+def test_imex_v_stage_keeps_near_vacuum_density_positive(alpha):
+    # densities at rest spanning 1e-20..1, cells near 1e-12 beside O(1)
+    # ones: the stage's explicit part is zero, so the density it returns is
+    # the M-matrix solve of a positive right-hand side and stays positive.
+    # In floating point that holds while gamma*dt*c/dx^2 stays far below
+    # 1/eps (it reaches 7e11 here); beyond that the diagonal's 1 is lost
+    params = Params(alpha=alpha, gamma=2.0)
+    m = build_mesh(8.0, 128)
+    rng = np.random.default_rng(3)
+    zero = [np.zeros(128), np.zeros(128)]
+    for dt in (1e-3, 0.03, 1.0):
+        rho = 10.0 ** rng.uniform(-20.0, 0.0, 128)
+        rho[40:44] = 10.0 ** rng.uniform(-13.0, -11.0, 4)
+        rho[[39, 44]] = 1.0
+        st = make_state(rho, np.zeros(128), "V", m)
+        out, _, _ = solver._stage_v(st, m, params, dt, zero, None, dt)
+        assert out.min() > 0.0
