@@ -1,7 +1,7 @@
 """Constitutive laws: power-law viscosity, gamma-law pressure, and the
 density potential whose gradient turns u into the effective velocity v.
 
-All functions accept scalars or numpy arrays and are pure.
+All functions accept scalars or numpy arrays and are pure (phi also a batch).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
@@ -105,9 +106,13 @@ def phi(rho, p: Params):
     unobservable; the regularization floor is deliberately not applied here.
     """
     _check_positive(rho)
-    if p.alpha == 1.0:
-        return p.mu0 * np.log(rho)
-    return p.mu0 * np.power(rho, p.alpha - 1.0) / (p.alpha - 1.0)
+    return kernels.per_value(_phi, rho, p.alpha, p.mu0)
+
+
+def _phi(rho, alpha, mu0):
+    if alpha == 1.0:
+        return mu0 * np.log(rho)
+    return mu0 * np.power(rho, alpha - 1.0) / (alpha - 1.0)
 
 
 def dphi(rho, p: Params):

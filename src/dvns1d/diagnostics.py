@@ -14,8 +14,8 @@ pressure and |v| are computed once and shared, and every time integral is a
 running trapezoid.  Each number is the same floating-point expression the
 stand-alone functions below evaluate, so a frame's record is bit-identical
 to calling them one by one.  Its v moments and their Gronwall check come
-from `moment_record`, which is also the whole per-frame work of a sweep
-point.
+from `moment_sums` (one numpy call per quantity for all rows of a batch)
+and `moment_record`, which are also the whole per-frame work of a sweep.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import kernels
 from .constitutive import Params, phi, pressure, relative_pressure, viscosity
 from .errors import ConfigurationError
 from .mesh import Mesh, BackgroundProfile, diffuse, grad_c, integrate, norm
@@ -46,6 +47,7 @@ __all__ = [
     "pressure_identity_residual",
     "density_report",
     "moment_orders",
+    "moment_sums",
     "moment_record",
     "collect",
 ]
@@ -125,8 +127,8 @@ class RunAccumulators:
 
 
 def phi_gradient(rho, mesh: Mesh, params: Params) -> np.ndarray:
-    """d/dx phi(rho), the difference v - u of the two velocities."""
-    return grad_c(phi(rho, params), mesh)
+    """d/dx phi(rho), the difference v - u of the two velocities (per row of a batch)."""
+    return kernels.grad_c(phi(rho, params), mesh.dx)
 
 
 def velocities(state, mesh: Mesh, params: Params,
@@ -190,14 +192,15 @@ def dissipation_bd_rate(state, mesh: Mesh, params: Params) -> float:
     return integrate(bd_dissipation_integrand(state, mesh, params), mesh)
 
 
-def _weighted_sup(rho, u, params: Params) -> float:
-    return float(np.max(np.abs(rho ** params.beta_eff * u)))
+def _weighted_sup(rho, u, params: Params):
+    # per row of a batch
+    return np.abs(rho ** params.beta_eff * u).max(axis=-1)
 
 
 def weighted_sup(state, mesh: Mesh, params: Params) -> float:
     """max |rho^beta * u| with beta the configured weight exponent."""
     u, _ = velocities(state, mesh, params)
-    return _weighted_sup(state.rho, u, params)
+    return float(_weighted_sup(state.rho, u, params))
 
 
 def _check_order(p) -> None:
@@ -212,16 +215,11 @@ def moment_orders(moment_ps) -> tuple:
     return tuple(int(p) for p in moment_ps)
 
 
-def _moment(rho, abs_v, p: int, mesh: Mesh) -> float:
-    q = p + 2
-    return integrate(rho * abs_v ** q, mesh) ** (1.0 / q)
-
-
 def v_moment(state, mesh: Mesh, params: Params, p: int) -> float:
     """Density-weighted moment (integral rho*|v|^(p+2))^(1/(p+2))."""
     _check_order(p)
-    _, v = velocities(state, mesh, params)
-    return _moment(state.rho, np.abs(v), p, mesh)
+    u, v = velocities(state, mesh, params)
+    return moment_sums(state.rho, u, v, mesh, params, (p,))[0][-1] ** (1.0 / (p + 2))
 
 
 def _gronwall_available(params: Params) -> bool:
@@ -329,21 +327,30 @@ def density_report(state, mesh: Mesh, profile: BackgroundProfile) -> dict:
     }
 
 
-def moment_record(t: float, rho, u, v, mesh: Mesh, params: Params, acc: RunAccumulators,
+def moment_sums(rho, u, v, mesh: Mesh, params: Params, moment_ps) -> list:
+    """The reductions moment_record reads, as floats, one list per row of a
+    batch (one list for a field): v_inf, the weighted sup of u, the integral
+    of rho*u^2, max rho and, per p of moment_ps, the integral of rho*|v|^(p+2).
+    Each is one numpy call for every row; params may be a solver.Batch."""
+    abs_v = np.abs(v)
+    sums = [abs_v.max(axis=-1), _weighted_sup(rho, u, params),
+            np.sum(rho * u * u, axis=-1) * mesh.dx, rho.max(axis=-1)]
+    sums += [np.sum(rho * abs_v ** (p + 2), axis=-1) * mesh.dx for p in moment_ps]
+    return np.array(sums).reshape(len(sums), -1).T.tolist()
+
+
+def moment_record(t: float, sums, params: Params, acc: RunAccumulators,
                   h: float | None, moment_ps, gronwall_slack: float) -> MomentRecord:
     """The v moments of one frame and their Gronwall check.
 
-    h is acc.advance(t).  The first frame's moments become the envelope's
-    initial moments; every later frame adds its panel to the running
-    trapezoid of the rate A(s) and compares each moment with the envelope.
-    moment_ps holds validated orders (moment_orders).
+    sums is the frame's row of moment_sums, h is acc.advance(t).  The first
+    frame's moments become the envelope's initial moments; every later frame
+    adds its panel to the running trapezoid of the rate A(s) and compares
+    each moment with the envelope.  moment_ps holds validated orders.
     """
-    abs_v = np.abs(v)
-    wvel = _weighted_sup(rho, u, params)
-    sql2 = math.sqrt(integrate(rho * u * u, mesh))
-    rho_linf = float(np.max(rho))
-
-    moments = {p: _moment(rho, abs_v, p, mesh) for p in moment_ps}
+    v_inf, wvel, rho_u2, rho_linf, *integrals = sums
+    sql2 = math.sqrt(rho_u2)
+    moments = {p: m ** (1.0 / (p + 2)) for p, m in zip(moment_ps, integrals)}
     if acc.initial_moments is None:
         acc.initial_moments = dict(moments)
 
@@ -365,7 +372,7 @@ def moment_record(t: float, rho, u, v, mesh: Mesh, params: Params, acc: RunAccum
 
     return MomentRecord(
         t=t,
-        v_inf=float(abs_v.max()),
+        v_inf=v_inf,
         wvel_inf=wvel,
         sqrt_rho_u_l2=sql2,
         moments=moments,
@@ -404,7 +411,8 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
     acc.prev_dbd_rate = dbd_rate_clamped
 
     dens = density_report(state_u, mesh, profile)
-    mom = moment_record(t, rho, u, v, mesh, params, acc, h, moment_ps, gronwall_slack)
+    (sums,) = moment_sums(rho, u, v, mesh, params, moment_ps)
+    mom = moment_record(t, sums, params, acc, h, moment_ps, gronwall_slack)
     return DiagnosticsRecord(
         **vars(mom),
         mass=integrate(rho, mesh),

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import math
 import os
 import warnings
@@ -47,6 +48,9 @@ __all__ = [
 ]
 
 OUTDIR_ENV = "DVNS1D_OUTDIR"
+
+# a sweep steps at most max(1, CELLS // N) of its points together as one batch
+CELLS = 2**16
 
 _FAMILIES = ("hoff-step", "gaussian-bump", "near-vacuum", "custom-table")
 _FORMS = ("U", "V", "both")
@@ -176,9 +180,14 @@ def validate_scenario(s: Scenario) -> None:
         raise ConfigurationError("custom-table family requires the 'table' field")
     # the initial data itself must satisfy the positivity hypothesis;
     # building it performs that check
-    mesh = build_mesh(s.L, s.N)
+    _prepare(s)
+
+
+def _prepare(s: Scenario, N: int | None = None, mollify_override: int | None = None):
+    """The mesh, background profile and initial state of s (on N cells if given)."""
+    mesh = build_mesh(s.L, s.N if N is None else N)
     profile = background_profile(mesh, s.rho_minus, s.rho_plus)
-    build_initial(s, mesh, profile)
+    return mesh, profile, build_initial(s, mesh, profile, mollify_override)
 
 
 def _compact_bump(x: np.ndarray, width: float) -> np.ndarray:
@@ -347,37 +356,42 @@ def _resolve_outdir(outdir) -> Path:
 
 
 def _integrate_scenario(s: Scenario, mesh: Mesh, profile: BackgroundProfile,
-                        state0: FlowState, form: str, monitor=None) -> Trajectory:
-    """Run one form of the scenario; monitor is solver.run's frame function."""
+                        state0: FlowState, form: str) -> Trajectory:
+    """Run one form of the scenario."""
     st0 = state0 if form == U_FORM else effective_velocity(state0, mesh, s.params)
     return solver.run(
         st0, mesh, profile, s.params,
         T=s.T, output_dt=s.output_dt, safety=s.safety,
-        moment_ps=s.moment_ps, gronwall_slack=s.gronwall_slack, monitor=monitor,
+        moment_ps=s.moment_ps, gronwall_slack=s.gronwall_slack,
         time_scheme=s.time_scheme,
     )
 
 
-def _sweep_monitor(state: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Params,
-                   acc, moment_ps, gronwall_slack: float, probe_safety: float):
-    """Frame function of a sweep point: only what a sweep.csv row reads.
+def _sweep_frame(mesh: Mesh, moment_ps, gronwall_slack: float, state: FlowState, batch: solver.Batch,
+                 accs) -> list:
+    """The frame function of a sweep batch: only what a sweep.csv row reads.
 
-    That is v_inf and the Gronwall verdicts, so a frame derives the (u, v)
-    pair and the MomentRecord (the v moments against their envelope) and
-    nothing else: no reciprocal-residual probe step, no energy, entropy,
-    dissipation, H1 or pressure-identity functional.
+    That is v_inf and the Gronwall verdicts: the (u, v) pairs and the moment
+    reductions of every point at once, then each point's MomentRecord, where
+    an ArithmeticError (an overflow in the Gronwall envelope near vacuum)
+    ends only that point.  No probe step, energy, dissipation or residual.
     """
-    u, v = diagnostics.velocities(state, mesh, params)
-    return diagnostics.moment_record(state.t, state.rho, u, v, mesh, params, acc,
-                                     acc.advance(state.t), moment_ps, gronwall_slack)
+    u, v = diagnostics.velocities(state, mesh, batch)
+    out = []
+    for sums, params, acc in zip(diagnostics.moment_sums(state.rho, u, v, mesh, batch, moment_ps),
+                                 batch.points, accs):
+        try:
+            out.append(diagnostics.moment_record(state.t, sums, params, acc, acc.advance(state.t),
+                                                 moment_ps, gronwall_slack))
+        except ArithmeticError as exc:
+            out.append(exc)
+    return out
 
 
 def run_scenario(s: Scenario, outdir) -> int:
     """Integrate the scenario and write its artifact set. Returns exit status."""
     out = _resolve_outdir(outdir)
-    mesh = build_mesh(s.L, s.N)
-    profile = background_profile(mesh, s.rho_minus, s.rho_plus)
-    state0 = build_initial(s, mesh, profile)
+    mesh, profile, state0 = _prepare(s)
 
     forms = [U_FORM, V_FORM] if s.solver_form == "both" else [s.solver_form]
     trajs = {form: _integrate_scenario(s, mesh, profile, state0, form) for form in forms}
@@ -418,42 +432,54 @@ def run_scenario(s: Scenario, outdir) -> int:
     return 0
 
 
+def _error_row(alpha, gamma, exc: Exception) -> list:
+    return [alpha, gamma, "no", f"error: {exc}".replace(",", ";"),
+            math.nan, "no", "none", math.nan, "unavailable"]
+
+
 def sweep(base: Scenario, alpha_grid, gamma_grid, outdir) -> int:
     """Run the (alpha, gamma) grid and tabulate vacuum/bound behavior per point.
 
-    Each point's run records per frame only what its row reads
-    (`_sweep_monitor`); status, minimum density and breach time come from
-    the stepping loop as in any run.
+    The points run as batches of at most max(1, CELLS // N) (solver.run_batch,
+    with `_sweep_frame`); each row is bit for bit that of its point run alone.
+    A point that Params rejects or whose frame overflows gets an error row.
     """
     if not alpha_grid or not gamma_grid:
         raise ConfigurationError("sweep grids must be non-empty")
     out = _resolve_outdir(outdir)
-    mesh = build_mesh(base.L, base.N)
-    profile = background_profile(mesh, base.rho_minus, base.rho_plus)
-    state0 = build_initial(base, mesh, profile)
+    mesh, profile, state0 = _prepare(base)
     form = U_FORM if base.solver_form in (U_FORM, "both") else V_FORM
 
-    rows = []
+    rows, points = [], []  # points: (row index, params, theorem report)
     for alpha in alpha_grid:
         for gamma in gamma_grid:
             try:
                 params = dataclasses.replace(base.params, alpha=alpha, gamma=gamma)
-                report = validate_params(params)
-                s = dataclasses.replace(base, params=params, theorem=report)
-                traj = _integrate_scenario(s, mesh, profile, state0, form, _sweep_monitor)
-                rows.append([
-                    alpha, gamma, "yes" if report.inside_theorem else "no", traj.status,
-                    traj.min_rho_ever,
-                    "yes" if traj.status == "vacuum" else "no",
-                    traj.breach_time if traj.breach_time is not None else "none",
-                    _sup(r.v_inf for r in traj.records),
-                    _overall_gronwall(traj.records),
-                ])
-            # a point that fails (bad parameters, or a float overflow in a
-            # diagnostic near vacuum) gets an error row; the table goes on
-            except (ValueError, ArithmeticError) as exc:
-                rows.append([alpha, gamma, "no", f"error: {exc}".replace(",", ";"),
-                             math.nan, "no", "none", math.nan, "unavailable"])
+                points.append((len(rows), params, validate_params(params)))
+                rows.append(None)
+            except ValueError as exc:
+                rows.append(_error_row(alpha, gamma, exc))
+    frame = functools.partial(_sweep_frame, mesh, diagnostics.moment_orders(base.moment_ps),
+                              base.gronwall_slack)
+    size = max(1, CELLS // mesh.N)
+    for chunk in (points[k:k + size] for k in range(0, len(points), size)):
+        states = [state0 if form == U_FORM else effective_velocity(state0, mesh, p) for _, p, _ in chunk]
+        batch = FlowState(np.stack([st.rho for st in states]), np.stack([st.vel for st in states]), form)
+        trajs = solver.run_batch(batch, mesh, [p for _, p, _ in chunk], T=base.T,
+                                 output_dt=base.output_dt, frame=frame, safety=base.safety,
+                                 time_scheme=base.time_scheme)
+        for (k, params, report), traj in zip(chunk, trajs):
+            if traj.error is not None:
+                rows[k] = _error_row(params.alpha, params.gamma, traj.error)
+                continue
+            rows[k] = [
+                params.alpha, params.gamma, "yes" if report.inside_theorem else "no", traj.status,
+                traj.min_rho_ever,
+                "yes" if traj.status == "vacuum" else "no",
+                traj.breach_time if traj.breach_time is not None else "none",
+                _sup(r.v_inf for r in traj.records),
+                _overall_gronwall(traj.records),
+            ]
     _write_csv(
         out / "sweep.csv",
         ["alpha", "gamma", "inside_theorem", "status", "min_rho_run",
@@ -527,9 +553,7 @@ def refinement_study(s: Scenario, n_list, outdir) -> int:
     form = V_FORM if s.solver_form == V_FORM else U_FORM
     finals = {}
     for n in n_list:
-        mesh = build_mesh(s.L, n)
-        profile = background_profile(mesh, s.rho_minus, s.rho_plus)
-        state0 = build_initial(s, mesh, profile)
+        mesh, profile, state0 = _prepare(s, n)
         traj = _integrate_scenario(s, mesh, profile, state0, form)
         last, rec = traj.frames[-1], traj.records[-1]
         entry = {
@@ -574,15 +598,13 @@ def regularization_study(s: Scenario, n_list, outdir) -> int:
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigurationError(f"regularization needs an increasing n list, got {n_list!r}")
     out = _resolve_outdir(outdir)
-    mesh = build_mesh(s.L, s.N)
-    profile = background_profile(mesh, s.rho_minus, s.rho_plus)
     form = V_FORM if s.solver_form == V_FORM else U_FORM
 
     results = {}
     for n in n_list:
         params_n = dataclasses.replace(s.params, reg_n=n)
         s_n = dataclasses.replace(s, params=params_n)
-        state0 = build_initial(s_n, mesh, profile, mollify_override=n)
+        mesh, profile, state0 = _prepare(s_n, mollify_override=n)
         traj = _integrate_scenario(s_n, mesh, profile, state0, form)
         min_visc = (
             params_n.mu0 * traj.min_rho_ever ** params_n.alpha

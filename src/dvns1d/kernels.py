@@ -8,42 +8,73 @@ bit-identical to it (see the reference copy in tests/test_kernels.py).  The
 rewrites that make this possible are exact in floating point:
 -(d/dx) == d/(-dx), a - b == a + (-b), w*where(m, p, q) == where(m, w*p, w*q),
 and 1.0*x == x.
+
+Every kernel also takes a batch, (B, N) arrays of B fields with alpha and
+gamma given by `column`, and each row of the result is bit-identical to the
+kernel applied to that row alone.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+
+class Column:
+    """A parameter with a value per row of a batch: each distinct value and
+    its rows.  Powers take the value as a scalar, x[rows] ** value, because
+    numpy's scalar fast paths (**2.0, **0.5) differ from an elementwise pow."""
+
+    def __init__(self, values):
+        each = np.array(values, dtype=np.float64)
+        self.groups = [(v, np.flatnonzero(each == v)) for v in dict.fromkeys(each.tolist())]
+
+
+def column(values):
+    """The value that every row has, or else the Column of values."""
+    return values[0] if len(set(values)) == 1 else Column(values)
+
+
+def per_value(fn, x, value, *args):
+    """fn(x, value, *args); for a Column value, fn of each group of rows with its own value."""
+    if not isinstance(value, Column):
+        return fn(x, value, *args)
+    out = np.empty_like(x)
+    for v, rows in value.groups:
+        out[rows] = fn(x[rows], v, *args)
+    return out
 
 
 def grad_c(f, dx):
     g = np.empty_like(f)
-    np.subtract(f[2:], f[:-2], out=g[1:-1])
-    g[1:-1] /= 2.0 * dx
-    g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
-    g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
+    np.subtract(f[..., 2:], f[..., :-2], out=g[..., 1:-1])
+    g[..., 1:-1] /= 2.0 * dx
+    g[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * dx)
+    g[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * dx)
     return g
 
 
 def _diffusion_core(a, f, dx):
     # interior cells of d/dx(a * d/dx f) with arithmetic-mean face coefficients
-    flux = a[:-1] + a[1:]
+    flux = a[..., :-1] + a[..., 1:]
     flux *= 0.5
-    flux *= f[1:] - f[:-1]
-    core = flux[1:] - flux[:-1]
+    flux *= f[..., 1:] - f[..., :-1]
+    core = flux[..., 1:] - flux[..., :-1]
     core /= dx * dx
     return core
 
 
 def diffuse(a, f, dx):
     out = np.empty_like(f)
-    out[1:-1] = _diffusion_core(a, f, dx)
-    out[0] = out[-1] = 0.0
+    out[..., 1:-1] = _diffusion_core(a, f, dx)
+    out[..., 0] = out[..., -1] = 0.0
     return out
 
 
 def _face_velocity(w):
     # central face velocity and its donor side (True: the left cell)
-    wf = w[:-1] + w[1:]
+    wf = w[..., :-1] + w[..., 1:]
     wf *= 0.5
     return wf, wf >= 0.0
 
@@ -51,12 +82,11 @@ def _face_velocity(w):
 def _donor_div(q, w, wf, up, dx):
     # conservative d/dx(q*w) from precomputed face velocities; dx = -h
     # yields the exact negation of the h result
-    n = q.shape[0]
-    faces = np.empty(n + 1, dtype=q.dtype)
-    np.multiply(wf, np.where(up, q[:-1], q[1:]), out=faces[1:-1])
-    faces[0] = q[0] * w[0]
-    faces[-1] = q[-1] * w[-1]
-    out = faces[1:] - faces[:-1]
+    faces = np.empty(q.shape[:-1] + (q.shape[-1] + 1,), dtype=q.dtype)
+    np.multiply(wf, np.where(up, q[..., :-1], q[..., 1:]), out=faces[..., 1:-1])
+    faces[..., 0] = q[..., 0] * w[..., 0]
+    faces[..., -1] = q[..., -1] * w[..., -1]
+    out = faces[..., 1:] - faces[..., :-1]
     out /= dx
     return out
 
@@ -70,12 +100,12 @@ def upwind_grad(f, w, dx):
     # pointwise one-sided d/dx(f) biased by the sign of w; both one-sided
     # differences come from the same face difference, and the end cells use
     # the only one available
-    d = f[1:] - f[:-1]
+    d = f[..., 1:] - f[..., :-1]
     d /= dx
     out = np.empty_like(f)
-    out[1:-1] = np.where(w[1:-1] >= 0.0, d[:-1], d[1:])
-    out[0] = d[0]
-    out[-1] = d[-1]
+    out[..., 1:-1] = np.where(w[..., 1:-1] >= 0.0, d[..., :-1], d[..., 1:])
+    out[..., 0] = d[..., 0]
+    out[..., -1] = d[..., -1]
     return out
 
 
@@ -87,7 +117,7 @@ def _scaled(x, c):
 
 
 def viscosity(rho, alpha, mu0, floor):
-    mu = _scaled(rho**alpha, mu0)
+    mu = _scaled(per_value(operator.pow, rho, alpha), mu0)
     # for rho > 0, rho**alpha is +0 or more (or NaN), which a zero floor leaves alone
     if floor != 0.0:
         np.maximum(mu, floor, out=mu)
@@ -100,16 +130,16 @@ def transport_u(rho, u, dx, alpha, gamma, a, mu0, floor):
     wf, up = _face_velocity(u)
     drho = _donor_div(rho, u, wf, up, -dx)
     dm = _donor_div(rho * u, u, wf, up, -dx)
-    dm -= grad_c(_scaled(rho**gamma, a), dx)
+    dm -= grad_c(_scaled(per_value(operator.pow, rho, gamma), a), dx)
     return drho, dm
 
 
 def rhs_u(rho, u, dx, alpha, gamma, a, mu0, floor):
     # d/dt rho = -(rho u)_x,  d/dt m = -(m u)_x - P_x + (mu u_x)_x
     drho, dm = transport_u(rho, u, dx, alpha, gamma, a, mu0, floor)
-    dm[1:-1] += _diffusion_core(viscosity(rho, alpha, mu0, floor), u, dx)
-    dm[0] += 0.0
-    dm[-1] += 0.0
+    dm[..., 1:-1] += _diffusion_core(viscosity(rho, alpha, mu0, floor), u, dx)
+    dm[..., 0] += 0.0
+    dm[..., -1] += 0.0
     return drho, dm
 
 
@@ -120,19 +150,22 @@ def diffusivity(rho, alpha, mu0, floor):
     return nu
 
 
+def _potential(rho, alpha, mu0):
+    # phi(rho), whose gradient is v - u
+    if alpha == 1.0:
+        return _scaled(np.log(rho), mu0)
+    return _scaled(rho ** (alpha - 1.0), mu0 / (alpha - 1.0))
+
+
 def transport_v(rho, v, dx, alpha, gamma, a, mu0, floor):
     # rhs_v without the density diffusion, same signature: d/dt rho = -(rho v)_x,
     # d/dt v = -u v_x - P_x / rho with u = v - phi(rho)_x
-    if alpha == 1.0:
-        ph = _scaled(np.log(rho), mu0)
-    else:
-        ph = _scaled(rho ** (alpha - 1.0), mu0 / (alpha - 1.0))
-    u = grad_c(ph, dx)
+    u = grad_c(per_value(_potential, rho, alpha, mu0), dx)
     np.subtract(v, u, out=u)
     drho = upwind_div(rho, v, -dx)
     dv = upwind_grad(v, u, -dx)
     dv *= u
-    gp = grad_c(_scaled(rho**gamma, a), dx)
+    gp = grad_c(_scaled(per_value(operator.pow, rho, gamma), a), dx)
     gp /= rho
     dv -= gp
     return drho, dv
@@ -141,32 +174,34 @@ def transport_v(rho, v, dx, alpha, gamma, a, mu0, floor):
 def rhs_v(rho, v, dx, alpha, gamma, a, mu0, floor):
     # d/dt rho = (mu/rho rho_x)_x - (rho v)_x,  d/dt v = -u v_x - P_x / rho
     drho, dv = transport_v(rho, v, dx, alpha, gamma, a, mu0, floor)
-    drho[1:-1] += _diffusion_core(diffusivity(rho, alpha, mu0, floor), rho, dx)
-    drho[0] += 0.0
-    drho[-1] += 0.0
+    drho[..., 1:-1] += _diffusion_core(diffusivity(rho, alpha, mu0, floor), rho, dx)
+    drho[..., 0] += 0.0
+    drho[..., -1] += 0.0
     return drho, dv
 
 
 def stability_terms(rho, vel, alpha, gamma, a, mu0, floor):
-    wave = np.sqrt(_scaled(rho ** (gamma - 1.0), a * gamma))
+    # max(|vel| + c) and max diffusivity; a batch's as (B, 1) columns
+    wave = np.sqrt(per_value(lambda r, g: _scaled(r ** (g - 1.0), a * g), rho, gamma))
     wave += np.abs(vel)
-    return float(wave.max()), float(diffusivity(rho, alpha, mu0, floor).max())
+    nu, rows = diffusivity(rho, alpha, mu0, floor), rho.ndim > 1
+    return wave.max(axis=-1, keepdims=rows), nu.max(axis=-1, keepdims=rows)
 
 
 def diffusion_bands(base, coef, k):
     """Bands of the system base*f - k*dx^2*D_coef f with D_coef the stencil
     of _diffusion_core, on rows 2..N-3; the two clamped cells at each end
     are identity rows.  For base > 0 and coef >= 0 it is an M-matrix."""
-    w = coef[:-1] + coef[1:]
+    w = coef[..., :-1] + coef[..., 1:]
     w *= 0.5 * k
     lower = np.zeros_like(base)
     upper = np.zeros_like(base)
     diag = base.copy()
-    lower[2:-2] = -w[1:-2]
-    upper[2:-2] = -w[2:-1]
-    diag[2:-2] += w[1:-2]
-    diag[2:-2] += w[2:-1]
-    diag[:2] = diag[-2:] = 1.0
+    lower[..., 2:-2] = -w[..., 1:-2]
+    upper[..., 2:-2] = -w[..., 2:-1]
+    diag[..., 2:-2] += w[..., 1:-2]
+    diag[..., 2:-2] += w[..., 2:-1]
+    diag[..., :2] = diag[..., -2:] = 1.0
     return lower, diag, upper
 
 
@@ -179,35 +214,37 @@ def solve_tridiagonal(lower, diag, upper, rhs):
 
     lower[0] and upper[-1] must be zero.  Odd-even cyclic reduction
     eliminates the odd unknowns from the even rows, vectorised, until at
-    most _THOMAS_MAX rows remain for a Thomas sweep.  There is no pivoting,
+    most _THOMAS_MAX rows remain for a Thomas sweep (one per system of a
+    batch, which every reduction treats at once).  There is no pivoting,
     so the system must be diagonally dominant.  For an M-matrix every
     product and quotient below has a fixed sign, so in exact arithmetic a
     positive rhs gives a positive solution; in floating point only while
     the diagonal's excess over the off-diagonals is not lost to rounding.
     """
-    n = diag.shape[0]
+    n = diag.shape[-1]
     if n <= _THOMAS_MAX:
-        return _thomas(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist())
-    ae, be, ce, de = lower[::2], diag[::2], upper[::2], rhs[::2]
-    ao, bo, co, do = lower[1::2], diag[1::2], upper[1::2], rhs[1::2]
-    ne, no = be.shape[0], bo.shape[0]
+        rows = (b.reshape(-1, n).tolist() for b in (lower, diag, upper, rhs))
+        return np.array([_thomas(*row) for row in zip(*rows)]).reshape(diag.shape)
+    ae, be, ce, de = lower[..., ::2], diag[..., ::2], upper[..., ::2], rhs[..., ::2]
+    ao, bo, co, do = lower[..., 1::2], diag[..., 1::2], upper[..., 1::2], rhs[..., 1::2]
+    ne, no = be.shape[-1], bo.shape[-1]
     # even row 2k meets odd row k-1 on its left and odd row k on its right
-    fl = -ae[1:] / bo[:ne - 1]
-    fr = -ce[:no] / bo
-    a2, c2, b2, d2 = np.zeros(ne), np.zeros(ne), be.copy(), de.copy()
-    a2[1:] = fl * ao[:ne - 1]
-    c2[:no] = fr * co
-    b2[1:] += fl * co[:ne - 1]
-    b2[:no] += fr * ao
-    d2[1:] += fl * do[:ne - 1]
-    d2[:no] += fr * do
-    x = np.zeros(n + 1)  # x[n] = 0 stands for the missing right neighbour
-    x[:n:2] = solve_tridiagonal(a2, b2, c2, d2)
-    xo = do - ao * x[:n - 1:2]
-    xo -= co * x[2::2]
+    fl = -ae[..., 1:] / bo[..., :ne - 1]
+    fr = -ce[..., :no] / bo
+    a2, c2, b2, d2 = np.zeros_like(be), np.zeros_like(be), be.copy(), de.copy()
+    a2[..., 1:] = fl * ao[..., :ne - 1]
+    c2[..., :no] = fr * co
+    b2[..., 1:] += fl * co[..., :ne - 1]
+    b2[..., :no] += fr * ao
+    d2[..., 1:] += fl * do[..., :ne - 1]
+    d2[..., :no] += fr * do
+    x = np.zeros(diag.shape[:-1] + (n + 1,))  # x[n] = 0 stands for the missing right neighbour
+    x[..., :n:2] = solve_tridiagonal(a2, b2, c2, d2)
+    xo = do - ao * x[..., :n - 1:2]
+    xo -= co * x[..., 2::2]
     xo /= bo
-    x[1:n:2] = xo
-    return x[:n]
+    x[..., 1:n:2] = xo
+    return x[..., :n]
 
 
 def _thomas(a, b, c, d):
@@ -221,4 +258,4 @@ def _thomas(a, b, c, d):
     x[-1] = d[-1] / b[-1]
     for i in range(n - 2, -1, -1):
         x[i] = (d[i] - c[i] * x[i + 1]) / b[i]
-    return np.array(x)
+    return x

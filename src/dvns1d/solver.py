@@ -17,20 +17,23 @@ incoming boundary values (the far field is constant by construction) and
 treat a non-positive density as a recorded vacuum-breach event rather than
 a numerical accident.
 
-The stability limit is evaluated once per step: `run` computes it, derives
+The stability limit is evaluated once per step: the loop computes it, derives
 dt from it and hands it to the stepper as `dt_max`, which the stepper checks
 dt against instead of evaluating it again.  A stepper called without
 `dt_max` evaluates the limit itself.
 
-`run` is the one stepping loop.  What it records at an output frame is up
-to a frame function passed as `monitor`: the default, `_emit`, builds the
-full DiagnosticsRecord (with its reciprocal-residual probe step); a caller
-that reads only part of a record passes a leaner one.  The run's status
-comes from the loop alone, whichever frame function is used.
+`run_batch` is the one stepping loop: it steps B runs that differ only in
+(alpha, gamma) as (B, N) arrays, one numpy call per kernel for all of them,
+and each row is bit for bit the run of its point alone; `run` is the batch
+of one.  What a run records at an output frame is up to its frame function
+(`monitor`): the default, `_emit`, builds the full DiagnosticsRecord (with
+its reciprocal-residual probe step); a caller that reads only part of a
+record passes a leaner one.  The status comes from the loop alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -52,10 +55,12 @@ __all__ = [
     "EXPLICIT",
     "IMEX",
     "TIME_SCHEMES",
+    "Batch",
     "cfl_dt",
     "step_u",
     "step_v",
     "run",
+    "run_batch",
 ]
 
 U_FORM = "U"
@@ -76,7 +81,8 @@ _CLAMP = 2
 
 @dataclass(eq=False)
 class FlowState:
-    """Density plus one velocity field; `form` says whether vel is u or v."""
+    """Density plus one velocity field; `form` says whether vel is u or v.
+    A batch holds (B, N) fields and a (B, 1) column of times, or one time."""
 
     rho: np.ndarray
     vel: np.ndarray
@@ -99,7 +105,8 @@ class Trajectory:
     """Output frames of one run plus its termination metadata.
 
     records holds what run's frame function returned at each frame: a
-    DiagnosticsRecord by default.
+    DiagnosticsRecord by default.  error is the exception that a batch
+    frame function returned for this run, which ended it (status "error").
     """
 
     form: str
@@ -111,6 +118,19 @@ class Trajectory:
     breach_cell: int | None = None
     steps: int = 0
     min_rho_ever: float = math.inf
+    error: Exception | None = None
+
+
+class Batch:
+    """The Params of a batch's rows (points), read like one Params: alpha and
+    gamma are a kernels.column, every other field is shared."""
+
+    def __init__(self, points):
+        self.points = tuple(points)
+        p = self.points[0]
+        self.a, self.mu0, self.visc_floor, self.beta_eff = p.a, p.mu0, p.visc_floor, p.beta_eff
+        self.alpha = kernels.column([q.alpha for q in self.points])
+        self.gamma = kernels.column([q.gamma for q in self.points])
 
 
 def make_state(rho, vel, form: str, mesh: Mesh, t: float = 0.0) -> FlowState:
@@ -121,10 +141,11 @@ def make_state(rho, vel, form: str, mesh: Mesh, t: float = 0.0) -> FlowState:
     return FlowState(rho_arr, as_field(vel, mesh), form, float(t))
 
 
-def _require_positive(rho: np.ndarray, t: float) -> None:
+def _require_positive(rho: np.ndarray, t) -> None:
     i = int(rho.argmin())
-    if rho[i] <= 0.0:
-        raise DomainError(f"non-positive density {rho[i]!r} in cell {i} at t={t:g}")
+    if rho.flat[i] <= 0.0:
+        raise DomainError(f"non-positive density {rho.flat[i]!r} in cell {i % rho.shape[-1]} "
+                          f"at t={np.max(t):g}")
 
 
 def effective_velocity(state: FlowState, mesh: Mesh, params: Params) -> FlowState:
@@ -155,12 +176,12 @@ def cfl_dt(state: FlowState, mesh: Mesh, params: Params, safety: float = 0.4, *,
     imex: the diffusion is implicit, so only the acoustic limit of the
     explicit terms, safety * dx / max(|w| + c); w is u in the U form and the
     larger of |v| and the speed |u| = |v - phi(rho)_x| that carries v in the
-    V form.
+    V form.  For a batch, the (B, 1) column of each row's limit.
     """
     _check_safety(safety)
     imex = uses_imex(time_scheme)
     if not (np.isfinite(state.rho).all() and np.isfinite(state.vel).all()):
-        raise DomainError(f"non-finite field at t={state.t:g}")
+        raise DomainError(f"non-finite field at t={np.max(state.t):g}")
     _require_positive(state.rho, state.t)
     speed = state.vel
     if imex and state.form == V_FORM:
@@ -171,11 +192,11 @@ def cfl_dt(state: FlowState, mesh: Mesh, params: Params, safety: float = 0.4, *,
     )
     limit = mesh.dx / wave
     if not imex:
-        limit = min(limit, mesh.dx * mesh.dx / (2.0 * nu))
+        limit = np.minimum(limit, mesh.dx * mesh.dx / (2.0 * nu))
     # a finite state whose wave speed or diffusivity overflows has no
     # usable step: that is a loss of numerics, not a step of zero length
-    if not limit > 0.0:
-        raise DomainError(f"stability limit {limit!r} is not positive at t={state.t:g}")
+    if not np.all(limit > 0.0):
+        raise DomainError(f"stability limit {limit!r} is not positive at t={np.max(state.t):g}")
     return safety * limit
 
 
@@ -196,21 +217,24 @@ def _check_dt(dt: float, state: FlowState, mesh: Mesh, params: Params, dt_max: f
     """Raise if dt exceeds the scheme's stability limit (evaluated here unless given)."""
     if dt_max is None:
         dt_max = cfl_dt(state, mesh, params, 1.0, time_scheme=time_scheme)
-    if dt > dt_max * (1.0 + 1e-6):
-        raise DomainError(f"dt={dt:g} exceeds the stability limit {dt_max:g}")
+    if np.any(dt > dt_max * (1.0 + 1e-6)):
+        raise DomainError(f"dt={np.max(dt):g} exceeds the stability limit {np.min(dt_max):g}")
 
 
 def _clamp_ends(arr: np.ndarray, ref: np.ndarray) -> None:
-    arr[:_CLAMP] = ref[:_CLAMP]
-    arr[-_CLAMP:] = ref[-_CLAMP:]
+    arr[..., :_CLAMP] = ref[..., :_CLAMP]
+    arr[..., -_CLAMP:] = ref[..., -_CLAMP:]
 
 
-def _check_vacuum(rho: np.ndarray, t: float) -> float:
-    """Raise VacuumBreach on a non-positive cell; otherwise return min rho."""
-    i = int(rho.argmin())
-    low = float(rho[i])
-    if low <= 0.0:
-        raise VacuumBreach(t, i, low)
+def _check_vacuum(rho: np.ndarray, t):
+    """Raise VacuumBreach on a non-positive cell; otherwise return min rho,
+    per row of a batch (whose breach names its first such row's cell)."""
+    low = rho.min(axis=-1)
+    bad = np.flatnonzero(low <= 0.0)
+    if bad.size:
+        row = rho.reshape(-1, rho.shape[-1])[bad[0]]
+        i = int(row.argmin())
+        raise VacuumBreach(np.max(t), i, row[i])
     return low
 
 
@@ -248,74 +272,94 @@ def _midpoint(state: FlowState, mesh: Mesh, params: Params, dt: float, dt_max: f
         min_rho = _check_vacuum(rho1, state.t + dt)
 
         out = FlowState(rho1, to_vel(q1, rho1), state.form, state.t + dt)
-    return out, StepReport(dt_used=dt, min_rho=min_rho, max_rho=float(rho1.max()))
+    return out, StepReport(dt_used=dt, min_rho=min_rho, max_rho=rho1.max(axis=-1))
 
 
-def _ars(state: FlowState, mesh: Mesh, params: Params, dt: float, dt_max: float | None,
-         explicit, stage) -> tuple[FlowState, StepReport]:
+def _ars(state: FlowState, mesh: Mesh, params: Params, dt, dt_max, explicit,
+         stages) -> tuple[FlowState, StepReport]:
     """One ARS(2,2,2) step: two explicit evaluations, two implicit stages.
 
     explicit is a kernel with the signature of rhs_u/rhs_v that returns the
     explicit terms (d/dt rho, d/dt q) of the stepped pair.
-    stage(state, mesh, params, dt, inc, g, t) completes a stage from the
-    explicit increments inc and returns (rho, vel, g2): at the second stage
-    g is None and g2 its implicit terms, which the last stage receives,
-    scaled, as g (and returns None).  The last stage is the step (stiffly
-    accurate).
+    stages(state, mesh, params, dt) returns the step's stage function
+    stage(inc, g, t), which completes a stage from the explicit increments
+    inc and returns (rho, vel, g2): at the second stage g is None and g2 its
+    implicit terms, which the last stage receives, scaled, as g (and
+    returns None).  The last stage is the step (stiffly accurate).
     """
     _check_dt(dt, state, mesh, params, dt_max, IMEX)
     args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        stage = stages(state, mesh, params, dt)
         f1 = explicit(state.rho, state.vel, *args)
         inc = [(_ARS_G * dt) * f for f in f1]
-        rho2, vel2, g2 = stage(state, mesh, params, dt, inc, None, state.t + _ARS_G * dt)
+        rho2, vel2, g2 = stage(inc, None, state.t + _ARS_G * dt)
         f2 = explicit(rho2, vel2, *args)
         inc = [dt * (_ARS_D * a + (1.0 - _ARS_D) * b) for a, b in zip(f1, f2)]
-        rho1, vel1, _ = stage(state, mesh, params, dt, inc, ((1.0 - _ARS_G) * dt) * g2, state.t + dt)
+        rho1, vel1, _ = stage(inc, ((1.0 - _ARS_G) * dt) * g2, state.t + dt)
     out = FlowState(rho1, vel1, state.form, state.t + dt)
-    return out, StepReport(dt_used=dt, min_rho=_check_vacuum(rho1, out.t), max_rho=float(rho1.max()))
+    return out, StepReport(dt_used=dt, min_rho=_check_vacuum(rho1, out.t), max_rho=rho1.max(axis=-1))
 
 
-def _stage_u(state: FlowState, mesh: Mesh, p: Params, dt: float, inc, g, t: float):
+def _stages_u(state: FlowState, mesh: Mesh, p: Params, dt):
     """The mass is explicit; the velocity then solves
     (rho_s - gamma*dt*D_mu(rho_s)) u_s = m0 + inc_m (+ g)."""
     rho0, u0 = state.rho, state.vel
-    rho = rho0 + inc[0]
-    _clamp_ends(rho, rho0)
-    _check_vacuum(rho, t)
-    m = u0 * rho0 + inc[1]
-    if g is not None:
-        m += g
-    _clamp_ends(m, u0)  # identity rows
-    mu = kernels.viscosity(rho, p.alpha, p.mu0, p.visc_floor)
-    u = kernels.solve_tridiagonal(*kernels.diffusion_bands(rho, mu, _ARS_G * dt / mesh.dx**2), m)
-    return rho, u, kernels.diffuse(mu, u, mesh.dx) if g is None else None
+
+    def stage(inc, g, t):
+        rho = rho0 + inc[0]
+        _clamp_ends(rho, rho0)
+        _check_vacuum(rho, t)
+        m = u0 * rho0 + inc[1]
+        if g is not None:
+            m += g
+        _clamp_ends(m, u0)  # identity rows
+        mu = kernels.viscosity(rho, p.alpha, p.mu0, p.visc_floor)
+        u = kernels.solve_tridiagonal(*kernels.diffusion_bands(rho, mu, _ARS_G * dt / mesh.dx**2), m)
+        return rho, u, kernels.diffuse(mu, u, mesh.dx) if g is None else None
+
+    return stage
 
 
-def _stage_v(state: FlowState, mesh: Mesh, p: Params, dt: float, inc, g, t: float):
+def _stages_v(state: FlowState, mesh: Mesh, p: Params, dt):
     """v is explicit; the density then solves
     (I - gamma*dt*D_c) rho_s = rho0 + inc_rho (+ g) for its increment
     rho_s - rho0, whose right-hand side is exactly 0 on a constant state.
 
     The diffusivity c is taken at rho0 for a first solve and at that first
     answer for the second: a diffusivity lagging the stage by O(dt) would
-    leave the step first order for alpha != 1.
+    leave the step first order for alpha != 1.  Both stages share the
+    first solve's c, its diffusion of rho0 and its bands, formed once here.
     """
     rho0, v0, dx = state.rho, state.vel, mesh.dx
-    v = v0 + inc[1]
-    _clamp_ends(v, v0)
-    known = inc[0] if g is None else inc[0] + g
-    rho = rho0
-    for _ in range(2):
-        c = kernels.diffusivity(rho, p.alpha, p.mu0, p.visc_floor)
-        rhs = known + (_ARS_G * dt) * kernels.diffuse(c, rho0, dx)
-        rhs[:_CLAMP] = rhs[-_CLAMP:] = 0.0  # identity rows
-        bands = kernels.diffusion_bands(np.ones_like(rho0), c, _ARS_G * dt / dx**2)
+    ones = np.ones_like(rho0)
+
+    def diffusivity(rho):
+        return kernels.diffusivity(rho, p.alpha, p.mu0, p.visc_floor)
+
+    def system(c):
+        # the diffusion of rho0 and the bands of a solve with diffusivity c
+        k = _ARS_G * dt
+        return k * kernels.diffuse(c, rho0, dx), kernels.diffusion_bands(ones, c, k / dx**2)
+
+    def solve(known, diffused, bands, t):
+        rhs = known + diffused
+        rhs[..., :_CLAMP] = rhs[..., -_CLAMP:] = 0.0  # identity rows
         rho = rho0 + kernels.solve_tridiagonal(*bands, rhs)
         _check_vacuum(rho, t)
-    if g is not None:
-        return rho, v, None
-    return rho, v, kernels.diffuse(kernels.diffusivity(rho, p.alpha, p.mu0, p.visc_floor), rho, dx)
+        return rho
+
+    first = system(diffusivity(rho0))
+
+    def stage(inc, g, t):
+        v = v0 + inc[1]
+        _clamp_ends(v, v0)
+        known = inc[0] if g is None else inc[0] + g
+        rho = solve(known, *first, t)
+        rho = solve(known, *system(diffusivity(rho)), t)
+        return rho, v, kernels.diffuse(diffusivity(rho), rho, dx) if g is None else None
+
+    return stage
 
 
 def step_u(state: FlowState, mesh: Mesh, params: Params, dt: float,
@@ -330,7 +374,7 @@ def step_u(state: FlowState, mesh: Mesh, params: Params, dt: float,
     if state.form != U_FORM:
         raise ConfigurationError("step_u expects a U-form state")
     if uses_imex(time_scheme):
-        return _ars(state, mesh, params, dt, dt_max, kernels.transport_u, _stage_u)
+        return _ars(state, mesh, params, dt, dt_max, kernels.transport_u, _stages_u)
     # stepped unknown m = u*rho, bit-equal to rho*u
     return _midpoint(state, mesh, params, dt, dt_max, kernels.rhs_u, np.multiply, np.divide)
 
@@ -348,7 +392,7 @@ def step_v(state: FlowState, mesh: Mesh, params: Params, dt: float,
     if state.form != V_FORM:
         raise ConfigurationError("step_v expects a V-form state")
     if uses_imex(time_scheme):
-        return _ars(state, mesh, params, dt, dt_max, kernels.transport_v, _stage_v)
+        return _ars(state, mesh, params, dt, dt_max, kernels.transport_v, _stages_v)
     return _midpoint(state, mesh, params, dt, dt_max, kernels.rhs_v, _keep, _keep)
 
 
@@ -388,15 +432,65 @@ def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Param
     A vacuum breach or a loss of finiteness terminates the run and is
     recorded on the trajectory (status "vacuum" / "numerics"); only
     configuration mistakes raise.  time_scheme, one of TIME_SCHEMES, picks
-    the stepper and its stability limit.
+    the stepper and its stability limit.  The run is run_batch's batch of one.
 
     monitor is the frame function: at every output frame it is called as
     monitor(state, mesh, profile, params, acc, moment_ps, gronwall_slack,
     safety), with acc the run's RunAccumulators, and returns the frame's
-    record.  The default, `_emit`, returns the full DiagnosticsRecord; a
-    caller that reads only part of it (a sweep point) can pass a leaner
-    one.  The frame function decides no status: that is the stepping
-    loop's alone.
+    record; the default, `_emit`, returns the full DiagnosticsRecord.  The
+    frame function decides no status: that is the stepping loop's alone.
+    """
+    moment_ps = diagnostics.moment_orders(moment_ps)
+    if monitor is None:
+        monitor = _emit  # looked up per run, so a replaced module attribute is seen
+    frames = []
+
+    def frame(state, batch, accs):
+        frames.append(FlowState(state.rho[0], state.vel[0], state.form, state.t))
+        return [monitor(frames[-1], mesh, profile, params, accs[0], moment_ps, gronwall_slack, safety)]
+
+    (traj,) = run_batch(FlowState(state0.rho[None], state0.vel[None], state0.form), mesh, [params],
+                        T=T, output_dt=output_dt, frame=frame, safety=safety, time_scheme=time_scheme)
+    traj.frames = frames
+    return traj
+
+
+def _step_rows(state: FlowState, mesh: Mesh, points: list, target: float, safety: float, stepper,
+               time_scheme: str) -> list:
+    """One step of each row of the batch state with points[i] and its own
+    dt, landing on target when within reach: per row (rho, vel, t, min rho,
+    max rho, hit), or the VacuumBreach or DomainError that stopped it.  If
+    the batched step raises, each row steps alone, as its point's run would."""
+    try:
+        params = Batch(points)
+        # safety * cfl_dt(.., 1.0) == cfl_dt(.., safety) bit for bit
+        limit = cfl_dt(state, mesh, params, 1.0, time_scheme=time_scheme)
+        dt = safety * limit
+        remaining = target - state.t
+        hit = remaining <= dt * (1.0 + 1e-6)
+        new, rep = stepper(state, mesh, params, np.where(hit, remaining, dt), limit,
+                           time_scheme=time_scheme)
+    except (VacuumBreach, DomainError) as exc:
+        if len(points) == 1:
+            return [exc]
+        return [out for i, p in enumerate(points) for out in _step_rows(
+            FlowState(state.rho[i:i + 1], state.vel[i:i + 1], state.form, state.t[i:i + 1]),
+            mesh, [p], target, safety, stepper, time_scheme)]
+    t = np.where(hit, target, new.t)  # land output frames on exact times
+    return list(zip(new.rho, new.vel, t[:, 0].tolist(), rep.min_rho.tolist(), rep.max_rho.tolist(),
+                    hit[:, 0].tolist()))
+
+
+def run_batch(state0: FlowState, mesh: Mesh, points: list, *, T: float, output_dt: float, frame,
+              safety: float = 0.4, time_scheme: str = IMEX) -> list:
+    """Integrate row i of the (B, N) batch state0 with points[i] from t=0 to
+    T; one Trajectory per row, bit for bit `run` of that point alone.
+
+    The points may differ only in alpha and gamma.  The rows that have not
+    reached the next output time step together, each with its own dt.  At
+    every output frame, frame(state, batch, accs) gets the running rows, their
+    Batch and RunAccumulators and returns a record per row; a row given an
+    exception instead ends with status "error" and it as Trajectory.error.
     """
     if T < 0.0:
         raise ConfigurationError(f"T must be non-negative, got {T!r}")
@@ -404,58 +498,51 @@ def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Param
         raise ConfigurationError(f"output_dt must be positive, got {output_dt!r}")
     _check_safety(safety)
     uses_imex(time_scheme)
-    moment_ps = diagnostics.moment_orders(moment_ps)
-    if monitor is None:
-        monitor = _emit  # looked up per run, so a replaced module attribute is seen
+    if len({dataclasses.replace(p, alpha=1.0, gamma=2.0) for p in points}) != 1:
+        raise ConfigurationError("the points of a batch may differ only in alpha and gamma")
     stepper = step_u if state0.form == U_FORM else step_v
-
-    state = state0.copy()
-    state.t = 0.0
-    traj = Trajectory(form=state0.form)
-    acc = diagnostics.RunAccumulators()
-
-    def emit() -> None:
-        rec = monitor(state, mesh, profile, params, acc, moment_ps, gronwall_slack, safety)
-        traj.times.append(state.t)
-        traj.frames.append(state.copy())
-        traj.records.append(rec)
-
-    traj.min_rho_ever = float(state.rho.min())
-    emit()
-
+    rho, vel = state0.rho.copy(), state0.vel.copy()
+    trajs = [Trajectory(form=state0.form, min_rho_ever=float(r.min())) for r in rho]
+    accs = [diagnostics.RunAccumulators() for _ in trajs]
+    running = np.ones(len(trajs), dtype=bool)
+    times = np.zeros((len(trajs), 1))
     tiny = 1e-12 * max(T, 1.0)
-    frame = 1
-    while state.t < T - tiny:
-        try:
-            # safety * cfl_dt(.., 1.0) == cfl_dt(.., safety) bit for bit
-            limit = cfl_dt(state, mesh, params, 1.0, time_scheme=time_scheme)
-            dt = safety * limit
-            target = min(frame * output_dt, T)
-            remaining = target - state.t
-            hit = remaining <= dt * (1.0 + 1e-6)
-            if hit:
-                dt = remaining
-            state, report = stepper(state, mesh, params, dt, limit, time_scheme=time_scheme)
-            if hit:
-                state.t = target  # land output frames on exact times
-        except VacuumBreach as breach:
-            traj.status = "vacuum"
-            traj.breach_time = breach.time
-            traj.breach_cell = breach.cell
-            traj.min_rho_ever = min(traj.min_rho_ever, breach.value)
+    t, frame_no = 0.0, 1
+    while running.any():
+        rows = np.flatnonzero(running)
+        recs = frame(FlowState(rho[rows], vel[rows], state0.form, t), Batch([points[i] for i in rows]),
+                     [accs[i] for i in rows])
+        for i, rec in zip(rows, recs):
+            if isinstance(rec, Exception):
+                trajs[i].status, trajs[i].error, running[i] = "error", rec, False
+            else:
+                trajs[i].times.append(t)
+                trajs[i].records.append(rec)
+        if t >= T - tiny:
             break
-        except DomainError:
-            traj.status = "numerics"
-            traj.breach_time = state.t
-            break
-        traj.steps += 1
-        traj.min_rho_ever = min(traj.min_rho_ever, report.min_rho)
-        if not math.isfinite(report.min_rho) or not math.isfinite(report.max_rho):
-            traj.status = "numerics"
-            traj.breach_time = state.t
-            break
-        if hit:
-            emit()
-            if state.t >= frame * output_dt - tiny:
-                frame += 1
-    return traj
+        target = min(frame_no * output_dt, T)
+        todo = running.copy()  # the rows that have not reached target
+        while todo.any():
+            rows = np.flatnonzero(todo)
+            sub = FlowState(rho[rows], vel[rows], state0.form, times[rows])
+            for i, res in zip(rows, _step_rows(sub, mesh, [points[i] for i in rows], target, safety,
+                                               stepper, time_scheme)):
+                traj = trajs[i]
+                if isinstance(res, VacuumBreach):
+                    traj.status, traj.breach_time, traj.breach_cell = "vacuum", res.time, res.cell
+                    traj.min_rho_ever = min(traj.min_rho_ever, res.value)
+                elif isinstance(res, DomainError):
+                    traj.status, traj.breach_time = "numerics", float(times[i, 0])
+                else:
+                    rho[i], vel[i], times[i, 0], low, high, hit = res
+                    traj.steps += 1
+                    traj.min_rho_ever = min(traj.min_rho_ever, low)
+                    if not math.isfinite(low) or not math.isfinite(high):
+                        traj.status, traj.breach_time = "numerics", float(times[i, 0])
+                    elif hit or times[i, 0] < T - tiny:
+                        todo[i] = not hit
+                        continue
+                # the run of row i is over; one that ends short of target completed
+                running[i] = todo[i] = False
+        t, frame_no = target, frame_no + 1
+    return trajs

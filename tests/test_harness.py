@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -407,7 +408,11 @@ def test_sweep_monitor_records_equal_full_records(form):
     profile = background_profile(mesh, s.rho_minus, s.rho_plus)
     state0 = build_initial(s, mesh, profile)
     full = harness._integrate_scenario(s, mesh, profile, state0, form)
-    lean = harness._integrate_scenario(s, mesh, profile, state0, form, harness._sweep_monitor)
+    st0 = state0 if form == "U" else solver.effective_velocity(state0, mesh, params)
+    (lean,) = solver.run_batch(solver.FlowState(st0.rho[None], st0.vel[None], form), mesh, [params],
+                               T=s.T, output_dt=s.output_dt,
+                               frame=functools.partial(harness._sweep_frame, mesh, s.moment_ps,
+                                                       s.gronwall_slack))
     assert (lean.status, lean.steps, lean.times) == (full.status, full.steps, full.times)
     assert len(lean.records) == len(full.records) == 5
     for mine, ref in zip(lean.records, full.records):
@@ -479,14 +484,14 @@ def test_sweep_error_row_continues(tmp_path):
 def test_sweep_overflow_at_one_point_keeps_the_table(tmp_path, monkeypatch):
     # e.g. an OverflowError from float ** or math.exp in the Gronwall
     # envelope near vacuum: only that point becomes an error row
-    real = harness._integrate_scenario
+    real = diagnostics._gronwall_envelope
 
-    def flaky(s, *args):
-        if s.params.alpha == 0.8:
+    def flaky(initial_moment, integral, params, p):
+        if params.alpha == 0.8:
             raise OverflowError("math range error")
-        return real(s, *args)
+        return real(initial_moment, integral, params, p)
 
-    monkeypatch.setattr(harness, "_integrate_scenario", flaky)
+    monkeypatch.setattr(diagnostics, "_gronwall_envelope", flaky)
     s = _scn(N=64, amplitude=0.2, T=0.05, output_dt=0.05)
     sweep(s, [0.8, 1.0], [2.0, 2.5], tmp_path / "sw")
     rows = _rows(tmp_path / "sw" / "sweep.csv")

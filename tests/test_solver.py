@@ -571,5 +571,5 @@ def test_imex_v_stage_keeps_near_vacuum_density_positive(alpha):
         rho[40:44] = 10.0 ** rng.uniform(-13.0, -11.0, 4)
         rho[[39, 44]] = 1.0
         st = make_state(rho, np.zeros(128), "V", m)
-        out, _, _ = solver._stage_v(st, m, params, dt, zero, None, dt)
+        out, _, _ = solver._stages_v(st, m, params, dt)(zero, None, dt)
         assert out.min() > 0.0
