@@ -49,8 +49,11 @@ __all__ = [
 
 OUTDIR_ENV = "DVNS1D_OUTDIR"
 
-# a sweep steps at most max(1, CELLS // N) of its points together as one batch
-CELLS = 2**16
+# a sweep steps at most max(1, CELLS // N) of its points together as one
+# batch.  A 25-point sweep at N = 8192 peaked at 81 MB RSS as one batch, 47 MB
+# at 2**16 and 39 MB at 2**15, at no measurable wall-time cost; a 25-point
+# grid stays one batch up to N = 1024, where batching saves the most
+CELLS = 2**15
 
 _FAMILIES = ("hoff-step", "gaussian-bump", "near-vacuum", "custom-table")
 _FORMS = ("U", "V", "both")
@@ -437,12 +440,30 @@ def _error_row(alpha, gamma, exc: Exception) -> list:
             math.nan, "no", "none", math.nan, "unavailable"]
 
 
+def _run_points(chunk, mesh: Mesh, state0: FlowState, form: str, base: Scenario, frame) -> list:
+    """Each (row index, params, report) point's Trajectory, stepped as one
+    batch.  If the batch raises a ValueError or an ArithmeticError (a float
+    division by zero in a near-singular solve, say), each point runs alone,
+    and one that raises gets the exception in place of its Trajectory."""
+    try:
+        states = [state0 if form == U_FORM else effective_velocity(state0, mesh, p) for _, p, _ in chunk]
+        batch = FlowState(np.stack([st.rho for st in states]), np.stack([st.vel for st in states]), form)
+        return solver.run_batch(batch, mesh, [p for _, p, _ in chunk], T=base.T,
+                                output_dt=base.output_dt, frame=frame, safety=base.safety,
+                                time_scheme=base.time_scheme)
+    except (ValueError, ArithmeticError) as exc:
+        if len(chunk) == 1:
+            return [exc]
+        return [out for point in chunk for out in _run_points([point], mesh, state0, form, base, frame)]
+
+
 def sweep(base: Scenario, alpha_grid, gamma_grid, outdir) -> int:
     """Run the (alpha, gamma) grid and tabulate vacuum/bound behavior per point.
 
     The points run as batches of at most max(1, CELLS // N) (solver.run_batch,
     with `_sweep_frame`); each row is bit for bit that of its point run alone.
-    A point that Params rejects or whose frame overflows gets an error row.
+    A point that Params rejects, or whose run fails with a ValueError or an
+    ArithmeticError, gets an error row.
     """
     if not alpha_grid or not gamma_grid:
         raise ConfigurationError("sweep grids must be non-empty")
@@ -463,14 +484,10 @@ def sweep(base: Scenario, alpha_grid, gamma_grid, outdir) -> int:
                               base.gronwall_slack)
     size = max(1, CELLS // mesh.N)
     for chunk in (points[k:k + size] for k in range(0, len(points), size)):
-        states = [state0 if form == U_FORM else effective_velocity(state0, mesh, p) for _, p, _ in chunk]
-        batch = FlowState(np.stack([st.rho for st in states]), np.stack([st.vel for st in states]), form)
-        trajs = solver.run_batch(batch, mesh, [p for _, p, _ in chunk], T=base.T,
-                                 output_dt=base.output_dt, frame=frame, safety=base.safety,
-                                 time_scheme=base.time_scheme)
-        for (k, params, report), traj in zip(chunk, trajs):
-            if traj.error is not None:
-                rows[k] = _error_row(params.alpha, params.gamma, traj.error)
+        for (k, params, report), traj in zip(chunk, _run_points(chunk, mesh, state0, form, base, frame)):
+            error = traj if isinstance(traj, Exception) else traj.error
+            if error is not None:
+                rows[k] = _error_row(params.alpha, params.gamma, error)
                 continue
             rows[k] = [
                 params.alpha, params.gamma, "yes" if report.inside_theorem else "no", traj.status,

@@ -11,7 +11,10 @@ and 1.0*x == x.
 
 Every kernel also takes a batch, (B, N) arrays of B fields with alpha and
 gamma given by `column`, and each row of the result is bit-identical to the
-kernel applied to that row alone.
+kernel applied to that row alone.  Arithmetic on end cells goes through
+`.T`: x.T[0] is a scalar for a field, which numpy computes with far less
+per-call cost than the 0-d array x[..., 0], and the column of first cells
+for a batch.
 """
 
 from __future__ import annotations
@@ -50,8 +53,9 @@ def grad_c(f, dx):
     g = np.empty_like(f)
     np.subtract(f[..., 2:], f[..., :-2], out=g[..., 1:-1])
     g[..., 1:-1] /= 2.0 * dx
-    g[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * dx)
-    g[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * dx)
+    f, e = f.T, g.T  # end cells, see the module docstring
+    e[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
+    e[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
     return g
 
 
@@ -84,8 +88,8 @@ def _donor_div(q, w, wf, up, dx):
     # yields the exact negation of the h result
     faces = np.empty(q.shape[:-1] + (q.shape[-1] + 1,), dtype=q.dtype)
     np.multiply(wf, np.where(up, q[..., :-1], q[..., 1:]), out=faces[..., 1:-1])
-    faces[..., 0] = q[..., 0] * w[..., 0]
-    faces[..., -1] = q[..., -1] * w[..., -1]
+    faces.T[0] = q.T[0] * w.T[0]
+    faces.T[-1] = q.T[-1] * w.T[-1]
     out = faces[..., 1:] - faces[..., :-1]
     out /= dx
     return out
@@ -138,8 +142,8 @@ def rhs_u(rho, u, dx, alpha, gamma, a, mu0, floor):
     # d/dt rho = -(rho u)_x,  d/dt m = -(m u)_x - P_x + (mu u_x)_x
     drho, dm = transport_u(rho, u, dx, alpha, gamma, a, mu0, floor)
     dm[..., 1:-1] += _diffusion_core(viscosity(rho, alpha, mu0, floor), u, dx)
-    dm[..., 0] += 0.0
-    dm[..., -1] += 0.0
+    dm.T[0] += 0.0
+    dm.T[-1] += 0.0
     return drho, dm
 
 
@@ -175,8 +179,8 @@ def rhs_v(rho, v, dx, alpha, gamma, a, mu0, floor):
     # d/dt rho = (mu/rho rho_x)_x - (rho v)_x,  d/dt v = -u v_x - P_x / rho
     drho, dv = transport_v(rho, v, dx, alpha, gamma, a, mu0, floor)
     drho[..., 1:-1] += _diffusion_core(diffusivity(rho, alpha, mu0, floor), rho, dx)
-    drho[..., 0] += 0.0
-    drho[..., -1] += 0.0
+    drho.T[0] += 0.0
+    drho.T[-1] += 0.0
     return drho, dv
 
 
@@ -194,8 +198,8 @@ def diffusion_bands(base, coef, k):
     are identity rows.  For base > 0 and coef >= 0 it is an M-matrix."""
     w = coef[..., :-1] + coef[..., 1:]
     w *= 0.5 * k
-    lower = np.zeros_like(base)
-    upper = np.zeros_like(base)
+    lower = np.zeros(base.shape)
+    upper = np.zeros(base.shape)
     diag = base.copy()
     lower[..., 2:-2] = -w[..., 1:-2]
     upper[..., 2:-2] = -w[..., 2:-1]
@@ -221,30 +225,36 @@ def solve_tridiagonal(lower, diag, upper, rhs):
     positive rhs gives a positive solution; in floating point only while
     the diagonal's excess over the off-diagonals is not lost to rounding.
     """
-    n = diag.shape[-1]
+    # through .T the unknowns run along axis 0, so a single system takes
+    # plain slices, the cheapest per numpy call, and a batch's are columns
+    return _reduce(lower.T, diag.T, upper.T, rhs.T).T
+
+
+def _reduce(lower, diag, upper, rhs):
+    n = diag.shape[0]
     if n <= _THOMAS_MAX:
-        rows = (b.reshape(-1, n).tolist() for b in (lower, diag, upper, rhs))
-        return np.array([_thomas(*row) for row in zip(*rows)]).reshape(diag.shape)
-    ae, be, ce, de = lower[..., ::2], diag[..., ::2], upper[..., ::2], rhs[..., ::2]
-    ao, bo, co, do = lower[..., 1::2], diag[..., 1::2], upper[..., 1::2], rhs[..., 1::2]
-    ne, no = be.shape[-1], bo.shape[-1]
+        rows = zip(*(b.T.reshape(-1, n).tolist() for b in (lower, diag, upper, rhs)))
+        return np.array([_thomas(*row) for row in rows]).reshape(diag.T.shape).T
+    ae, be, ce, de = lower[::2], diag[::2], upper[::2], rhs[::2]
+    ao, bo, co, do = lower[1::2], diag[1::2], upper[1::2], rhs[1::2]
+    ne, no = be.shape[0], bo.shape[0]
     # even row 2k meets odd row k-1 on its left and odd row k on its right
-    fl = -ae[..., 1:] / bo[..., :ne - 1]
-    fr = -ce[..., :no] / bo
-    a2, c2, b2, d2 = np.zeros_like(be), np.zeros_like(be), be.copy(), de.copy()
-    a2[..., 1:] = fl * ao[..., :ne - 1]
-    c2[..., :no] = fr * co
-    b2[..., 1:] += fl * co[..., :ne - 1]
-    b2[..., :no] += fr * ao
-    d2[..., 1:] += fl * do[..., :ne - 1]
-    d2[..., :no] += fr * do
-    x = np.zeros(diag.shape[:-1] + (n + 1,))  # x[n] = 0 stands for the missing right neighbour
-    x[..., :n:2] = solve_tridiagonal(a2, b2, c2, d2)
-    xo = do - ao * x[..., :n - 1:2]
-    xo -= co * x[..., 2::2]
+    fl = -ae[1:] / bo[:ne - 1]
+    fr = -ce[:no] / bo
+    a2, c2, b2, d2 = np.zeros(be.shape), np.zeros(be.shape), be.copy(), de.copy()
+    a2[1:] = fl * ao[:ne - 1]
+    c2[:no] = fr * co
+    b2[1:] += fl * co[:ne - 1]
+    b2[:no] += fr * ao
+    d2[1:] += fl * do[:ne - 1]
+    d2[:no] += fr * do
+    x = np.zeros((n + 1,) + diag.shape[1:])  # x[n] = 0 stands for the missing right neighbour
+    x[:n:2] = _reduce(a2, b2, c2, d2)
+    xo = do - ao * x[:n - 1:2]
+    xo -= co * x[2::2]
     xo /= bo
-    x[..., 1:n:2] = xo
-    return x[..., :n]
+    x[1:n:2] = xo
+    return x[:n]
 
 
 def _thomas(a, b, c, d):

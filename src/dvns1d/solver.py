@@ -25,10 +25,10 @@ dt against instead of evaluating it again.  A stepper called without
 `run_batch` is the one stepping loop: it steps B runs that differ only in
 (alpha, gamma) as (B, N) arrays, one numpy call per kernel for all of them,
 and each row is bit for bit the run of its point alone; `run` is the batch
-of one.  What a run records at an output frame is up to its frame function
-(`monitor`): the default, `_emit`, builds the full DiagnosticsRecord (with
-its reciprocal-residual probe step); a caller that reads only part of a
-record passes a leaner one.  The status comes from the loop alone.
+of one.  What a batch records at an output frame is up to its frame
+function: `run`'s, `_emit`, builds the full DiagnosticsRecord (with its
+reciprocal-residual probe step); a caller that reads only part of a record
+passes a leaner one.  The status comes from the loop alone.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def cfl_dt(state: FlowState, mesh: Mesh, params: Params, safety: float = 0.4, *,
         limit = np.minimum(limit, mesh.dx * mesh.dx / (2.0 * nu))
     # a finite state whose wave speed or diffusivity overflows has no
     # usable step: that is a loss of numerics, not a step of zero length
-    if not np.all(limit > 0.0):
+    if not (limit > 0.0).all():
         raise DomainError(f"stability limit {limit!r} is not positive at t={np.max(state.t):g}")
     return safety * limit
 
@@ -230,9 +230,9 @@ def _check_vacuum(rho: np.ndarray, t):
     """Raise VacuumBreach on a non-positive cell; otherwise return min rho,
     per row of a batch (whose breach names its first such row's cell)."""
     low = rho.min(axis=-1)
-    bad = np.flatnonzero(low <= 0.0)
-    if bad.size:
-        row = rho.reshape(-1, rho.shape[-1])[bad[0]]
+    bad = low <= 0.0
+    if bad.any():
+        row = rho.reshape(-1, rho.shape[-1])[bad.argmax()]
         i = int(row.argmin())
         raise VacuumBreach(np.max(t), i, row[i])
     return low
@@ -398,7 +398,7 @@ def step_v(state: FlowState, mesh: Mesh, params: Params, dt: float,
 
 def _emit(state: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Params,
           acc, moment_ps, gronwall_slack: float, probe_safety: float):
-    """The default frame function of `run`: the full DiagnosticsRecord."""
+    """The frame function of `run`: the full DiagnosticsRecord."""
     c = diagnostics.phi_gradient(state.rho, mesh, params)
     u, v = diagnostics.velocities(state, mesh, params, c)
     su = FlowState(state.rho, u, U_FORM, state.t)
@@ -426,28 +426,21 @@ def _emit(state: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Para
 def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Params, *,
         T: float, output_dt: float, safety: float = 0.4,
         moment_ps: tuple = (0, 2, 8, 30), gronwall_slack: float = 0.10,
-        monitor=None, time_scheme: str = IMEX) -> Trajectory:
-    """Integrate from t=0 to T, emitting diagnostics every output_dt.
+        time_scheme: str = IMEX) -> Trajectory:
+    """Integrate from t=0 to T, emitting a DiagnosticsRecord every output_dt.
 
     A vacuum breach or a loss of finiteness terminates the run and is
     recorded on the trajectory (status "vacuum" / "numerics"); only
     configuration mistakes raise.  time_scheme, one of TIME_SCHEMES, picks
     the stepper and its stability limit.  The run is run_batch's batch of one.
-
-    monitor is the frame function: at every output frame it is called as
-    monitor(state, mesh, profile, params, acc, moment_ps, gronwall_slack,
-    safety), with acc the run's RunAccumulators, and returns the frame's
-    record; the default, `_emit`, returns the full DiagnosticsRecord.  The
-    frame function decides no status: that is the stepping loop's alone.
     """
     moment_ps = diagnostics.moment_orders(moment_ps)
-    if monitor is None:
-        monitor = _emit  # looked up per run, so a replaced module attribute is seen
     frames = []
 
     def frame(state, batch, accs):
         frames.append(FlowState(state.rho[0], state.vel[0], state.form, state.t))
-        return [monitor(frames[-1], mesh, profile, params, accs[0], moment_ps, gronwall_slack, safety)]
+        # _emit is looked up per frame, so a replaced module attribute is seen
+        return [_emit(frames[-1], mesh, profile, params, accs[0], moment_ps, gronwall_slack, safety)]
 
     (traj,) = run_batch(FlowState(state0.rho[None], state0.vel[None], state0.form), mesh, [params],
                         T=T, output_dt=output_dt, frame=frame, safety=safety, time_scheme=time_scheme)
@@ -463,6 +456,8 @@ def _step_rows(state: FlowState, mesh: Mesh, points: list, target: float, safety
     the batched step raises, each row steps alone, as its point's run would."""
     try:
         params = Batch(points)
+        if len(points) == 1:  # a row alone steps as 1-D fields: numpy's per-call cost is lower
+            state = FlowState(state.rho[0], state.vel[0], state.form, state.t[0])
         # safety * cfl_dt(.., 1.0) == cfl_dt(.., safety) bit for bit
         limit = cfl_dt(state, mesh, params, 1.0, time_scheme=time_scheme)
         dt = safety * limit
@@ -477,8 +472,9 @@ def _step_rows(state: FlowState, mesh: Mesh, points: list, target: float, safety
             FlowState(state.rho[i:i + 1], state.vel[i:i + 1], state.form, state.t[i:i + 1]),
             mesh, [p], target, safety, stepper, time_scheme)]
     t = np.where(hit, target, new.t)  # land output frames on exact times
-    return list(zip(new.rho, new.vel, t[:, 0].tolist(), rep.min_rho.tolist(), rep.max_rho.tolist(),
-                    hit[:, 0].tolist()))
+    rows = len(points), -1
+    return list(zip(new.rho.reshape(rows), new.vel.reshape(rows), t.ravel().tolist(),
+                    np.ravel(rep.min_rho).tolist(), np.ravel(rep.max_rho).tolist(), hit.ravel().tolist()))
 
 
 def run_batch(state0: FlowState, mesh: Mesh, points: list, *, T: float, output_dt: float, frame,

@@ -101,6 +101,30 @@ def test_sweep_batches_hold_at_most_cells_over_n_points(tmp_path, monkeypatch):
     params = Params(alpha=1.0, gamma=2.0)
     s = Scenario(name="t", params=params, theorem=validate_params(params), N=8192, T=0.0)
     sweep(s, [0.6, 0.7, 0.8], [2.0, 2.5, 3.0], tmp_path / "sw")
-    assert harness.CELLS // 8192 == 8
-    assert sizes == [8, 1]
+    assert harness.CELLS // 8192 == 4
+    assert sizes == [4, 4, 1]
     assert len((tmp_path / "sw" / "sweep.csv").read_text().splitlines()) == 10
+
+
+@pytest.mark.parametrize("form", ["U", "V"])
+def test_sweep_step_error_at_one_point_keeps_the_other_rows(tmp_path, monkeypatch, form):
+    # an ArithmeticError out of a batched step (kernels._thomas divides
+    # Python floats, so a near-singular solve can raise ZeroDivisionError)
+    # reruns the batch's points alone: only the point that raises again
+    # becomes an error row, and every other row is unchanged
+    params = Params(alpha=1.0, gamma=2.0)
+    s = Scenario(name="t", params=params, theorem=validate_params(params), N=64, T=0.05,
+                 output_dt=0.025, solver_form=form)
+    sweep(s, [0.8, 1.0], [2.0, 2.5], tmp_path / "ref")
+    for name in ("step_u", "step_v"):
+        def flaky(state, mesh, batch, *args, real=getattr(solver, name), **kwargs):
+            if 0.8 in [p.alpha for p in batch.points]:
+                raise ZeroDivisionError("float division by zero")
+            return real(state, mesh, batch, *args, **kwargs)
+        monkeypatch.setattr(solver, name, flaky)
+    sweep(s, [0.8, 1.0], [2.0, 2.5], tmp_path / "sw")
+    ref = (tmp_path / "ref" / "sweep.csv").read_text().splitlines()
+    rows = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    assert [r.split(",")[3] for r in rows[1:3]] == ["error: float division by zero"] * 2
+    assert rows[3:] == ref[3:] and len(rows) == 5
+    assert [r.split(",")[3] for r in ref[3:]] == ["completed"] * 2
