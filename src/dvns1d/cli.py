@@ -5,7 +5,8 @@ resolution: --outdir flag, else the DVNS1D_OUTDIR environment variable, else
 ./runs/<scenario name>.  Exit codes: 0 success (a recorded vacuum breach is a
 scientific outcome, not a failure), 1 configuration error, 2 I/O error,
 3 arithmetic error (an overflow in a diagnostic, such as the Gronwall
-envelope near vacuum; a sweep records it as an error row instead).
+envelope near vacuum; a sweep records it as an error row instead).  An
+arithmetic error while stepping is an outcome: it ends the run "numerics".
 """
 
 from __future__ import annotations

@@ -106,13 +106,7 @@ def phi(rho, p: Params):
     unobservable; the regularization floor is deliberately not applied here.
     """
     _check_positive(rho)
-    return kernels.per_value(_phi, rho, p.alpha, p.mu0)
-
-
-def _phi(rho, alpha, mu0):
-    if alpha == 1.0:
-        return mu0 * np.log(rho)
-    return mu0 * np.power(rho, alpha - 1.0) / (alpha - 1.0)
+    return kernels.per_value(kernels.potential, rho, p.alpha, p.mu0)
 
 
 def dphi(rho, p: Params):

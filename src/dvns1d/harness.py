@@ -89,6 +89,11 @@ class Scenario:
     def inside_theorem(self) -> bool:
         return self.theorem.inside_theorem
 
+    @property
+    def forms(self) -> list:
+        """The forms to run, the primary (the one a single-form study runs) first."""
+        return [U_FORM, V_FORM] if self.solver_form == "both" else [self.solver_form]
+
 
 def _get(cfg, section: str, key: str, conv, default):
     if not cfg.has_option(section, key):
@@ -171,13 +176,7 @@ def validate_scenario(s: Scenario) -> None:
     if form not in _FORMS:
         raise ConfigurationError(f"solver_form must be U, V or both, got {s.solver_form!r}")
     s.solver_form = form
-    if s.T < 0.0:
-        raise ConfigurationError(f"T must be non-negative, got {s.T!r}")
-    if s.output_dt <= 0.0:
-        raise ConfigurationError(f"output_dt must be positive, got {s.output_dt!r}")
-    if not (0.0 < s.safety <= 1.0):
-        raise ConfigurationError(f"safety must lie in (0, 1], got {s.safety!r}")
-    solver.uses_imex(s.time_scheme)
+    solver.check_run_args(s.T, s.output_dt, s.safety, s.time_scheme)
     diagnostics.moment_orders(s.moment_ps)
     if s.init_family == "custom-table" and not s.table:
         raise ConfigurationError("custom-table family requires the 'table' field")
@@ -396,7 +395,7 @@ def run_scenario(s: Scenario, outdir) -> int:
     out = _resolve_outdir(outdir)
     mesh, profile, state0 = _prepare(s)
 
-    forms = [U_FORM, V_FORM] if s.solver_form == "both" else [s.solver_form]
+    forms = s.forms
     trajs = {form: _integrate_scenario(s, mesh, profile, state0, form) for form in forms}
 
     primary = trajs[forms[0]]
@@ -440,36 +439,19 @@ def _error_row(alpha, gamma, exc: Exception) -> list:
             math.nan, "no", "none", math.nan, "unavailable"]
 
 
-def _run_points(chunk, mesh: Mesh, state0: FlowState, form: str, base: Scenario, frame) -> list:
-    """Each (row index, params, report) point's Trajectory, stepped as one
-    batch.  If the batch raises a ValueError or an ArithmeticError (a float
-    division by zero in a near-singular solve, say), each point runs alone,
-    and one that raises gets the exception in place of its Trajectory."""
-    try:
-        states = [state0 if form == U_FORM else effective_velocity(state0, mesh, p) for _, p, _ in chunk]
-        batch = FlowState(np.stack([st.rho for st in states]), np.stack([st.vel for st in states]), form)
-        return solver.run_batch(batch, mesh, [p for _, p, _ in chunk], T=base.T,
-                                output_dt=base.output_dt, frame=frame, safety=base.safety,
-                                time_scheme=base.time_scheme)
-    except (ValueError, ArithmeticError) as exc:
-        if len(chunk) == 1:
-            return [exc]
-        return [out for point in chunk for out in _run_points([point], mesh, state0, form, base, frame)]
-
-
 def sweep(base: Scenario, alpha_grid, gamma_grid, outdir) -> int:
     """Run the (alpha, gamma) grid and tabulate vacuum/bound behavior per point.
 
     The points run as batches of at most max(1, CELLS // N) (solver.run_batch,
-    with `_sweep_frame`); each row is bit for bit that of its point run alone.
-    A point that Params rejects, or whose run fails with a ValueError or an
-    ArithmeticError, gets an error row.
+    with `_sweep_frame`); each row is bit for bit that of its point run alone,
+    status included.  A point that Params rejects, or whose Gronwall envelope
+    raises an ArithmeticError, gets an error row.
     """
     if not alpha_grid or not gamma_grid:
         raise ConfigurationError("sweep grids must be non-empty")
     out = _resolve_outdir(outdir)
     mesh, profile, state0 = _prepare(base)
-    form = U_FORM if base.solver_form in (U_FORM, "both") else V_FORM
+    form = base.forms[0]
 
     rows, points = [], []  # points: (row index, params, theorem report)
     for alpha in alpha_grid:
@@ -484,10 +466,13 @@ def sweep(base: Scenario, alpha_grid, gamma_grid, outdir) -> int:
                               base.gronwall_slack)
     size = max(1, CELLS // mesh.N)
     for chunk in (points[k:k + size] for k in range(0, len(points), size)):
-        for (k, params, report), traj in zip(chunk, _run_points(chunk, mesh, state0, form, base, frame)):
-            error = traj if isinstance(traj, Exception) else traj.error
-            if error is not None:
-                rows[k] = _error_row(params.alpha, params.gamma, error)
+        states = [state0 if form == U_FORM else effective_velocity(state0, mesh, p) for _, p, _ in chunk]
+        batch = FlowState(np.stack([st.rho for st in states]), np.stack([st.vel for st in states]), form)
+        trajs = solver.run_batch(batch, mesh, [p for _, p, _ in chunk], T=base.T, output_dt=base.output_dt,
+                                 frame=frame, safety=base.safety, time_scheme=base.time_scheme)
+        for (k, params, report), traj in zip(chunk, trajs):
+            if traj.error is not None:
+                rows[k] = _error_row(params.alpha, params.gamma, traj.error)
                 continue
             rows[k] = [
                 params.alpha, params.gamma, "yes" if report.inside_theorem else "no", traj.status,
@@ -567,11 +552,10 @@ def refinement_study(s: Scenario, n_list, outdir) -> int:
     out = _resolve_outdir(outdir)
 
     both = s.solver_form == "both"
-    form = V_FORM if s.solver_form == V_FORM else U_FORM
     finals = {}
     for n in n_list:
         mesh, profile, state0 = _prepare(s, n)
-        traj = _integrate_scenario(s, mesh, profile, state0, form)
+        traj, *other = [_integrate_scenario(s, mesh, profile, state0, form) for form in s.forms]
         last, rec = traj.frames[-1], traj.records[-1]
         entry = {
             "mesh": mesh,
@@ -582,9 +566,8 @@ def refinement_study(s: Scenario, n_list, outdir) -> int:
             "resid_pident": rec.resid_pident,
         }
         if both:
-            traj_v = _integrate_scenario(s, mesh, profile, state0, V_FORM)
-            entry["formdiff"] = _failed(traj, traj_v) or float(
-                np.max(np.abs(last.rho - traj_v.frames[-1].rho)))
+            entry["formdiff"] = _failed(traj, *other) or float(
+                np.max(np.abs(last.rho - other[0].frames[-1].rho)))
         finals[n] = entry
 
     rows = []
@@ -615,7 +598,7 @@ def regularization_study(s: Scenario, n_list, outdir) -> int:
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigurationError(f"regularization needs an increasing n list, got {n_list!r}")
     out = _resolve_outdir(outdir)
-    form = V_FORM if s.solver_form == V_FORM else U_FORM
+    form = s.forms[0]
 
     results = {}
     for n in n_list:

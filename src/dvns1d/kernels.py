@@ -154,17 +154,17 @@ def diffusivity(rho, alpha, mu0, floor):
     return nu
 
 
-def _potential(rho, alpha, mu0):
-    # phi(rho), whose gradient is v - u
+def potential(rho, alpha, mu0):
+    # phi(rho), whose gradient is v - u (constitutive.phi)
     if alpha == 1.0:
-        return _scaled(np.log(rho), mu0)
-    return _scaled(rho ** (alpha - 1.0), mu0 / (alpha - 1.0))
+        return mu0 * np.log(rho)
+    return mu0 * np.power(rho, alpha - 1.0) / (alpha - 1.0)
 
 
 def transport_v(rho, v, dx, alpha, gamma, a, mu0, floor):
     # rhs_v without the density diffusion, same signature: d/dt rho = -(rho v)_x,
     # d/dt v = -u v_x - P_x / rho with u = v - phi(rho)_x
-    u = grad_c(per_value(_potential, rho, alpha, mu0), dx)
+    u = grad_c(per_value(potential, rho, alpha, mu0), dx)
     np.subtract(v, u, out=u)
     drho = upwind_div(rho, v, -dx)
     dv = upwind_grad(v, u, -dx)

@@ -28,7 +28,8 @@ and each row is bit for bit the run of its point alone; `run` is the batch
 of one.  What a batch records at an output frame is up to its frame
 function: `run`'s, `_emit`, builds the full DiagnosticsRecord (with its
 reciprocal-residual probe step); a caller that reads only part of a record
-passes a leaner one.  The status comes from the loop alone.
+passes a leaner one.  The status comes from the loop alone; a step's
+DomainError or ArithmeticError (a zero pivot in a solve) ends the run "numerics".
 """
 
 from __future__ import annotations
@@ -198,6 +199,17 @@ def cfl_dt(state: FlowState, mesh: Mesh, params: Params, safety: float = 0.4, *,
     if not (limit > 0.0).all():
         raise DomainError(f"stability limit {limit!r} is not positive at t={np.max(state.t):g}")
     return safety * limit
+
+
+def check_run_args(T: float, output_dt: float, safety: float, time_scheme: str) -> None:
+    """ConfigurationError unless T >= 0 is finite (else no run ends), output_dt > 0
+    (inf: frames at 0 and T), safety in (0, 1] and time_scheme in TIME_SCHEMES."""
+    if not 0.0 <= T < math.inf:
+        raise ConfigurationError(f"T must be finite and non-negative, got {T!r}")
+    if not output_dt > 0.0:
+        raise ConfigurationError(f"output_dt must be positive, got {output_dt!r}")
+    _check_safety(safety)
+    uses_imex(time_scheme)
 
 
 def _check_safety(safety: float) -> None:
@@ -429,9 +441,9 @@ def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Param
         time_scheme: str = IMEX) -> Trajectory:
     """Integrate from t=0 to T, emitting a DiagnosticsRecord every output_dt.
 
-    A vacuum breach or a loss of finiteness terminates the run and is
-    recorded on the trajectory (status "vacuum" / "numerics"); only
-    configuration mistakes raise.  time_scheme, one of TIME_SCHEMES, picks
+    A vacuum breach, or a step's loss of finiteness or ArithmeticError, ends
+    the run as status "vacuum" / "numerics"; configuration mistakes and a
+    frame's ArithmeticError raise.  time_scheme, one of TIME_SCHEMES, picks
     the stepper and its stability limit.  The run is run_batch's batch of one.
     """
     moment_ps = diagnostics.moment_orders(moment_ps)
@@ -452,8 +464,8 @@ def _step_rows(state: FlowState, mesh: Mesh, points: list, target: float, safety
                time_scheme: str) -> list:
     """One step of each row of the batch state with points[i] and its own
     dt, landing on target when within reach: per row (rho, vel, t, min rho,
-    max rho, hit), or the VacuumBreach or DomainError that stopped it.  If
-    the batched step raises, each row steps alone, as its point's run would."""
+    max rho, hit), or the VacuumBreach, DomainError or ArithmeticError that
+    stopped it.  If the batched step raises, each row steps alone."""
     try:
         params = Batch(points)
         if len(points) == 1:  # a row alone steps as 1-D fields: numpy's per-call cost is lower
@@ -465,7 +477,7 @@ def _step_rows(state: FlowState, mesh: Mesh, points: list, target: float, safety
         hit = remaining <= dt * (1.0 + 1e-6)
         new, rep = stepper(state, mesh, params, np.where(hit, remaining, dt), limit,
                            time_scheme=time_scheme)
-    except (VacuumBreach, DomainError) as exc:
+    except (VacuumBreach, DomainError, ArithmeticError) as exc:
         if len(points) == 1:
             return [exc]
         return [out for i, p in enumerate(points) for out in _step_rows(
@@ -488,12 +500,7 @@ def run_batch(state0: FlowState, mesh: Mesh, points: list, *, T: float, output_d
     Batch and RunAccumulators and returns a record per row; a row given an
     exception instead ends with status "error" and it as Trajectory.error.
     """
-    if T < 0.0:
-        raise ConfigurationError(f"T must be non-negative, got {T!r}")
-    if output_dt <= 0.0:
-        raise ConfigurationError(f"output_dt must be positive, got {output_dt!r}")
-    _check_safety(safety)
-    uses_imex(time_scheme)
+    check_run_args(T, output_dt, safety, time_scheme)
     if len({dataclasses.replace(p, alpha=1.0, gamma=2.0) for p in points}) != 1:
         raise ConfigurationError("the points of a batch may differ only in alpha and gamma")
     stepper = step_u if state0.form == U_FORM else step_v
@@ -527,7 +534,7 @@ def run_batch(state0: FlowState, mesh: Mesh, points: list, *, T: float, output_d
                 if isinstance(res, VacuumBreach):
                     traj.status, traj.breach_time, traj.breach_cell = "vacuum", res.time, res.cell
                     traj.min_rho_ever = min(traj.min_rho_ever, res.value)
-                elif isinstance(res, DomainError):
+                elif isinstance(res, Exception):  # a DomainError or an ArithmeticError
                     traj.status, traj.breach_time = "numerics", float(times[i, 0])
                 else:
                     rho[i], vel[i], times[i, 0], low, high, hit = res

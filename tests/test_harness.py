@@ -102,11 +102,24 @@ def test_load_config_missing_file():
         load_config("/nonexistent/scenario.ini")
 
 
+@pytest.mark.parametrize("line", ["T = nan", "T = inf", "output_dt = nan"])
+def test_load_config_rejects_non_finite_run_values(tmp_path, capsys, line):
+    # a NaN or infinite T never ends a run; `dvns1d run` exits 1 instead
+    path = _cfg(tmp_path, MINIMAL + f"[grid]\nN = 64\n[run]\n{line}\n")
+    with pytest.raises(ConfigurationError):
+        load_config(path)
+    assert main(["run", str(path), "--outdir", str(tmp_path / "out")]) == 1
+    assert "configuration error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("patch", [
     dict(init_family="triangle-wave"),
     dict(solver_form="W"),
     dict(T=-0.5),
+    dict(T=math.nan),
+    dict(T=math.inf),
     dict(output_dt=0.0),
+    dict(output_dt=math.nan),
     dict(safety=1.5),
     dict(moment_ps=(0, -2)),
     dict(moment_ps=(2.5,)),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dvns1d import (Params, background_profile, build_mesh, effective_velocity, kernels,
-                    make_state, run)
+                    make_state, phi, run)
 
 
 def _random_fields(n, seed):
@@ -130,10 +130,8 @@ def _ref_rhs_u(rho, u, dx, alpha, gamma, a, mu0, floor):
 
 
 def _ref_rhs_v(rho, v, dx, alpha, gamma, a, mu0, floor):
-    if alpha == 1.0:
-        ph = mu0 * np.log(rho)
-    else:
-        ph = (mu0 / (alpha - 1.0)) * rho ** (alpha - 1.0)
+    # the package's one density potential
+    ph = phi(rho, Params(alpha=alpha, gamma=gamma, a=a, mu0=mu0))
     u = v - _ref_grad_c(ph, dx)
     P = a * rho**gamma
     coef = np.maximum(mu0 * rho**alpha, floor) / rho

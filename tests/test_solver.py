@@ -251,6 +251,21 @@ def test_run_rejects_bad_safety():
         run(st, m, background_profile(m, 1.0, 1.0), SW, T=0.1, output_dt=0.1, safety=1.5)
 
 
+@pytest.mark.parametrize("T, output_dt", [(math.nan, 0.1), (math.inf, 0.1), (0.1, math.nan)])
+def test_run_rejects_non_finite_horizon(T, output_dt):
+    # a NaN or infinite T would never end the run, a NaN output_dt would
+    # write no frame after t = 0
+    m, st = _bump_state(16)
+    with pytest.raises(ConfigurationError):
+        run(st, m, background_profile(m, 1.0, 1.0), SW, T=T, output_dt=output_dt)
+
+
+def test_run_infinite_output_dt_writes_the_first_and_last_frame():
+    m, st = _bump_state(16)
+    traj = run(st, m, background_profile(m, 1.0, 1.0), SW, T=0.05, output_dt=math.inf)
+    assert traj.status == "completed" and traj.times == [0.0, 0.05]
+
+
 def test_step_form_mismatch():
     m, st = _bump_state(64)
     with pytest.raises(ConfigurationError):
@@ -401,6 +416,33 @@ def test_run_numerics_status():
     traj = run(st, m, prof, SW, T=1.0, output_dt=0.5, safety=0.9, time_scheme=EXPLICIT)
     assert traj.status == "numerics"
     assert traj.breach_time is not None
+
+
+@pytest.mark.parametrize("form", ["U", "V"])
+def test_singular_solve_ends_a_run_numerics(monkeypatch, form):
+    # kernels._thomas divides Python floats, so a zero pivot raises
+    # ZeroDivisionError where numpy would return non-finite values: a lone
+    # run ends "numerics" at the start of the failing step, not raising.
+    # The solve fails from the second frame on (the frame's probe step is
+    # explicit and solves nothing)
+    frames, real_emit, real_thomas = [], solver._emit, kernels._thomas
+
+    def emit(state, *args):
+        frames.append(state.t)
+        return real_emit(state, *args)
+
+    def thomas(*args):
+        if len(frames) > 1:
+            raise ZeroDivisionError("float division by zero")
+        return real_thomas(*args)
+
+    monkeypatch.setattr(solver, "_emit", emit)
+    monkeypatch.setattr(kernels, "_thomas", thomas)
+    m, st = _bump_state(64, form=form)
+    traj = run(st, m, background_profile(m, 1.0, 1.0), SW, T=0.1, output_dt=0.025, time_scheme=IMEX)
+    assert traj.status == "numerics" and traj.form == form
+    assert traj.times == frames == [0.0, 0.025]
+    assert traj.breach_time == 0.025 and traj.steps > 0
 
 
 def test_run_galilean_shift():
