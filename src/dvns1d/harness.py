@@ -1,8 +1,10 @@
 """Scenario configuration and run orchestration.
 
-A Scenario is loaded from a flat INI config, validated (including the
-admissibility check on (alpha, gamma)), turned into initial data from one of
-the built-in families, integrated, and written out as CSV artifacts:
+A Scenario is loaded from a flat INI config (the keys of _INI: any other
+section or key is an error, and an absent key keeps its dataclass default),
+validated (including the admissibility check on (alpha, gamma)), turned into
+initial data from one of the built-in families, integrated, and written out
+as CSV artifacts:
 
   timeseries.csv       one row per output time, every diagnostic column
   fields_<t>.csv       x, rho, u, v snapshots at each output time
@@ -65,7 +67,6 @@ class Scenario:
 
     name: str
     params: Params
-    theorem: TheoremReport
     L: float = 10.0
     N: int = 1024
     rho_minus: float = 1.0
@@ -86,6 +87,10 @@ class Scenario:
     time_scheme: str = solver.IMEX
 
     @property
+    def theorem(self) -> TheoremReport:
+        return validate_params(self.params)
+
+    @property
     def inside_theorem(self) -> bool:
         return self.theorem.inside_theorem
 
@@ -95,93 +100,75 @@ class Scenario:
         return [U_FORM, V_FORM] if self.solver_form == "both" else [self.solver_form]
 
 
-def _get(cfg, section: str, key: str, conv, default):
-    if not cfg.has_option(section, key):
-        return default
-    raw = cfg.get(section, key).strip()
-    if raw == "":
-        return default
-    try:
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"field '{key}' in [{section}]: {exc}") from exc
-
-
-def _require(cfg, section: str, key: str, conv):
-    if not cfg.has_option(section, key) or cfg.get(section, key).strip() == "":
-        raise ConfigurationError(f"missing required field '{key}' in [{section}]")
-    return _get(cfg, section, key, conv, None)
-
-
-def _parse_int_tuple(raw: str) -> tuple:
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+# every INI key, once: section -> {key: converter}.  [params] fills Params and
+# the others Scenario (`family` is init_family); keys are case-insensitive
+_INI = {
+    "params": {"alpha": float, "gamma": float, "a": float, "mu0": float, "eps": float,
+               "reg_n": int, "beta": float},
+    "grid": {"L": float, "N": int},
+    "initial": {"family": str, "rho_minus": float, "rho_plus": float, "amplitude": float, "sigma": float,
+                "u_amplitude": float, "u_sigma": float, "mollify_n": int, "table": str},
+    "run": {"name": str, "T": float, "output_dt": float, "solver_form": str, "safety": float,
+            "moment_ps": lambda raw: tuple(int(tok) for tok in raw.replace(",", " ").split()),
+            "gronwall_slack": float},
+}
 
 
 def load_config(path) -> Scenario:
     """Parse and fully validate a scenario config file."""
     text = Path(path).read_text()  # missing/unreadable file surfaces as OSError
-    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no header names the section "", so [DEFAULT] is a section like any other
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         cfg.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigurationError(f"config parse failure: {exc}") from exc
 
-    params = Params(
-        alpha=_require(cfg, "params", "alpha", float),
-        gamma=_require(cfg, "params", "gamma", float),
-        a=_get(cfg, "params", "a", float, 1.0),
-        mu0=_get(cfg, "params", "mu0", float, 1.0),
-        eps=_get(cfg, "params", "eps", float, 0.125),
-        reg_n=_get(cfg, "params", "reg_n", int, None),
-        beta=_get(cfg, "params", "beta", float, None),
-    )
-    theorem = validate_params(params)
-    if not theorem.inside_theorem:
+    params_kw, scenario_kw = {}, {"name": "run"}
+    for section in cfg.sections():
+        if section not in _INI:
+            raise ConfigurationError(f"unknown section [{section}]; the sections are {list(_INI)}")
+        keys = {key.lower(): key for key in _INI[section]}
+        kw = params_kw if section == "params" else scenario_kw
+        for option, raw in cfg.items(section):
+            key = keys.get(option)
+            if key is None:
+                raise ConfigurationError(f"unknown key '{option}' in [{section}]")
+            if raw.strip():
+                try:
+                    kw["init_family" if key == "family" else key] = _INI[section][key](raw.strip())
+                except ValueError as exc:
+                    raise ConfigurationError(f"field '{key}' in [{section}]: {exc}") from exc
+    for f in dataclasses.fields(Params):
+        if f.default is dataclasses.MISSING and f.name not in params_kw:
+            raise ConfigurationError(f"missing required field '{f.name}' in [params]")
+
+    params = Params(**params_kw)
+    if not validate_params(params).inside_theorem:
         warnings.warn(
             f"(alpha={params.alpha:g}, gamma={params.gamma:g}) lies outside the "
             f"admissible region; running in exploration mode",
             stacklevel=2,
         )
-
-    scenario = Scenario(
-        name=_get(cfg, "run", "name", str, "run"),
-        params=params,
-        theorem=theorem,
-        L=_get(cfg, "grid", "L", float, 10.0),
-        N=_get(cfg, "grid", "N", int, 1024),
-        rho_minus=_get(cfg, "initial", "rho_minus", float, 1.0),
-        rho_plus=_get(cfg, "initial", "rho_plus", float, 1.0),
-        init_family=_get(cfg, "initial", "family", str, "gaussian-bump"),
-        amplitude=_get(cfg, "initial", "amplitude", float, 0.5),
-        sigma=_get(cfg, "initial", "sigma", float, 1.0),
-        u_amplitude=_get(cfg, "initial", "u_amplitude", float, 0.0),
-        u_sigma=_get(cfg, "initial", "u_sigma", float, 1.0),
-        T=_get(cfg, "run", "T", float, 1.0),
-        output_dt=_get(cfg, "run", "output_dt", float, 0.05),
-        solver_form=_get(cfg, "run", "solver_form", str, "U"),
-        mollify_n=_get(cfg, "initial", "mollify_n", int, None),
-        table=_get(cfg, "initial", "table", str, None),
-        safety=_get(cfg, "run", "safety", float, 0.4),
-        moment_ps=_get(cfg, "run", "moment_ps", _parse_int_tuple, (0, 2, 8, 30)),
-        gronwall_slack=_get(cfg, "run", "gronwall_slack", float, 0.10),
-    )
+    scenario = Scenario(params=params, **scenario_kw)
     validate_scenario(scenario)
     return scenario
 
 
 def validate_scenario(s: Scenario) -> None:
-    if s.init_family not in _FAMILIES:
-        raise ConfigurationError(f"unknown init family {s.init_family!r}; choose one of {_FAMILIES}")
     form = s.solver_form.upper() if s.solver_form.lower() != "both" else "both"
     if form not in _FORMS:
         raise ConfigurationError(f"solver_form must be U, V or both, got {s.solver_form!r}")
     s.solver_form = form
+    for name in ("amplitude", "sigma", "u_amplitude", "u_sigma", "gronwall_slack"):
+        if not math.isfinite(getattr(s, name)):
+            raise ConfigurationError(f"{name} must be finite, got {getattr(s, name)!r}")
     solver.check_run_args(s.T, s.output_dt, s.safety, s.time_scheme)
     diagnostics.moment_orders(s.moment_ps)
     if s.init_family == "custom-table" and not s.table:
         raise ConfigurationError("custom-table family requires the 'table' field")
-    # the initial data itself must satisfy the positivity hypothesis;
-    # building it performs that check
+    # building the initial data checks the family and the positivity
+    # hypothesis that the data must satisfy
     _prepare(s)
 
 
@@ -222,7 +209,7 @@ def build_initial(s: Scenario, mesh: Mesh, profile: BackgroundProfile,
         rho = np.interp(mesh.x, data[:, 0], data[:, 1])
         u = np.interp(mesh.x, data[:, 0], data[:, 2])
     else:
-        raise ConfigurationError(f"unknown init family {s.init_family!r}")
+        raise ConfigurationError(f"unknown init family {s.init_family!r}; choose one of {_FAMILIES}")
 
     n = mollify_override if mollify_override is not None else s.mollify_n
     if n is not None:
@@ -280,13 +267,17 @@ def _write_csv(path: Path, header: list, rows, first_col=None) -> None:
     os.replace(tmp, path)
 
 
+# the DiagnosticsRecord fields of a timeseries.csv row, in column order
+_TIMESERIES = (
+    "t", "mass", "energy", "bd_entropy", "diss_u", "diss_bd",
+    "diss_u_rate", "diss_bd_rate", "bd_integrand_min",
+    "min_rho", "max_rho", "inv_rho_max", "rho_h1",
+    "v_inf", "wvel_inf", "sqrt_rho_u_l2", "resid_recip", "resid_pident",
+)
+
+
 def _timeseries_header(moment_ps) -> list:
-    head = [
-        "t", "mass", "energy", "bd_entropy", "diss_u", "diss_bd",
-        "diss_u_rate", "diss_bd_rate", "bd_integrand_min",
-        "min_rho", "max_rho", "inv_rho_max", "rho_h1",
-        "v_inf", "wvel_inf", "sqrt_rho_u_l2", "resid_recip", "resid_pident",
-    ]
+    head = list(_TIMESERIES)
     head += [f"v_moment_p{p}" for p in moment_ps]
     head += [f"gron_bound_p{p}" for p in moment_ps]
     head += [f"gron_pass_p{p}" for p in moment_ps]
@@ -294,12 +285,7 @@ def _timeseries_header(moment_ps) -> list:
 
 
 def _timeseries_row(rec, moment_ps) -> list:
-    row = [
-        rec.t, rec.mass, rec.energy, rec.bd_entropy, rec.diss_u, rec.diss_bd,
-        rec.diss_u_rate, rec.diss_bd_rate, rec.bd_integrand_min,
-        rec.min_rho, rec.max_rho, rec.inv_rho_max, rec.rho_h1,
-        rec.v_inf, rec.wvel_inf, rec.sqrt_rho_u_l2, rec.resid_recip, rec.resid_pident,
-    ]
+    row = [getattr(rec, name) for name in _TIMESERIES]
     row += [rec.moments[p] for p in moment_ps]
     row += [rec.gron_bound[p] for p in moment_ps]
     row += [_verdict(rec.gron_pass[p]) for p in moment_ps]

@@ -26,7 +26,6 @@ from dvns1d import (
     integrate,
     make_state,
     run,
-    validate_params,
 )
 from dvns1d.harness import Scenario, build_initial, refinement_study, regularization_study, sweep
 
@@ -41,7 +40,7 @@ def time_scheme():
 def _scn(time_scheme, **over):
     params = over.pop("params", SW)
     return Scenario(name=over.pop("name", "acc"), params=params,
-                    theorem=validate_params(params), time_scheme=time_scheme, **over)
+                    time_scheme=time_scheme, **over)
 
 
 def _bump(N, L=10.0, amp=0.5):

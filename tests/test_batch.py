@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dvns1d import Params, background_profile, build_mesh, harness, solver, validate_params
+from dvns1d import Params, background_profile, build_mesh, harness, solver
 from dvns1d.harness import Scenario, sweep
 
 MOMENT_PS = (0, 2, 8, 30)
@@ -75,7 +75,7 @@ def test_sweep_rows_equal_sweeps_of_each_point_alone(tmp_path):
     table = tmp_path / "spike.csv"
     table.write_text("x,rho,u\n-4,1e-3,0\n-0.51,1e-3,0\n-0.5,2.0,0\n0.5,2.0,0\n0.51,1e-3,0\n4,1e-3,0\n")
     params = Params(alpha=1.0, gamma=2.0)
-    s = Scenario(name="t", params=params, theorem=validate_params(params), L=4.0, N=96,
+    s = Scenario(name="t", params=params, L=4.0, N=96,
                  init_family="custom-table", table=str(table), T=0.002, output_dt=0.001,
                  solver_form="V", time_scheme="explicit")
     sweep(s, [0.5, 0.7, 1.0], [-1.0, 1.2, 2.0], tmp_path / "all")
@@ -99,7 +99,7 @@ def test_sweep_batches_hold_at_most_cells_over_n_points(tmp_path, monkeypatch):
 
     monkeypatch.setattr(solver, "run_batch", counting)
     params = Params(alpha=1.0, gamma=2.0)
-    s = Scenario(name="t", params=params, theorem=validate_params(params), N=8192, T=0.0)
+    s = Scenario(name="t", params=params, N=8192, T=0.0)
     sweep(s, [0.6, 0.7, 0.8], [2.0, 2.5, 3.0], tmp_path / "sw")
     assert harness.CELLS // 8192 == 4
     assert sizes == [4, 4, 1]
@@ -113,7 +113,7 @@ def test_sweep_step_error_at_one_point_keeps_the_other_rows(tmp_path, monkeypatc
     # steps the batch's points alone: only the point that raises again
     # ends "numerics", and every other row is unchanged
     params = Params(alpha=1.0, gamma=2.0)
-    s = Scenario(name="t", params=params, theorem=validate_params(params), N=64, T=0.05,
+    s = Scenario(name="t", params=params, N=64, T=0.05,
                  output_dt=0.025, solver_form=form)
     sweep(s, [0.8, 1.0], [2.0, 2.5], tmp_path / "ref")
     for name in ("step_u", "step_v"):

@@ -19,12 +19,12 @@ import warnings
 
 import pytest
 
-from dvns1d import Params, validate_params
+from dvns1d import Params
 from dvns1d.harness import Scenario, refinement_study, run_scenario, sweep
 
 
 def _scn(params, time_scheme, **over):
-    return Scenario(name="golden", params=params, theorem=validate_params(params),
+    return Scenario(name="golden", params=params,
                     time_scheme=time_scheme, **over)
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dvns1d import ConfigurationError, Params, background_profile, build_mesh, mollify, validate_params
+from dvns1d import ConfigurationError, Params, background_profile, build_mesh, mollify
 from dvns1d import diagnostics, harness, solver
 from dvns1d.cli import main
 from dvns1d.harness import (
@@ -37,8 +38,7 @@ def _cfg(tmp_path, text, name="scn.ini"):
 
 def _scn(**over):
     params = over.pop("params", Params(alpha=1.0, gamma=2.0, eps=0.125))
-    return Scenario(name=over.pop("name", "t"), params=params,
-                    theorem=validate_params(params), **over)
+    return Scenario(name=over.pop("name", "t"), params=params, **over)
 
 
 def _rows(path):
@@ -55,6 +55,60 @@ def test_load_config_defaults(tmp_path):
     assert s.init_family == "gaussian-bump" and s.solver_form == "U"
     assert s.moment_ps == (0, 2, 8, 30)
     assert s.inside_theorem
+
+
+def _assert_dataclass_defaults(s):
+    # every field but alpha, gamma and name holds its dataclass default
+    for obj, skip in ((s.params, ("alpha", "gamma")), (s, ("name", "params"))):
+        for f in dataclasses.fields(obj):
+            if f.name not in skip:
+                assert getattr(obj, f.name) == f.default, f.name
+
+
+def test_load_config_fills_every_field_from_its_dataclass_default(tmp_path):
+    s = load_config(_cfg(tmp_path, MINIMAL))
+    assert s.name == "run"
+    _assert_dataclass_defaults(s)
+
+
+def test_readme_config_block_states_the_dataclass_defaults(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("### Scenario config", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    text = "".join(line for line in block.splitlines(keepends=True) if "<unset>" not in line)
+    s = load_config(_cfg(tmp_path, text))
+    assert s.name == "run"
+    _assert_dataclass_defaults(s)
+
+
+def test_ini_schema_names_each_dataclass_field_once():
+    keys = [key for section in harness._INI.values() for key in section]
+    fields = [f.name for f in dataclasses.fields(Params)]
+    fields += [f.name for f in dataclasses.fields(Scenario) if f.name not in ("params", "time_scheme")]
+    assert sorted("init_family" if key == "family" else key for key in keys) == sorted(fields)
+    assert list(harness._INI["params"]) == [f.name for f in dataclasses.fields(Params)]
+
+
+@pytest.mark.parametrize("text, name", [
+    (MINIMAL + "[solver]\nN = 64\n", "[solver]"),
+    (MINIMAL + "[grid]\nnn = 64\n", "nn"),
+    (MINIMAL + "[run]\ntime_scheme = explicit\n", "time_scheme"),
+    (MINIMAL + "[Run]\nT = 0.5\n", "[Run]"),
+    ("[DEFAULT]\nN = 64\n" + MINIMAL, "[DEFAULT]"),
+    # misspellings that used to be dropped in silence, the defaults running instead
+    (MINIMAL + "[run]\nouput_dt = 0.01\nsaftey = 0.1\n[intial]\namplitude = 0.3\n", "ouput_dt"),
+    (MINIMAL + "[intial]\namplitude = 0.3\n[run]\nsaftey = 0.1\n", "[intial]"),
+])
+def test_unknown_section_or_key_is_a_configuration_error(tmp_path, capsys, text, name):
+    path = _cfg(tmp_path, text)
+    with pytest.raises(ConfigurationError, match=re.escape(name)):
+        load_config(path)
+    assert main(["validate", str(path)]) == 1
+    assert name in capsys.readouterr().err
+
+
+def test_load_config_keys_are_case_insensitive(tmp_path):
+    s = load_config(_cfg(tmp_path, MINIMAL + "[grid]\nn = 64\nl = 6\n[run]\nt = 0.5\nOUTPUT_DT = 0.25\n"))
+    assert (s.N, s.L, s.T, s.output_dt) == (64, 6.0, 0.5, 0.25)
 
 
 def test_load_config_full(tmp_path):
@@ -102,7 +156,7 @@ def test_load_config_missing_file():
         load_config("/nonexistent/scenario.ini")
 
 
-@pytest.mark.parametrize("line", ["T = nan", "T = inf", "output_dt = nan"])
+@pytest.mark.parametrize("line", ["T = nan", "T = inf", "output_dt = nan", "gronwall_slack = nan"])
 def test_load_config_rejects_non_finite_run_values(tmp_path, capsys, line):
     # a NaN or infinite T never ends a run; `dvns1d run` exits 1 instead
     path = _cfg(tmp_path, MINIMAL + f"[grid]\nN = 64\n[run]\n{line}\n")
@@ -126,6 +180,11 @@ def test_load_config_rejects_non_finite_run_values(tmp_path, capsys, line):
     dict(init_family="custom-table", table=None),
     dict(amplitude=-1.5),  # drives min rho0 negative
     dict(time_scheme="rk4"),
+    dict(amplitude=math.nan),  # a NaN or infinite datum reaches run otherwise
+    dict(sigma=math.nan),
+    dict(u_amplitude=math.inf),
+    dict(u_sigma=math.nan),
+    dict(gronwall_slack=math.nan),
 ])
 def test_validate_scenario_rejections(patch):
     s = _scn(N=64, **patch)
@@ -399,7 +458,7 @@ def test_sweep_rows_match_full_run(tmp_path):
         ("0.7", "1.2"), ("0.7", "3.0"), ("1.0", "1.2"), ("1.0", "3.0")]
     for row in rows:
         params = dataclasses.replace(s.params, alpha=float(row["alpha"]), gamma=float(row["gamma"]))
-        point = dataclasses.replace(s, params=params, theorem=validate_params(params))
+        point = dataclasses.replace(s, params=params)
         out = tmp_path / f"ref_{row['alpha']}_{row['gamma']}"
         run_scenario(point, out)
         summary = _rows(out / "summary.csv")[0]
