@@ -130,15 +130,16 @@ def load_config(path) -> Scenario:
             raise ConfigurationError(f"unknown section [{section}]; the sections are {list(_INI)}")
         keys = {key.lower(): key for key in _INI[section]}
         kw = params_kw if section == "params" else scenario_kw
-        for option, raw in cfg.items(section):
+        for option in cfg.options(section):
             key = keys.get(option)
             if key is None:
                 raise ConfigurationError(f"unknown key '{option}' in [{section}]")
-            if raw.strip():
-                try:
-                    kw["init_family" if key == "family" else key] = _INI[section][key](raw.strip())
-                except ValueError as exc:
-                    raise ConfigurationError(f"field '{key}' in [{section}]: {exc}") from exc
+            try:  # a bare '%' or a '%(missing)s' reference fails the interpolation
+                raw = cfg.get(section, option).strip()
+                if raw:
+                    kw["init_family" if key == "family" else key] = _INI[section][key](raw)
+            except (configparser.Error, ValueError) as exc:
+                raise ConfigurationError(f"field '{key}' in [{section}]: {exc}") from exc
     for f in dataclasses.fields(Params):
         if f.default is dataclasses.MISSING and f.name not in params_kw:
             raise ConfigurationError(f"missing required field '{f.name}' in [params]")

@@ -14,7 +14,9 @@ gamma given by `column`, and each row of the result is bit-identical to the
 kernel applied to that row alone.  Arithmetic on end cells goes through
 `.T`: x.T[0] is a scalar for a field, which numpy computes with far less
 per-call cost than the 0-d array x[..., 0], and the column of first cells
-for a batch.
+for a batch.  solve_tridiagonal takes a batch too: its final Thomas sweep
+runs once for all systems of a batch, and a zero pivot in any of them raises
+ZeroDivisionError, as it does in the solve of that system alone.
 """
 
 from __future__ import annotations
@@ -184,12 +186,13 @@ def rhs_v(rho, v, dx, alpha, gamma, a, mu0, floor):
     return drho, dv
 
 
-def stability_terms(rho, vel, alpha, gamma, a, mu0, floor):
-    # max(|vel| + c) and max diffusivity; a batch's as (B, 1) columns
+def stability_terms(rho, vel, alpha, gamma, a, mu0, floor, diffusive=True):
+    # max(|vel| + c) and max diffusivity, None unless diffusive; a batch's as (B, 1) columns
     wave = np.sqrt(per_value(lambda r, g: _scaled(r ** (g - 1.0), a * g), rho, gamma))
     wave += np.abs(vel)
-    nu, rows = diffusivity(rho, alpha, mu0, floor), rho.ndim > 1
-    return wave.max(axis=-1, keepdims=rows), nu.max(axis=-1, keepdims=rows)
+    rows = rho.ndim > 1
+    nu = diffusivity(rho, alpha, mu0, floor).max(axis=-1, keepdims=rows) if diffusive else None
+    return wave.max(axis=-1, keepdims=rows), nu
 
 
 def diffusion_bands(base, coef, k):
@@ -218,12 +221,16 @@ def solve_tridiagonal(lower, diag, upper, rhs):
 
     lower[0] and upper[-1] must be zero.  Odd-even cyclic reduction
     eliminates the odd unknowns from the even rows, vectorised, until at
-    most _THOMAS_MAX rows remain for a Thomas sweep (one per system of a
-    batch, which every reduction treats at once).  There is no pivoting,
-    so the system must be diagonally dominant.  For an M-matrix every
-    product and quotient below has a fixed sign, so in exact arithmetic a
-    positive rhs gives a positive solution; in floating point only while
-    the diagonal's excess over the off-diagonals is not lost to rounding.
+    most _THOMAS_MAX rows remain for a Thomas sweep.  A batch, (B, N)
+    bands of B systems, takes each reduction and the one sweep for all its
+    systems at once, and each row of the result is bit-identical to the
+    solve of that system alone.  There is no pivoting, so the system must
+    be diagonally dominant; a zero pivot in the sweep raises
+    ZeroDivisionError, in a batch if any of its systems has one.  For an
+    M-matrix every product and quotient below has a fixed sign, so in
+    exact arithmetic a positive rhs gives a positive solution; in floating
+    point only while the diagonal's excess over the off-diagonals is not
+    lost to rounding.
     """
     # through .T the unknowns run along axis 0, so a single system takes
     # plain slices, the cheapest per numpy call, and a batch's are columns
@@ -233,8 +240,13 @@ def solve_tridiagonal(lower, diag, upper, rhs):
 def _reduce(lower, diag, upper, rhs):
     n = diag.shape[0]
     if n <= _THOMAS_MAX:
-        rows = zip(*(b.T.reshape(-1, n).tolist() for b in (lower, diag, upper, rhs)))
-        return np.array([_thomas(*row) for row in rows]).reshape(diag.T.shape).T
+        if diag.ndim == 1:
+            return np.array(_thomas(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()))
+        pivots, d = diag.copy(), rhs.copy()  # _thomas eliminates their (B,) rows in place
+        x = np.array(_thomas(list(lower), list(pivots), list(upper), list(d)))
+        if not pivots.all():  # numpy divides by a zero pivot where a float raises
+            raise ZeroDivisionError("zero pivot in a batched tridiagonal solve")
+        return x
     ae, be, ce, de = lower[::2], diag[::2], upper[::2], rhs[::2]
     ao, bo, co, do = lower[1::2], diag[1::2], upper[1::2], rhs[1::2]
     ne, no = be.shape[0], bo.shape[0]
@@ -258,7 +270,8 @@ def _reduce(lower, diag, upper, rhs):
 
 
 def _thomas(a, b, c, d):
-    # sequential elimination on Python floats: the small system of a reduction
+    # sequential elimination of the small system of a reduction: its
+    # elements are Python floats for one system, (B,) rows for a batch
     n = len(b)
     for i in range(1, n):
         f = a[i] / b[i - 1]

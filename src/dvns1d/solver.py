@@ -188,9 +188,8 @@ def cfl_dt(state: FlowState, mesh: Mesh, params: Params, safety: float = 0.4, *,
     if imex and state.form == V_FORM:
         u, _ = diagnostics.velocities(state, mesh, params)
         speed = np.maximum(np.abs(u), np.abs(state.vel))
-    wave, nu = kernels.stability_terms(
-        state.rho, speed, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor
-    )
+    wave, nu = kernels.stability_terms(state.rho, speed, params.alpha, params.gamma, params.a,
+                                       params.mu0, params.visc_floor, diffusive=not imex)
     limit = mesh.dx / wave
     if not imex:
         limit = np.minimum(limit, mesh.dx * mesh.dx / (2.0 * nu))
@@ -460,15 +459,14 @@ def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Param
     return traj
 
 
-def _step_rows(state: FlowState, mesh: Mesh, points: list, target: float, safety: float, stepper,
+def _step_rows(state: FlowState, mesh: Mesh, params: Batch, target: float, safety: float, stepper,
                time_scheme: str) -> list:
-    """One step of each row of the batch state with points[i] and its own
-    dt, landing on target when within reach: per row (rho, vel, t, min rho,
-    max rho, hit), or the VacuumBreach, DomainError or ArithmeticError that
-    stopped it.  If the batched step raises, each row steps alone."""
+    """One step of each row of the batch state with params.points[i] and its
+    own dt, landing on target when within reach: per row (rho, vel, t, min
+    rho, max rho, hit), or the VacuumBreach, DomainError or ArithmeticError
+    that stopped it.  If the batched step raises, each row steps alone."""
     try:
-        params = Batch(points)
-        if len(points) == 1:  # a row alone steps as 1-D fields: numpy's per-call cost is lower
+        if len(params.points) == 1:  # a row alone steps as 1-D fields: numpy's per-call cost is lower
             state = FlowState(state.rho[0], state.vel[0], state.form, state.t[0])
         # safety * cfl_dt(.., 1.0) == cfl_dt(.., safety) bit for bit
         limit = cfl_dt(state, mesh, params, 1.0, time_scheme=time_scheme)
@@ -478,13 +476,13 @@ def _step_rows(state: FlowState, mesh: Mesh, points: list, target: float, safety
         new, rep = stepper(state, mesh, params, np.where(hit, remaining, dt), limit,
                            time_scheme=time_scheme)
     except (VacuumBreach, DomainError, ArithmeticError) as exc:
-        if len(points) == 1:
+        if len(params.points) == 1:
             return [exc]
-        return [out for i, p in enumerate(points) for out in _step_rows(
+        return [out for i, p in enumerate(params.points) for out in _step_rows(
             FlowState(state.rho[i:i + 1], state.vel[i:i + 1], state.form, state.t[i:i + 1]),
-            mesh, [p], target, safety, stepper, time_scheme)]
+            mesh, Batch([p]), target, safety, stepper, time_scheme)]
     t = np.where(hit, target, new.t)  # land output frames on exact times
-    rows = len(points), -1
+    rows = len(params.points), -1
     return list(zip(new.rho.reshape(rows), new.vel.reshape(rows), t.ravel().tolist(),
                     np.ravel(rep.min_rho).tolist(), np.ravel(rep.max_rho).tolist(), hit.ravel().tolist()))
 
@@ -510,11 +508,18 @@ def run_batch(state0: FlowState, mesh: Mesh, points: list, *, T: float, output_d
     running = np.ones(len(trajs), dtype=bool)
     times = np.zeros((len(trajs), 1))
     tiny = 1e-12 * max(T, 1.0)
+    batches = {}  # the Batch of each set of rows that has framed or stepped together
+
+    def batch(rows):
+        key = tuple(rows.tolist())
+        if key not in batches:
+            batches[key] = Batch([points[i] for i in key])
+        return batches[key]
+
     t, frame_no = 0.0, 1
     while running.any():
         rows = np.flatnonzero(running)
-        recs = frame(FlowState(rho[rows], vel[rows], state0.form, t), Batch([points[i] for i in rows]),
-                     [accs[i] for i in rows])
+        recs = frame(FlowState(rho[rows], vel[rows], state0.form, t), batch(rows), [accs[i] for i in rows])
         for i, rec in zip(rows, recs):
             if isinstance(rec, Exception):
                 trajs[i].status, trajs[i].error, running[i] = "error", rec, False
@@ -528,8 +533,8 @@ def run_batch(state0: FlowState, mesh: Mesh, points: list, *, T: float, output_d
         while todo.any():
             rows = np.flatnonzero(todo)
             sub = FlowState(rho[rows], vel[rows], state0.form, times[rows])
-            for i, res in zip(rows, _step_rows(sub, mesh, [points[i] for i in rows], target, safety,
-                                               stepper, time_scheme)):
+            for i, res in zip(rows, _step_rows(sub, mesh, batch(rows), target, safety, stepper,
+                                               time_scheme)):
                 traj = trajs[i]
                 if isinstance(res, VacuumBreach):
                     traj.status, traj.breach_time, traj.breach_cell = "vacuum", res.time, res.cell

@@ -151,6 +151,19 @@ def test_load_config_parse_error(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("value", ["100%", "%(missing)s", "%(name)s"])
+def test_load_config_interpolation_error_names_the_key(tmp_path, capsys, value):
+    # '%' interpolation stays ('%%' is a literal percent sign), but a value it
+    # cannot expand is a configuration error naming its section and key
+    path = _cfg(tmp_path, MINIMAL + f"[run]\nT = 0.5\nname = {value}\n")
+    with pytest.raises(ConfigurationError, match=re.escape("'name' in [run]")):
+        load_config(path)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: field 'name' in [run]") and err.count("\n") == 1
+    assert load_config(_cfg(tmp_path, MINIMAL + "[run]\nname = 100%%\n")).name == "100%"
+
+
 def test_load_config_missing_file():
     with pytest.raises(OSError):
         load_config("/nonexistent/scenario.ini")

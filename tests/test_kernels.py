@@ -7,7 +7,7 @@ form (kept below as a reference) bit for bit.
 import numpy as np
 import pytest
 
-from dvns1d import (Params, background_profile, build_mesh, effective_velocity, kernels,
+from dvns1d import (Params, background_profile, build_mesh, cfl_dt, effective_velocity, kernels,
                     make_state, phi, run)
 
 
@@ -201,9 +201,9 @@ def test_one_stability_evaluation_per_step(monkeypatch):
     calls = []
     inner = kernels.stability_terms
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "stability_terms", counting)
     params = Params(alpha=0.75, gamma=2.0)
@@ -216,6 +216,25 @@ def test_one_stability_evaluation_per_step(monkeypatch):
             traj = run(state, mesh, profile, params, T=0.2, output_dt=0.05, time_scheme=time_scheme)
             assert traj.status == "completed" and traj.steps > len(traj.records) > 1
             assert len(calls) == traj.steps + len(traj.records)
+
+
+def test_imex_limit_forms_no_diffusivity(monkeypatch):
+    # the implicit diffusion sets no limit, so an imex cfl_dt leaves the
+    # diffusivity unformed; the explicit one forms it once
+    calls = []
+    for name in ("diffusivity", "viscosity"):
+        def counting(*args, inner=getattr(kernels, name), name=name):
+            calls.append(name)
+            return inner(*args)
+        monkeypatch.setattr(kernels, name, counting)
+    params = Params(alpha=0.75, gamma=2.0)
+    mesh = build_mesh(6.0, 64)
+    st = make_state(1.0 + 0.4 * np.exp(-mesh.x**2), 0.2 * np.sin(mesh.x), "U", mesh)
+    for state in (st, effective_velocity(st, mesh, params)):
+        for time_scheme, want in (("imex", []), ("explicit", ["diffusivity", "viscosity"])):
+            calls.clear()
+            cfl_dt(state, mesh, params, time_scheme=time_scheme)
+            assert calls == want, (state.form, time_scheme)
 
 
 # ------------------------------------------------------- tridiagonal solver
@@ -288,3 +307,50 @@ def test_diffusion_bands_apply_the_diffusion_stencil():
     want = base * f - k * dx * dx * kernels.diffuse(coef, f, dx)
     assert np.allclose(got[2:-2], want[2:-2], rtol=1e-13, atol=1e-13)
     assert np.array_equal(got[[0, 1, -2, -1]], f[[0, 1, -2, -1]])
+
+
+def _m_matrix_bands(rng, shape):
+    # diagonally dominant with non-positive off-diagonals, each row scaled
+    # by its own power of ten
+    scale = 10.0 ** rng.uniform(-8, 8, shape)
+    lower = -scale * rng.random(shape)
+    upper = -scale * rng.random(shape)
+    diag = scale * (0.1 + rng.random(shape)) - lower - upper
+    lower[..., 0] = upper[..., -1] = 0.0
+    return lower, diag, upper
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 257, 1024])
+@pytest.mark.parametrize("B", [2, 5, 25, 128])
+def test_batched_solve_is_each_row_solved_alone_bitwise(B, n):
+    # a batch's Thomas sweep runs once over the (B,) rows of all its systems,
+    # with the IEEE operations of the float sweep of one system
+    rng = np.random.default_rng(1000 * B + n)
+    bands = _m_matrix_bands(rng, (B, n))
+    rhs = rng.normal(size=(B, n))
+    x = kernels.solve_tridiagonal(*bands, rhs)
+    assert x.shape == (B, n)
+    for r in range(B):
+        alone = kernels.solve_tridiagonal(*(b[r] for b in bands), rhs[r])
+        assert np.array_equal(_bits(x[r]), _bits(alone)), r
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 128])
+def test_zero_pivot_in_a_batch_raises_as_its_row_alone_does(n):
+    # in row 3 the pivot after the first elimination, 1 - (1/1)*1, is exactly
+    # 0 (for n = 128 in the system that the reduction leaves).  A float
+    # division by it raises; numpy's returns inf or nan, so the batched
+    # sweep must raise on its own
+    rng = np.random.default_rng(n)
+    lower, diag, upper = _m_matrix_bands(rng, (5, n))
+    diag[3, :2] = upper[3, 0] = lower[3, 1] = 1.0
+    rhs = rng.normal(size=(5, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in range(5):
+            if r == 3:
+                with pytest.raises(ZeroDivisionError):
+                    kernels.solve_tridiagonal(lower[r], diag[r], upper[r], rhs[r])
+            else:
+                assert np.isfinite(kernels.solve_tridiagonal(lower[r], diag[r], upper[r], rhs[r])).all()
+        with pytest.raises(ZeroDivisionError):
+            kernels.solve_tridiagonal(lower, diag, upper, rhs)
