@@ -127,6 +127,9 @@ def relative_pressure(rho, rho_bar, p: Params):
     _check_nonnegative(rho)
     _check_positive(rho_bar)
     g = p.gamma
+    if g == 1.0:  # the isothermal limit g -> 1; rho*log(rho) -> 0 as rho -> 0
+        gap = rho * np.log(np.where(rho > 0.0, rho / rho_bar, 1.0)) - rho + rho_bar
+        return p.a * np.maximum(gap, 0.0)
     c = 1.0 / (g - 1.0)
     gap = (
         c * np.power(rho, g)

@@ -331,11 +331,21 @@ def moment_sums(rho, u, v, mesh: Mesh, params: Params, moment_ps) -> list:
     """The reductions moment_record reads, as floats, one list per row of a
     batch (one list for a field): v_inf, the weighted sup of u, the integral
     of rho*u^2, max rho and, per p of moment_ps, the integral of rho*|v|^(p+2).
-    Each is one numpy call for every row; params may be a solver.Batch."""
+    Each is computed for all rows at once; params may be a solver.Batch.
+
+    Cells with |v| < 2^(-1022/q), q = p + 2, add an exact 0, not a sub-normal
+    power (some 20 times slower in numpy); a row whose sum is below 2^-900,
+    where such a term might reach the last bit, or not finite, is summed
+    again in full.  So each integral is np.sum(rho * |v|^q) bit for bit."""
     abs_v = np.abs(v)
     sums = [abs_v.max(axis=-1), _weighted_sup(rho, u, params),
             np.sum(rho * u * u, axis=-1) * mesh.dx, rho.max(axis=-1)]
-    sums += [np.sum(rho * abs_v ** (p + 2), axis=-1) * mesh.dx for p in moment_ps]
+    for q in (p + 2 for p in moment_ps):
+        kept = ~(abs_v < 2.0 ** (-1022 / q))  # NaN is kept
+        s = np.array(np.sum(rho * np.power(abs_v, q, out=np.zeros_like(abs_v), where=kept), axis=-1))
+        redo = ~(np.isfinite(s) & (s >= 2.0 ** -900))
+        s[redo] = np.sum(rho[redo] * abs_v[redo] ** q, axis=-1)
+        sums.append(s * mesh.dx)
     return np.array(sums).reshape(len(sums), -1).T.tolist()
 
 

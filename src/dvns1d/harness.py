@@ -397,7 +397,7 @@ def run_scenario(s: Scenario, outdir) -> int:
             _timeseries_header(s.moment_ps),
             [_timeseries_row(r, s.moment_ps) for r in trajs[V_FORM].records],
         )
-    x_cells = [_fmt(x) for x in mesh.x.tolist()]  # the same in every frame
+    x_cells = list(map(repr, mesh.x.tolist()))  # finite, and the same in every frame
     for t, frame in zip(primary.times, primary.frames):
         _write_csv(
             out / f"fields_{t:.6f}.csv",

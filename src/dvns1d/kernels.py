@@ -27,13 +27,20 @@ import numpy as np
 
 
 class Column:
-    """A parameter with a value per row of a batch: each distinct value and
-    its rows.  Powers take the value as a scalar, x[rows] ** value, because
-    numpy's scalar fast paths (**2.0, **0.5) differ from an elementwise pow."""
+    """A parameter with a value per row of a batch: each distinct value and its
+    rows, a slice (x[rows] is then a view) where they form a progression, as a
+    sweep's alpha blocks and gamma strides do.  Powers take the value as a scalar,
+    x[rows] ** value: numpy's fast paths (**2.0, **0.5) differ from its pow."""
 
     def __init__(self, values):
         each = np.array(values, dtype=np.float64)
-        self.groups = [(v, np.flatnonzero(each == v)) for v in dict.fromkeys(each.tolist())]
+        self.groups = [(v, _rows(each == v)) for v in dict.fromkeys(each.tolist())]
+
+
+def _rows(mask):
+    rows = np.flatnonzero(mask)
+    grid = slice(rows[0], rows[-1] + 1, rows[1] - rows[0] if len(rows) > 1 else 1)
+    return grid if np.array_equal(np.arange(len(mask))[grid], rows) else rows
 
 
 def column(values):

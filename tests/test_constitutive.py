@@ -142,6 +142,19 @@ def test_relative_pressure_convexity_gap(rho, rho_bar, gamma):
         assert val > 0.0
 
 
+def test_relative_pressure_isothermal_limit():
+    # at gamma = 1 the potential is the g -> 1 limit
+    # a*(rho*log(rho/rho_bar) - rho + rho_bar), with rho*log(rho) -> 0 at vacuum
+    rho = np.array([0.0, 0.3, 1.0, 2.5, 40.0])
+    a, rho_bar = 2.0, 1.5
+    want = a * np.array([rho_bar] + [r * math.log(r / rho_bar) - r + rho_bar for r in rho[1:]])
+    got = relative_pressure(rho, rho_bar, Params(alpha=1.0, gamma=1.0, a=a))
+    assert got == pytest.approx(want, rel=1e-14, abs=1e-15)
+    for g in (1.0 - 1e-6, 1.0 + 1e-6):
+        assert relative_pressure(rho, rho_bar, Params(alpha=1.0, gamma=g, a=a)) == pytest.approx(
+            want, rel=1e-5, abs=1e-12)
+
+
 # --------------------------------------------------------------- validation
 
 def test_validate_inside_region():

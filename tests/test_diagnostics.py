@@ -307,6 +307,44 @@ def test_collect_matches_standalone_functions(origin):
                 times, wvel, sql2, rho_linf, acc.initial_moments[p], params, p)
 
 
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def _moment_cases():
+    # (name, rho, v) on one mesh: near-vacuum data, whose far-field v is
+    # about 1e-45 so |v|^10 and |v|^32 fall below the normal range; v = 0;
+    # a state near rest, max |v| = 1e-10, whose every |v|^32 is sub-normal;
+    # and cells with the smallest sub-normal |v|
+    params = Params(alpha=0.7, gamma=2.0)
+    m = build_mesh(10.0, 256)
+    rho = 1.0 - 0.8 * np.exp(-m.x ** 2)
+    _, v = diagnostics.velocities(make_state(rho, 0.03 * np.exp(-m.x ** 2), "U", m), m, params)
+    tiny = 0.5 * np.cos(m.x)
+    tiny[::3] = 5e-324
+    cases = [("near-vacuum", rho, v), ("zero", rho, np.zeros(m.N)),
+             ("near rest", 1.0 + 0.1 * np.sin(m.x), 1e-10 * np.cos(m.x)),
+             ("sub-normal cells", rho, tiny)]
+    return m, params, cases
+
+
+def test_moment_sums_equal_the_plain_sums_bitwise():
+    # cells whose |v|^q would be sub-normal add an exact 0; that must leave
+    # every moment integral the plain sum's, in a batch and in a row alone
+    m, params, cases = _moment_cases()
+    ps = (0, 2, 8, 30)
+    names, rho, v = zip(*cases)
+    rho, v = np.array(rho), np.array(v)
+    assert np.abs(v[0]).min() < 1e-43 and 0.9e-10 < np.abs(v[2]).max() <= 1e-10
+    want = [[float(np.sum(r * np.abs(w) ** (p + 2)) * m.dx) for p in ps] for r, w in zip(rho, v)]
+    assert want[2][-1] != 0.0  # near rest, the p = 30 sum is sub-normal but not zero
+    batch = diagnostics.moment_sums(rho, v, v, m, params, ps)
+    for name, row, r, w, plain in zip(names, batch, rho, v, want):
+        (alone,) = diagnostics.moment_sums(r, w, w, m, params, ps)
+        assert np.array_equal(_bits(row[4:]), _bits(plain)), name
+        assert np.array_equal(_bits(alone[4:]), _bits(plain)), name
+
+
 # ------------------------------------------------------ equation residuals
 
 def _mms_state(mesh, t, A=0.3, k=1.0, c=0.7):

@@ -761,6 +761,16 @@ def test_cli_overflow_exit_code(tmp_path, capsys, monkeypatch, command):
     assert err == "arithmetic error: math range error\n"
 
 
+def test_cli_run_at_gamma_one(tmp_path):
+    # gamma = 1 is accepted in exploration mode; its relative pressure is
+    # the isothermal limit, not a division by zero
+    out = tmp_path / "iso"
+    cfg = _cfg(tmp_path, RUN_CFG.replace("gamma = 2.0", "gamma = 1.0"))
+    with pytest.warns(UserWarning, match="exploration mode"):
+        assert main(["run", str(cfg), "--outdir", str(out)]) == 0
+    assert (out / "summary.csv").exists()
+
+
 def test_cli_sweep_smoke(tmp_path):
     out = tmp_path / "sw"
     code = main(["sweep", str(_cfg(tmp_path, RUN_CFG)), "--outdir", str(out),

@@ -4,6 +4,8 @@ The in-place right-hand sides must reproduce the plain operator-by-operator
 form (kept below as a reference) bit for bit.
 """
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,30 @@ def test_primitives_match_reference_bitwise(n):
                               _bits(_ref_upwind_div(rho, w, dx)))
         assert np.array_equal(_bits(kernels.upwind_grad(w, rho - 0.7, dx)),
                               _bits(_ref_upwind_grad(w, rho - 0.7, dx)))
+
+
+_GRID_A, _GRID_G = (0.6, 0.5, 0.8, 2.0, 1.0), (1.5, 2.0, 0.5, 3.0, 3.5)
+
+# (values, whether every group is a slice): a sweep's alpha and gamma
+# columns (one block per alpha, every fifth row per gamma), rows in no
+# progression, and one row per value
+COLUMN_LAYOUTS = [([a for a in _GRID_A for _ in _GRID_G], True),
+                  ([g for _ in _GRID_A for g in _GRID_G], True),
+                  ([0.6, 0.7, 0.6, 0.6, 0.9], False),
+                  ([0.5, 2.0, 0.7, 1.3], True)]
+
+
+@pytest.mark.parametrize("n", [37, 256])
+@pytest.mark.parametrize("values, all_slices", COLUMN_LAYOUTS)
+def test_column_powers_are_each_rows_scalar_power_bitwise(values, all_slices, n):
+    # the scalar fast paths (**2.0, **0.5) differ from an elementwise pow,
+    # so each group must take its value as a scalar, on a view or a gather
+    col = kernels.column(values)
+    assert all(isinstance(rows, slice) for _, rows in col.groups) == all_slices
+    x = 0.05 + np.random.default_rng(n).random((len(values), n))
+    got = kernels.per_value(operator.pow, x, col)
+    for i, value in enumerate(values):
+        assert np.array_equal(_bits(got[i]), _bits(x[i] ** value)), (i, value)
 
 
 def test_one_stability_evaluation_per_step(monkeypatch):
