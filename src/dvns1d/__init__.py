@@ -38,7 +38,6 @@ from .solver import (
     cfl_dt,
     effective_velocity,
     make_state,
-    recover_u,
     run,
     step_u,
     step_v,
@@ -46,17 +45,8 @@ from .solver import (
 from .diagnostics import (
     DiagnosticsRecord,
     RunAccumulators,
-    bd_dissipation_integrand,
-    bd_functional,
     collect,
-    density_report,
-    dissipation_bd_rate,
-    dissipation_u_rate,
-    energy_functional,
-    pressure_identity_residual,
     reciprocal_residual,
-    v_moment,
-    weighted_sup,
 )
 from .harness import (
     Scenario,
@@ -77,11 +67,8 @@ __all__ = [
     "Mesh", "BackgroundProfile", "build_mesh", "background_profile", "mollify",
     "grad_c", "diffuse", "integrate", "norm",
     "FlowState", "StepReport", "Trajectory", "U_FORM", "V_FORM", "make_state",
-    "effective_velocity", "recover_u", "cfl_dt", "step_u", "step_v", "run",
-    "DiagnosticsRecord", "RunAccumulators", "energy_functional", "bd_functional",
-    "dissipation_u_rate", "dissipation_bd_rate", "bd_dissipation_integrand",
-    "weighted_sup", "v_moment", "reciprocal_residual",
-    "pressure_identity_residual", "density_report", "collect",
+    "effective_velocity", "cfl_dt", "step_u", "step_v", "run",
+    "DiagnosticsRecord", "RunAccumulators", "reciprocal_residual", "collect",
     "Scenario", "load_config", "build_initial", "run_scenario", "sweep",
     "refinement_study", "regularization_study",
     "__version__",

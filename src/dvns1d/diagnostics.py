@@ -1,21 +1,18 @@
 """Runtime monitors for the a priori estimate chain.
 
-Every quantity the analysis bounds is computed here as a plain function of a
-flow snapshot: the relative-entropy energy, its effective-velocity (BD)
-variant, both dissipation rates, weighted sup norms, density moments of v
-with their Gronwall envelope, and the residuals of the two derived
-identities (the reciprocal-density equation and the pressure identity).
-
-Cumulative-in-time quantities are accumulated by the caller through
-RunAccumulators using trapezoid quadrature over the output cadence.
-
-`collect` evaluates a whole frame in one pass: d/dx phi(rho), the relative
-pressure and |v| are computed once and shared, and every time integral is a
-running trapezoid.  Each number is the same floating-point expression the
-stand-alone functions below evaluate, so a frame's record is bit-identical
-to calling them one by one.  Its v moments and their Gronwall check come
-from `moment_sums` (one numpy call per quantity for all rows of a batch)
-and `moment_record`, which are also the whole per-frame work of a sweep.
+`collect` is the one evaluator of an output frame: from the two forms of a
+snapshot it computes every quantity the analysis bounds -- the
+relative-entropy energy, its effective-velocity (BD) variant, both
+dissipation rates, the weighted sup norm, the density moments of v with
+their Gronwall envelope, the density extrema and the residual of the
+pressure identity -- in one pass, with d/dx phi(rho), the relative pressure,
+P(rho) and |v| computed once and shared.  Every time integral is a running
+trapezoid over the output cadence, carried between frames by
+RunAccumulators.  The v moments and their Gronwall check come from
+`moment_sums` (one numpy call per quantity for all rows of a batch) and
+`moment_record`, which are also the whole per-frame work of a sweep.  The
+residual of the reciprocal-density equation needs a second snapshot and is
+`reciprocal_residual`'s, which the caller passes in.
 """
 
 from __future__ import annotations
@@ -36,16 +33,7 @@ __all__ = [
     "RunAccumulators",
     "phi_gradient",
     "velocities",
-    "energy_functional",
-    "bd_functional",
-    "dissipation_u_rate",
-    "bd_dissipation_integrand",
-    "dissipation_bd_rate",
-    "weighted_sup",
-    "v_moment",
     "reciprocal_residual",
-    "pressure_identity_residual",
-    "density_report",
     "moment_orders",
     "moment_sums",
     "moment_record",
@@ -135,8 +123,8 @@ def velocities(state, mesh: Mesh, params: Params,
                correction: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The pair (u, v), v = u + d/dx phi(rho), of a snapshot of either form.
 
-    The one U<->V conversion of the package: the solver's form maps, the
-    output frames and every functional below derive the pair here.
+    The one U<->V conversion of the package: the solver's form maps and the
+    output frames derive the pair here.
     correction is phi_gradient(state.rho, ...) when the caller already
     holds it; otherwise it is derived here.
     """
@@ -151,75 +139,16 @@ def _kinetic_plus(rho, vel, relp, mesh: Mesh) -> float:
     return integrate(0.5 * rho * vel * vel + relp, mesh)
 
 
-def energy_functional(state, mesh: Mesh, params: Params, profile: BackgroundProfile) -> float:
-    """Relative entropy: integral of rho*u^2/2 + p(rho/rho_bar)."""
-    u, _ = velocities(state, mesh, params)
-    return _kinetic_plus(state.rho, u, relative_pressure(state.rho, profile.values, params), mesh)
-
-
-def bd_functional(state, mesh: Mesh, params: Params, profile: BackgroundProfile) -> float:
-    """The energy functional evaluated on the effective velocity v."""
-    _, v = velocities(state, mesh, params)
-    return _kinetic_plus(state.rho, v, relative_pressure(state.rho, profile.values, params), mesh)
-
-
-def _dissipation_u(rho, u, mesh: Mesh, params: Params) -> float:
-    g = grad_c(u, mesh)
-    return integrate(viscosity(rho, params) * g * g, mesh)
-
-
-def dissipation_u_rate(state, mesh: Mesh, params: Params) -> float:
-    """Instantaneous viscous dissipation: integral of mu(rho)*(du/dx)^2 >= 0."""
-    u, _ = velocities(state, mesh, params)
-    return _dissipation_u(state.rho, u, mesh, params)
-
-
-def _bd_integrand(dphi_dx, rho, mesh: Mesh, params: Params) -> np.ndarray:
-    return dphi_dx * grad_c(params.a * rho ** params.gamma, mesh)
-
-
-def bd_dissipation_integrand(state, mesh: Mesh, params: Params) -> np.ndarray:
-    """Pointwise d/dx(phi(rho)) * d/dx P(rho), with P(rho) = a*rho^gamma.
-
-    Analytically this equals a*gamma*mu(rho)*rho^(gamma-3)*(drho/dx)^2 >= 0;
-    discretely both centered gradients share the sign of the same density
-    difference, so negativity can only come from round-off.
-    """
-    return _bd_integrand(phi_gradient(state.rho, mesh, params), state.rho, mesh, params)
-
-
-def dissipation_bd_rate(state, mesh: Mesh, params: Params) -> float:
-    return integrate(bd_dissipation_integrand(state, mesh, params), mesh)
-
-
-def _weighted_sup(rho, u, params: Params):
-    # per row of a batch
-    return np.abs(rho ** params.beta_eff * u).max(axis=-1)
-
-
-def weighted_sup(state, mesh: Mesh, params: Params) -> float:
-    """max |rho^beta * u| with beta the configured weight exponent."""
-    u, _ = velocities(state, mesh, params)
-    return float(_weighted_sup(state.rho, u, params))
-
-
-def _check_order(p) -> None:
-    if int(p) != p or p < 0:
-        raise ConfigurationError(f"moment order p must be a non-negative integer, got {p!r}")
-
-
 def moment_orders(moment_ps) -> tuple:
-    """The moment orders as ints; raises unless each is a non-negative integer."""
+    """The moment orders as ints; raises unless they are distinct non-negative
+    integers (each order names a column of timeseries.csv)."""
     for p in moment_ps:
-        _check_order(p)
-    return tuple(int(p) for p in moment_ps)
-
-
-def v_moment(state, mesh: Mesh, params: Params, p: int) -> float:
-    """Density-weighted moment (integral rho*|v|^(p+2))^(1/(p+2))."""
-    _check_order(p)
-    u, v = velocities(state, mesh, params)
-    return moment_sums(state.rho, u, v, mesh, params, (p,))[0][-1] ** (1.0 / (p + 2))
+        if int(p) != p or p < 0:
+            raise ConfigurationError(f"moment order p must be a non-negative integer, got {p!r}")
+    orders = tuple(int(p) for p in moment_ps)
+    if len(set(orders)) != len(orders):
+        raise ConfigurationError(f"moment orders must be distinct, got {tuple(moment_ps)!r}")
+    return orders
 
 
 def _gronwall_available(params: Params) -> bool:
@@ -292,45 +221,11 @@ def reciprocal_residual(state_t, state_next, mesh: Mesh, params: Params) -> floa
     return math.sqrt(float(np.sum(core * core)) * mesh.dx)
 
 
-def pressure_identity_residual(state, mesh: Mesh, params: Params) -> float:
-    """L2 norm of grad P(rho) - a*gamma*rho^(gamma+1)/mu(rho) * (v - u).
-
-    v - u is the discrete gradient of phi(rho), and phi'(rho) = mu(rho)/rho^2
-    makes the two sides agree analytically; the discrete mismatch is pure
-    centered-difference truncation, O(dx^2). Uses the nominal viscosity (the
-    identity is an exact consequence of the power law, not of the floor).
-    """
-    u, v = velocities(state, mesh, params)
-    return _pressure_identity(state.rho, u, v, mesh, params)
-
-
-def _pressure_identity(rho, u, v, mesh: Mesh, params: Params) -> float:
-    lhs = grad_c(pressure(rho, params), mesh)
-    mu_nominal = params.mu0 * rho ** params.alpha
-    rhs = params.a * params.gamma * rho ** (params.gamma + 1.0) / mu_nominal * (v - u)
-    # the two end cells use one-sided gradients whose round-off does not
-    # cancel between the sides even on constant states; measure the identity
-    # where both gradients are centered
-    core = (lhs - rhs)[1:-1]
-    return math.sqrt(float(np.sum(core * core)) * mesh.dx)
-
-
-def density_report(state, mesh: Mesh, profile: BackgroundProfile) -> dict:
-    """Density extrema, the max of 1/rho, and the H1 distance to the background."""
-    min_rho = float(np.min(state.rho))
-    max_rho = float(np.max(state.rho))
-    return {
-        "min_rho": min_rho,
-        "max_rho": max_rho,
-        "inv_rho_max": 1.0 / min_rho,
-        "rho_h1": norm(state.rho - profile.values, mesh, "h1"),
-    }
-
-
 def moment_sums(rho, u, v, mesh: Mesh, params: Params, moment_ps) -> list:
     """The reductions moment_record reads, as floats, one list per row of a
-    batch (one list for a field): v_inf, the weighted sup of u, the integral
-    of rho*u^2, max rho and, per p of moment_ps, the integral of rho*|v|^(p+2).
+    batch (one list for a field): v_inf, the weighted sup max |rho^beta * u|
+    (beta the configured weight exponent), the integral of rho*u^2, max rho
+    and, per p of moment_ps, the integral of rho*|v|^(p+2).
     Each is computed for all rows at once; params may be a solver.Batch.
 
     Cells with |v| < 2^(-1022/q), q = p + 2, add an exact 0, not a sub-normal
@@ -338,7 +233,7 @@ def moment_sums(rho, u, v, mesh: Mesh, params: Params, moment_ps) -> list:
     where such a term might reach the last bit, or not finite, is summed
     again in full.  So each integral is np.sum(rho * |v|^q) bit for bit."""
     abs_v = np.abs(v)
-    sums = [abs_v.max(axis=-1), _weighted_sup(rho, u, params),
+    sums = [abs_v.max(axis=-1), np.abs(rho ** params.beta_eff * u).max(axis=-1),
             np.sum(rho * u * u, axis=-1) * mesh.dx, rho.max(axis=-1)]
     for q in (p + 2 for p in moment_ps):
         kept = ~(abs_v < 2.0 ** (-1022 / q))  # NaN is kept
@@ -397,10 +292,19 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
     """Assemble one DiagnosticsRecord and advance the cumulative integrals.
 
     state_u and state_v are the two forms of one snapshot (same density).
-    Each functional sees the velocity pair `velocities` would give for the
-    state it reads: (u, u + c) from state_u, (v - c, v) from state_v, with
-    c = d/dx phi(rho) computed once, or passed in as correction.
+    The energy, the viscous dissipation and the weighted sup read u from
+    state_u; the moments read v from state_v, and the BD entropy reads
+    u + c with c = d/dx phi(rho), computed once or passed in as correction.
     moment_ps holds validated orders (moment_orders).
+
+    The BD dissipation integrand d/dx phi(rho) * d/dx P(rho), P = a*rho^gamma,
+    is analytically a*gamma*mu(rho)*rho^(gamma-3)*(drho/dx)^2 >= 0; discretely
+    both centered gradients share the sign of the same density difference,
+    so bd_integrand_min < 0 can only come from round-off.  resid_pident is
+    the L2 norm of d/dx P(rho) - a*gamma*rho^(gamma+1)/mu(rho) * (v - u), pure
+    O(dx^2) truncation since phi'(rho) = mu(rho)/rho^2; it uses the nominal,
+    un-floored viscosity (the identity follows from the power law, not from
+    the floor).
     """
     t = state_u.t
     rho = state_u.rho
@@ -408,9 +312,11 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
     v = state_v.vel
     c = phi_gradient(rho, mesh, params) if correction is None else correction
     relp = relative_pressure(rho, profile.values, params)
+    grad_p = grad_c(pressure(rho, params), mesh)
 
-    du_rate = _dissipation_u(rho, u, mesh, params)
-    integrand = _bd_integrand(c, rho, mesh, params)
+    gu = grad_c(u, mesh)
+    du_rate = integrate(viscosity(rho, params) * gu * gu, mesh)
+    integrand = c * grad_p
     dbd_rate = integrate(integrand, mesh)
     dbd_rate_clamped = max(0.0, dbd_rate)
     h = acc.advance(t)
@@ -420,7 +326,16 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
     acc.prev_du_rate = du_rate
     acc.prev_dbd_rate = dbd_rate_clamped
 
-    dens = density_report(state_u, mesh, profile)
+    mu_nominal = params.mu0 * rho ** params.alpha
+    # v - u is v - (v - c), the pair velocities gives for state_v; c alone
+    # differs in the last bits, and the artifacts pin those
+    rhs = params.a * params.gamma * rho ** (params.gamma + 1.0) / mu_nominal * (v - (v - c))
+    # the two end cells use one-sided gradients whose round-off does not
+    # cancel between the sides even on constant states; measure the identity
+    # where both gradients are centered
+    pident = (grad_p - rhs)[1:-1]
+
+    min_rho = float(np.min(rho))
     (sums,) = moment_sums(rho, u, v, mesh, params, moment_ps)
     mom = moment_record(t, sums, params, acc, h, moment_ps, gronwall_slack)
     return DiagnosticsRecord(
@@ -433,10 +348,10 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
         diss_u_rate=du_rate,
         diss_bd_rate=dbd_rate,
         bd_integrand_min=float(integrand.min()),
-        min_rho=dens["min_rho"],
-        max_rho=dens["max_rho"],
-        inv_rho_max=dens["inv_rho_max"],
-        rho_h1=dens["rho_h1"],
+        min_rho=min_rho,
+        max_rho=float(np.max(rho)),
+        inv_rho_max=1.0 / min_rho,
+        rho_h1=norm(rho - profile.values, mesh, "h1"),
         resid_recip=resid_recip,
-        resid_pident=_pressure_identity(rho, v - c, v, mesh, params),
+        resid_pident=math.sqrt(float(np.sum(pident * pident)) * mesh.dx),
     )

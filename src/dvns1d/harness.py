@@ -165,7 +165,7 @@ def validate_scenario(s: Scenario) -> None:
         if not math.isfinite(getattr(s, name)):
             raise ConfigurationError(f"{name} must be finite, got {getattr(s, name)!r}")
     solver.check_run_args(s.T, s.output_dt, s.safety, s.time_scheme)
-    diagnostics.moment_orders(s.moment_ps)
+    s.moment_ps = diagnostics.moment_orders(s.moment_ps)
     if s.init_family == "custom-table" and not s.table:
         raise ConfigurationError("custom-table family requires the 'table' field")
     # building the initial data checks the family and the positivity

@@ -52,7 +52,6 @@ __all__ = [
     "U_FORM",
     "V_FORM",
     "effective_velocity",
-    "recover_u",
     "EXPLICIT",
     "IMEX",
     "TIME_SCHEMES",
@@ -89,9 +88,6 @@ class FlowState:
     vel: np.ndarray
     form: str
     t: float = 0.0
-
-    def copy(self) -> "FlowState":
-        return FlowState(self.rho.copy(), self.vel.copy(), self.form, self.t)
 
 
 @dataclass(frozen=True)
@@ -156,15 +152,6 @@ def effective_velocity(state: FlowState, mesh: Mesh, params: Params) -> FlowStat
     _require_positive(state.rho, state.t)
     _, v = diagnostics.velocities(state, mesh, params)
     return FlowState(state.rho.copy(), v, V_FORM, state.t)
-
-
-def recover_u(state: FlowState, mesh: Mesh, params: Params) -> FlowState:
-    """Exact discrete inverse of effective_velocity (same gradient operator)."""
-    if state.form != V_FORM:
-        raise ConfigurationError("recover_u expects a V-form state")
-    _require_positive(state.rho, state.t)
-    u, _ = diagnostics.velocities(state, mesh, params)
-    return FlowState(state.rho.copy(), u, U_FORM, state.t)
 
 
 def cfl_dt(state: FlowState, mesh: Mesh, params: Params, safety: float = 0.4, *,

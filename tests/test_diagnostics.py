@@ -10,24 +10,14 @@ from dvns1d import (
     ConfigurationError,
     Params,
     background_profile,
-    bd_dissipation_integrand,
-    bd_functional,
     build_mesh,
-    density_report,
-    dissipation_bd_rate,
-    dissipation_u_rate,
     effective_velocity,
-    energy_functional,
     make_state,
-    pressure_identity_residual,
     reciprocal_residual,
     run,
-    v_moment,
-    weighted_sup,
 )
 from dvns1d import diagnostics
 from dvns1d.diagnostics import RunAccumulators, collect
-from dvns1d.solver import recover_u
 
 P2 = Params(alpha=1.0, gamma=2.0, eps=0.125)
 
@@ -38,26 +28,31 @@ def _flat(L, N, rho_val=1.0):
     return m, prof
 
 
+def _record(rho, vel, form, m, prof, params=P2, acc=None, t=0.0, **kw):
+    """collect's record of the snapshot (rho, vel) given in `form`: both forms
+    from diagnostics.velocities, and a fresh RunAccumulators unless acc is given."""
+    u, v = diagnostics.velocities(make_state(rho, vel, form, m, t=t), m, params)
+    return collect(make_state(rho, u, "U", m, t=t), make_state(rho, v, "V", m, t=t), m, params, prof,
+                   RunAccumulators() if acc is None else acc, **kw)
+
+
 # ----------------------------------------------------------------- energy
 
 def test_energy_zero_at_background():
     m, prof = _flat(2.0, 64)
-    st = make_state(np.ones(m.N), np.zeros(m.N), "U", m)
-    assert energy_functional(st, m, P2, prof) == 0.0
+    assert _record(np.ones(m.N), np.zeros(m.N), "U", m, prof).energy == 0.0
 
 
 def test_energy_pure_kinetic():
     # rho = 1, u = 1 on measure 4: integral of 1/2 is exactly 2
     m, prof = _flat(2.0, 64)
-    st = make_state(np.ones(m.N), np.ones(m.N), "U", m)
-    assert energy_functional(st, m, P2, prof) == pytest.approx(2.0, rel=1e-14)
+    assert _record(np.ones(m.N), np.ones(m.N), "U", m, prof).energy == pytest.approx(2.0, rel=1e-14)
 
 
 def test_energy_pure_potential():
     # rho = 2 over rhobar = 1 at gamma = 2: relative pressure is 1 per cell
     m, prof = _flat(2.0, 64)
-    st = make_state(2.0 * np.ones(m.N), np.zeros(m.N), "U", m)
-    assert energy_functional(st, m, P2, prof) == pytest.approx(4.0, rel=1e-14)
+    assert _record(2.0 * np.ones(m.N), np.zeros(m.N), "U", m, prof).energy == pytest.approx(4.0, rel=1e-14)
 
 
 def test_energy_and_bd_dissipation_scale_with_a():
@@ -65,21 +60,18 @@ def test_energy_and_bd_dissipation_scale_with_a():
     # kinetic part and phi do not
     m, prof = _flat(2.0, 64)
     rho = 1.0 + 0.3 * np.cos(m.x)
-    still = make_state(rho, np.zeros(m.N), "U", m)
     p4 = Params(alpha=1.0, gamma=2.0, a=4.0)
-    assert energy_functional(still, m, p4, prof) == pytest.approx(
-        4.0 * energy_functional(still, m, P2, prof), rel=1e-14)
-    assert np.allclose(bd_dissipation_integrand(still, m, p4),
-                       4.0 * bd_dissipation_integrand(still, m, P2), rtol=1e-14, atol=0.0)
-    flat_rho = make_state(np.ones(m.N), np.sin(m.x), "U", m)
-    assert energy_functional(flat_rho, m, p4, prof) == energy_functional(flat_rho, m, P2, prof)
+    still1, still4 = (_record(rho, np.zeros(m.N), "U", m, prof, p) for p in (P2, p4))
+    for name in ("energy", "diss_bd_rate", "bd_integrand_min"):
+        assert getattr(still4, name) == pytest.approx(4.0 * getattr(still1, name), rel=1e-14)
+    flat1, flat4 = (_record(np.ones(m.N), np.sin(m.x), "U", m, prof, p) for p in (P2, p4))
+    assert flat4.energy == flat1.energy
 
 
 @given(amp=st.floats(0.0, 0.5), vel=st.floats(-2.0, 2.0))
 def test_energy_nonnegative(amp, vel):
     m, prof = _flat(2.0, 32)
-    st = make_state(1.0 + amp * np.cos(m.x), vel * np.sin(m.x), "U", m)
-    assert energy_functional(st, m, P2, prof) >= 0.0
+    assert _record(1.0 + amp * np.cos(m.x), vel * np.sin(m.x), "U", m, prof).energy >= 0.0
 
 
 # ----------------------------------------------------- entropy functional
@@ -88,125 +80,120 @@ def test_bd_equals_energy_on_constant_density():
     # constant rho makes the velocity correction vanish, so both
     # functionals integrate the same fields
     m, prof = _flat(2.0, 64)
-    st = make_state(np.ones(m.N), np.sin(m.x), "U", m)
-    eu = energy_functional(st, m, P2, prof)
-    assert bd_functional(st, m, P2, prof) == pytest.approx(eu, rel=1e-12)
+    rec = _record(np.ones(m.N), np.sin(m.x), "U", m, prof)
+    assert rec.bd_entropy == pytest.approx(rec.energy, rel=1e-12)
 
 
 # Adaptive Gauss-Kronrod values (abs tol 1e-14) for rho = 1 + 0.1 sin(x)
 # on [-2, 2] at alpha = 1, gamma = 2, mu0 = 1, u = 0:
 #   bd   = int rho*v^2/2 + (rho-1)^2      with v = d/dx log(rho)
 #   dbd  = int 2*(drho/dx)^2
+# and the energy int (rho-1)^2 = 0.01*(2 - sin(4)/2) in closed form; v != u
+# here, so an energy that read v would give BD_EXACT
 BD_EXACT = 0.03191403386848421
 DBD_EXACT = 0.03243197504692072
+ENERGY_EXACT = 0.01 * (2.0 - 0.5 * math.sin(4.0))
 
 
 def test_bd_quadrature_oracle():
     m, prof = _flat(2.0, 1024)
-    st = make_state(1.0 + 0.1 * np.sin(m.x), np.zeros(m.N), "U", m)
-    assert bd_functional(st, m, P2, prof) == pytest.approx(BD_EXACT, rel=1e-5)
+    rec = _record(1.0 + 0.1 * np.sin(m.x), np.zeros(m.N), "U", m, prof)
+    assert rec.bd_entropy == pytest.approx(BD_EXACT, rel=1e-5)
+    assert rec.energy == pytest.approx(ENERGY_EXACT, rel=1e-5)
 
 
 def test_bd_dissipation_quadrature_oracle():
-    m, _ = _flat(2.0, 1024)
-    st = make_state(1.0 + 0.1 * np.sin(m.x), np.zeros(m.N), "U", m)
-    assert dissipation_bd_rate(st, m, P2) == pytest.approx(DBD_EXACT, rel=5e-5)
+    m, prof = _flat(2.0, 1024)
+    rec = _record(1.0 + 0.1 * np.sin(m.x), np.zeros(m.N), "U", m, prof)
+    assert rec.diss_bd_rate == pytest.approx(DBD_EXACT, rel=5e-5)
 
 
 # ------------------------------------------------------ dissipation rates
 
 def test_dissipation_u_zero_for_uniform_velocity():
-    m, _ = _flat(2.0, 64)
-    st = make_state(1.0 + 0.3 * np.cos(m.x), 2.5 * np.ones(m.N), "U", m)
-    assert dissipation_u_rate(st, m, P2) == 0.0
+    # v = u + d/dx log(rho) is not uniform: the rate must read u
+    m, prof = _flat(2.0, 64)
+    assert _record(1.0 + 0.3 * np.cos(m.x), 2.5 * np.ones(m.N), "U", m, prof).diss_u_rate == 0.0
 
 
 def test_dissipation_u_affine_velocity():
     # rho = 1, u = x on [-2, 2]: mu*(du/dx)^2 = 1 everywhere, and the
     # one-sided end stencils are exact on affine data, so the integral is 4
-    m, _ = _flat(2.0, 64)
-    st = make_state(np.ones(m.N), m.x.copy(), "U", m)
-    assert dissipation_u_rate(st, m, P2) == pytest.approx(4.0, abs=2e-13)
+    m, prof = _flat(2.0, 64)
+    assert _record(np.ones(m.N), m.x.copy(), "U", m, prof).diss_u_rate == pytest.approx(4.0, abs=2e-13)
 
 
 def test_dissipation_u_nonnegative(rng):
-    m, _ = _flat(2.0, 48)
+    m, prof = _flat(2.0, 48)
     for _ in range(20):
-        st = make_state(0.5 + rng.random(m.N), rng.standard_normal(m.N), "U", m)
-        assert dissipation_u_rate(st, m, P2) >= 0.0
+        assert _record(0.5 + rng.random(m.N), rng.standard_normal(m.N), "U", m, prof).diss_u_rate >= 0.0
 
 
 def test_bd_integrand_zero_on_constants():
-    m, _ = _flat(2.0, 64)
-    st = make_state(1.3 * np.ones(m.N), np.zeros(m.N), "U", m)
-    assert np.all(bd_dissipation_integrand(st, m, P2) == 0.0)
+    m, prof = _flat(2.0, 64)
+    rec = _record(1.3 * np.ones(m.N), np.zeros(m.N), "U", m, prof)
+    assert rec.bd_integrand_min == 0.0 and rec.diss_bd_rate == 0.0
 
 
 def test_bd_integrand_sign_on_smooth_density():
-    m, _ = _flat(2.0, 64)
-    st = make_state(1.0 + 0.1 * np.sin(m.x), np.zeros(m.N), "U", m)
-    assert bd_dissipation_integrand(st, m, P2).min() >= -1e-10
+    m, prof = _flat(2.0, 64)
+    assert _record(1.0 + 0.1 * np.sin(m.x), np.zeros(m.N), "U", m, prof).bd_integrand_min >= -1e-10
 
 
 # --------------------------------------------------------- weighted fields
 
 def test_weighted_sup_zero_velocity():
-    m, _ = _flat(2.0, 64)
-    st = make_state(1.0 + 0.2 * np.cos(m.x), np.zeros(m.N), "U", m)
-    assert weighted_sup(st, m, P2) == 0.0
+    m, prof = _flat(2.0, 64)
+    assert _record(1.0 + 0.2 * np.cos(m.x), np.zeros(m.N), "U", m, prof).wvel_inf == 0.0
 
 
 def test_weighted_sup_unit_density():
-    m, _ = _flat(2.0, 64)
+    m, prof = _flat(2.0, 64)
     u = np.sin(3 * m.x)
-    st = make_state(np.ones(m.N), u, "U", m)
-    assert weighted_sup(st, m, P2) == float(np.max(np.abs(u)))
+    assert _record(np.ones(m.N), u, "U", m, prof).wvel_inf == float(np.max(np.abs(u)))
 
 
 def test_weighted_sup_dominant_cell():
     # beta = 1/2 + eps = 0.625; the lone (rho=4, u=3) cell wins:
-    # 4^0.625 * 3 over the 1^0.625 * 0.1 background
-    m, _ = _flat(2.0, 64)
+    # 4^0.625 * 3 over the 1^0.625 * 0.1 background; v next to the cell is
+    # about 11, so the sup must read u
+    m, prof = _flat(2.0, 64)
     rho = np.ones(m.N)
     u = 0.1 * np.ones(m.N)
     rho[10], u[10] = 4.0, 3.0
-    st = make_state(rho, u, "U", m)
-    assert weighted_sup(st, m, P2) == pytest.approx(3.0 * 4.0**0.625, rel=1e-14)
+    assert _record(rho, u, "U", m, prof).wvel_inf == pytest.approx(3.0 * 4.0**0.625, rel=1e-14)
 
 
 def test_v_moment_zero_velocity():
-    m, _ = _flat(2.0, 64)
-    st = make_state(np.ones(m.N), np.zeros(m.N), "V", m)
-    assert v_moment(st, m, P2, 4) == 0.0
+    m, prof = _flat(2.0, 64)
+    assert _record(np.ones(m.N), np.zeros(m.N), "V", m, prof, moment_ps=(4,)).moments[4] == 0.0
 
 
 def test_v_moment_constant_velocity():
     # rho = 1, v = c on measure 4: moment = |c| * 4^(1/(p+2))
-    m, _ = _flat(2.0, 64)
+    m, prof = _flat(2.0, 64)
     c = -0.7
-    st = make_state(np.ones(m.N), c * np.ones(m.N), "V", m)
-    assert v_moment(st, m, P2, 0) == pytest.approx(2.0 * abs(c), rel=1e-13)
-    assert v_moment(st, m, P2, 30) == pytest.approx(abs(c) * 4.0 ** (1 / 32), rel=1e-13)
+    rec = _record(np.ones(m.N), c * np.ones(m.N), "V", m, prof, moment_ps=(0, 30))
+    assert rec.moments[0] == pytest.approx(2.0 * abs(c), rel=1e-13)
+    assert rec.moments[30] == pytest.approx(abs(c) * 4.0 ** (1 / 32), rel=1e-13)
 
 
 def test_v_moment_high_p_plateau():
     # indicator of measure 4*dx: the p=30 moment equals measure^(1/32),
     # already within a few percent of the sup
-    m, _ = _flat(2.0, 64)
+    m, prof = _flat(2.0, 64)
     v = np.zeros(m.N)
     v[30:34] = 1.0
-    st = make_state(np.ones(m.N), v, "V", m)
     meas = 4 * m.dx
-    assert v_moment(st, m, P2, 30) == pytest.approx(meas ** (1 / 32), rel=1e-13)
+    rec = _record(np.ones(m.N), v, "V", m, prof, moment_ps=(30,))
+    assert rec.moments[30] == pytest.approx(meas ** (1 / 32), rel=1e-13)
 
 
 def test_v_moment_rejects_bad_order():
-    m, _ = _flat(2.0, 16)
-    st = make_state(np.ones(m.N), np.zeros(m.N), "V", m)
-    with pytest.raises(ConfigurationError):
-        v_moment(st, m, P2, -2)
-    with pytest.raises(ConfigurationError):
-        v_moment(st, m, P2, 1.5)
+    for bad in ((-2,), (1.5,), (2, 0, 2), (2, 2.0)):
+        with pytest.raises(ConfigurationError):
+            diagnostics.moment_orders(bad)
+    assert diagnostics.moment_orders((2.0, 0)) == (2, 0)
 
 
 # ------------------------------------------------------------ moment bound
@@ -275,10 +262,9 @@ def test_gronwall_unavailable_outside_region():
 # ------------------------------------------------------- one-pass frame
 
 @pytest.mark.parametrize("origin", ["U", "V"])
-def test_collect_matches_standalone_functions(origin):
-    # collect shares d/dx phi, the relative pressure and |v| across the
-    # functionals and keeps running time integrals; every field must equal
-    # the stand-alone function on the same snapshot bit for bit
+def test_collect_gronwall_bound_matches_the_oracle(origin):
+    # the running trapezoid of the Gronwall rate, frame by frame, equals the
+    # envelope re-integrated over the whole recorded history
     params = Params(alpha=0.75, gamma=2.5, a=1.3, mu0=0.9)
     m = build_mesh(6.0, 96)
     prof = background_profile(m, 1.0, 1.5)
@@ -286,25 +272,26 @@ def test_collect_matches_standalone_functions(origin):
     hist = []
     for k, t in enumerate((0.0, 0.1, 0.25, 0.3)):
         rho = prof.values + 0.3 * np.exp(-((m.x - 0.2 * k) ** 2))
-        s = make_state(rho, 0.4 * np.sin(m.x + k), origin, m, t=t)
-        if origin == "U":
-            su, sv = s, effective_velocity(s, m, params)
-        else:
-            su, sv = recover_u(s, m, params), s
-        rec = collect(su, sv, m, params, prof, acc, moment_ps=(0, 3))
-        assert rec.energy == energy_functional(su, m, params, prof)
-        assert rec.bd_entropy == bd_functional(su, m, params, prof)
-        assert rec.diss_u_rate == dissipation_u_rate(su, m, params)
-        assert rec.diss_bd_rate == dissipation_bd_rate(su, m, params)
-        assert rec.bd_integrand_min == float(np.min(bd_dissipation_integrand(su, m, params)))
-        assert rec.wvel_inf == weighted_sup(su, m, params)
-        assert rec.resid_pident == pressure_identity_residual(sv, m, params)
+        rec = _record(rho, 0.4 * np.sin(m.x + k), origin, m, prof, params, acc, t, moment_ps=(0, 3))
         hist.append((t, rec.wvel_inf, rec.sqrt_rho_u_l2, rec.max_rho))
         times, wvel, sql2, rho_linf = zip(*hist)
         for p in (0, 3):
-            assert rec.moments[p] == v_moment(sv, m, params, p)
             assert rec.gron_bound[p] == gronwall_bound_v(
                 times, wvel, sql2, rho_linf, acc.initial_moments[p], params, p)
+
+
+@pytest.mark.parametrize("origin", ["U", "V"])
+def test_collect_reads_u_and_v_where_each_belongs(origin):
+    # alpha = mu0 = 1 makes phi = log(rho), so rho = e^x gives v = u + 1 up to
+    # round-off; with u = 0 each field that reads the wrong velocity is off
+    m, prof = _flat(2.0, 256)
+    rec = _record(np.exp(m.x), np.zeros(m.N) if origin == "U" else np.ones(m.N), origin, m, prof,
+                  moment_ps=(0, 2))
+    assert rec.bd_entropy - rec.energy == pytest.approx(0.5 * rec.mass, rel=1e-12)
+    assert rec.wvel_inf <= 1e-12 and rec.sqrt_rho_u_l2 <= 1e-12
+    assert rec.v_inf == pytest.approx(1.0, rel=1e-12)
+    for p in (0, 2):
+        assert rec.moments[p] == pytest.approx(rec.mass ** (1 / (p + 2)), rel=1e-12)
 
 
 def _bits(x):
@@ -385,25 +372,25 @@ def test_reciprocal_residual_manufactured_convergence():
 def test_pressure_identity_constant_state():
     m = build_mesh(2.0, 256)
     params = Params(alpha=0.75, gamma=1.8, eps=0.125, mu0=0.9, a=1.2)
-    st = make_state(np.full(m.N, 1.7), np.full(m.N, -0.4), "U", m)
-    assert pressure_identity_residual(st, m, params) == 0.0
+    prof = background_profile(m, 1.0, 1.0)
+    assert _record(np.full(m.N, 1.7), np.full(m.N, -0.4), "U", m, prof, params).resid_pident == 0.0
 
 
 def test_pressure_identity_truncation_bound():
     # C measured once on the refinement ladder below: 0.053, frozen with headroom
     for n in (128, 256, 512):
-        m = build_mesh(2.0, n)
-        st = make_state(1.0 + 0.1 * np.sin(m.x), np.zeros(m.N), "U", m)
-        assert pressure_identity_residual(st, m, P2) <= 0.06 * m.dx**2
+        m, prof = _flat(2.0, n)
+        rec = _record(1.0 + 0.1 * np.sin(m.x), np.zeros(m.N), "U", m, prof)
+        assert rec.resid_pident <= 0.06 * m.dx**2
 
 
 def test_pressure_identity_refinement_rate():
     params = Params(alpha=0.75, gamma=1.8, eps=0.125, mu0=0.9, a=1.2)
     vals = []
     for n in (128, 256, 512, 1024):
-        m = build_mesh(2.0, n)
-        st = make_state(1.0 + 0.4 * np.exp(-m.x**2), 0.3 * np.sin(1.5 * m.x), "U", m)
-        vals.append(pressure_identity_residual(st, m, params))
+        m, prof = _flat(2.0, n)
+        rho = 1.0 + 0.4 * np.exp(-m.x**2)
+        vals.append(_record(rho, 0.3 * np.sin(1.5 * m.x), "U", m, prof, params).resid_pident)
     for coarse, fine in zip(vals, vals[1:]):
         assert coarse / fine >= 3.5
 
@@ -413,26 +400,24 @@ def test_pressure_identity_refinement_rate():
 def test_density_report_at_background():
     m = build_mesh(2.0, 64)
     prof = background_profile(m, 1.0, 2.0)
-    st = make_state(prof.values.copy(), np.zeros(m.N), "U", m)
-    rep = density_report(st, m, prof)
-    assert rep["rho_h1"] == 0.0
-    assert rep["min_rho"] == 1.0 and rep["max_rho"] == 2.0
+    rec = _record(prof.values.copy(), np.zeros(m.N), "U", m, prof)
+    assert rec.rho_h1 == 0.0
+    assert rec.min_rho == 1.0 and rec.max_rho == 2.0
 
 
 def test_density_report_constant_offset():
     # flat background, rho = rhobar + 0.5 on L = 2: the gradient term
     # vanishes and the H1 distance is 0.5 * sqrt(measure) = 1
     m, prof = _flat(2.0, 64)
-    st = make_state(prof.values + 0.5, np.zeros(m.N), "U", m)
-    rep = density_report(st, m, prof)
-    assert rep["rho_h1"] == pytest.approx(1.0, abs=1e-13)
+    assert _record(prof.values + 0.5, np.zeros(m.N), "U", m, prof).rho_h1 == pytest.approx(1.0, abs=1e-13)
 
 
 def test_density_report_reciprocal_consistency(rng):
     m, prof = _flat(2.0, 64)
-    st = make_state(0.5 + rng.random(m.N), np.zeros(m.N), "U", m)
-    rep = density_report(st, m, prof)
-    assert rep["inv_rho_max"] * rep["min_rho"] == pytest.approx(1.0, rel=1e-15)
+    rho = 0.5 + rng.random(m.N)
+    rec = _record(rho, np.zeros(m.N), "U", m, prof)
+    assert rec.min_rho == rho.min() and rec.max_rho == rho.max()
+    assert rec.inv_rho_max * rec.min_rho == pytest.approx(1.0, rel=1e-15)
 
 
 # --------------------------------------------- record coherence over a run
@@ -480,10 +465,9 @@ def test_run_record_matches_recomputed_fields(bump_run):
     m, traj = bump_run
     prof = background_profile(m, 1.0, 1.0)
     for frame, rec in zip(traj.frames, traj.records):
-        assert weighted_sup(frame, m, P2) == rec.wvel_inf
-        assert energy_functional(frame, m, P2, prof) == rec.energy
-        rep = density_report(frame, m, prof)
-        assert rep["min_rho"] == rec.min_rho and rep["rho_h1"] == rec.rho_h1
+        alone = _record(frame.rho, frame.vel, frame.form, m, prof, t=frame.t)
+        for name in ("wvel_inf", "energy", "min_rho", "rho_h1", "resid_pident"):
+            assert getattr(alone, name) == getattr(rec, name), name
 
 
 def test_run_energy_budget_sane(bump_run):

@@ -198,6 +198,7 @@ def test_load_config_rejects_non_finite_run_values(tmp_path, capsys, line):
     dict(u_amplitude=math.inf),
     dict(u_sigma=math.nan),
     dict(gronwall_slack=math.nan),
+    dict(moment_ps=(2, 2)),  # the second set of columns would shadow the first
 ])
 def test_validate_scenario_rejections(patch):
     s = _scn(N=64, **patch)
@@ -351,6 +352,15 @@ def test_run_scenario_zero_horizon(tmp_path):
     assert (out / "fields_0.000000.csv").exists()
     row = _rows(out / "summary.csv")[0]
     assert row["status"] == "completed" and row["steps"] == "0"
+
+
+def test_float_moment_orders_name_integer_columns(tmp_path):
+    s = _scn(N=64, T=0.0, moment_ps=(2.0, 0))
+    validate_scenario(s)
+    assert s.moment_ps == (2, 0)
+    assert run_scenario(s, tmp_path) == 0
+    header = (tmp_path / "timeseries.csv").read_text().splitlines()[0].split(",")
+    assert "v_moment_p2" in header and "v_moment_p2.0" not in header
 
 
 def test_run_scenario_both_forms(tmp_path):
