@@ -46,9 +46,9 @@ class MomentRecord:
     """The v moments of one output frame and their Gronwall check.
 
     moments maps p to the density-weighted L^{p+2} norm of v; gron_bound
-    maps p to the Gronwall envelope (None when the parameter point sits
-    outside the theorem region) and gron_pass to the slack-adjusted
-    comparison outcome (None when the bound is unavailable).  wvel_inf and
+    maps p to the Gronwall envelope (None outside the theorem region, inf
+    past the float range) and gron_pass to the slack-adjusted comparison
+    outcome (None when the bound is None or inf).  wvel_inf and
     sqrt_rho_u_l2 are the two velocity norms the envelope's rate reads.
     """
 
@@ -143,7 +143,7 @@ def moment_orders(moment_ps) -> tuple:
     """The moment orders as ints; raises unless they are distinct non-negative
     integers (each order names a column of timeseries.csv)."""
     for p in moment_ps:
-        if int(p) != p or p < 0:
+        if not math.isfinite(p) or int(p) != p or p < 0:
             raise ConfigurationError(f"moment order p must be a non-negative integer, got {p!r}")
     orders = tuple(int(p) for p in moment_ps)
     if len(set(orders)) != len(orders):
@@ -156,10 +156,14 @@ def _gronwall_available(params: Params) -> bool:
 
 
 def _gronwall_rate(wvel: float, sql2: float, rho_linf: float, params: Params, p: int) -> float:
-    """A(s) = wvel^(p/(p+2)) * sql2^(2/(p+2)) * rho_linf^(gamma - alpha - p*beta/(p+2))."""
+    """A(s) = wvel^(p/(p+2)) * sql2^(2/(p+2)) * rho_linf^(gamma - alpha - p*beta/(p+2)),
+    or inf past the float range."""
     q = p + 2
     er = params.gamma - params.alpha - p * params.beta_eff / q
-    return (wvel ** (p / q)) * (sql2 ** (2.0 / q)) * (rho_linf ** er)
+    try:
+        return (wvel ** (p / q)) * (sql2 ** (2.0 / q)) * (rho_linf ** er)
+    except OverflowError:
+        return math.inf
 
 
 def _gronwall_envelope(initial_moment: float, integral: float, params: Params, p: int) -> float:
@@ -182,12 +186,16 @@ def _gronwall_envelope(initial_moment: float, integral: float, params: Params, p
 
     Requires gamma - alpha - beta >= 0 (_gronwall_available); outside that
     region the envelope has no closed form (the missing ingredient is a
-    bound on 1/rho) and moment_record reports it as unavailable.
+    bound on 1/rho) and moment_record reports it as unavailable.  A bound
+    past the float range is inf, which checks nothing either.
     """
     q = p + 2
     k = params.a * params.gamma / params.mu0
-    base = initial_moment ** q + k * q * integral
-    return base ** (1.0 / q) * math.exp(k * integral)
+    try:
+        base = initial_moment ** q + k * q * integral
+        return base ** (1.0 / q) * math.exp(k * integral)
+    except OverflowError:
+        return math.inf
 
 
 def reciprocal_residual(state_t, state_next, mesh: Mesh, params: Params) -> float:
@@ -273,7 +281,7 @@ def moment_record(t: float, sums, params: Params, acc: RunAccumulators,
             acc.gron_prev_rate[p] = rate
             bound = _gronwall_envelope(acc.initial_moments[p], acc.gron_integral[p], params, p)
         gron_bound[p] = bound
-        gron_pass[p] = None if bound is None else bool(measured <= bound * (1.0 + gronwall_slack))
+        gron_pass[p] = None if bound in (None, math.inf) else bool(measured <= bound * (1.0 + gronwall_slack))
 
     return MomentRecord(
         t=t,

@@ -102,8 +102,7 @@ class Trajectory:
     """Output frames of one run plus its termination metadata.
 
     records holds what run's frame function returned at each frame: a
-    DiagnosticsRecord by default.  error is the exception that a batch
-    frame function returned for this run, which ended it (status "error").
+    DiagnosticsRecord by default.
     """
 
     form: str
@@ -115,7 +114,6 @@ class Trajectory:
     breach_cell: int | None = None
     steps: int = 0
     min_rho_ever: float = math.inf
-    error: Exception | None = None
 
 
 class Batch:
@@ -427,10 +425,10 @@ def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Param
         time_scheme: str = IMEX) -> Trajectory:
     """Integrate from t=0 to T, emitting a DiagnosticsRecord every output_dt.
 
-    A vacuum breach, or a step's loss of finiteness or ArithmeticError, ends
-    the run as status "vacuum" / "numerics"; configuration mistakes and a
-    frame's ArithmeticError raise.  time_scheme, one of TIME_SCHEMES, picks
-    the stepper and its stability limit.  The run is run_batch's batch of one.
+    A vacuum breach, or a step that fails or loses finiteness, ends the run
+    as status "vacuum" / "numerics"; configuration mistakes raise.
+    time_scheme, one of TIME_SCHEMES, picks the stepper and its stability
+    limit.  The run is run_batch's batch of one.
     """
     moment_ps = diagnostics.moment_orders(moment_ps)
     frames = []
@@ -482,8 +480,7 @@ def run_batch(state0: FlowState, mesh: Mesh, points: list, *, T: float, output_d
     The points may differ only in alpha and gamma.  The rows that have not
     reached the next output time step together, each with its own dt.  At
     every output frame, frame(state, batch, accs) gets the running rows, their
-    Batch and RunAccumulators and returns a record per row; a row given an
-    exception instead ends with status "error" and it as Trajectory.error.
+    Batch and RunAccumulators and returns a record per row.
     """
     check_run_args(T, output_dt, safety, time_scheme)
     if len({dataclasses.replace(p, alpha=1.0, gamma=2.0) for p in points}) != 1:
@@ -508,11 +505,8 @@ def run_batch(state0: FlowState, mesh: Mesh, points: list, *, T: float, output_d
         rows = np.flatnonzero(running)
         recs = frame(FlowState(rho[rows], vel[rows], state0.form, t), batch(rows), [accs[i] for i in rows])
         for i, rec in zip(rows, recs):
-            if isinstance(rec, Exception):
-                trajs[i].status, trajs[i].error, running[i] = "error", rec, False
-            else:
-                trajs[i].times.append(t)
-                trajs[i].records.append(rec)
+            trajs[i].times.append(t)
+            trajs[i].records.append(rec)
         if t >= T - tiny:
             break
         target = min(frame_no * output_dt, T)

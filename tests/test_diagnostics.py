@@ -190,7 +190,7 @@ def test_v_moment_high_p_plateau():
 
 
 def test_v_moment_rejects_bad_order():
-    for bad in ((-2,), (1.5,), (2, 0, 2), (2, 2.0)):
+    for bad in ((-2,), (1.5,), (2, 0, 2), (2, 2.0), (math.nan,), (math.inf,)):
         with pytest.raises(ConfigurationError):
             diagnostics.moment_orders(bad)
     assert diagnostics.moment_orders((2.0, 0)) == (2, 0)
@@ -257,6 +257,20 @@ def test_gronwall_unavailable_outside_region():
     times = np.linspace(0.0, 1.0, 11)
     ones = np.ones(11)
     assert gronwall_bound_v(times, ones, ones, ones, 1.0, p_out, 0) is None
+
+
+def test_gronwall_past_the_float_range_is_inf_and_checks_nothing():
+    # K = a*gamma/mu0 = 3e4 makes exp(K*I) overflow at I = 1, m0^q overflows
+    # at m0 = 1e200, and rho_linf^199 at rho_linf = 100; an infinite bound
+    # gets no verdict
+    wide = Params(alpha=0.8, gamma=3.0, a=10.0, mu0=1e-3)
+    assert diagnostics._gronwall_envelope(1.0, 1.0, wide, 0) == math.inf
+    assert diagnostics._gronwall_envelope(1e200, 0.0, wide, 30) == math.inf
+    assert diagnostics._gronwall_rate(1.0, 1.0, 100.0, Params(alpha=1.0, gamma=200.0), 0) == math.inf
+    acc = RunAccumulators()
+    for t in (0.0, 1.0):
+        rec = diagnostics.moment_record(t, [1.0] * 5, wide, acc, acc.advance(t), (0,), 0.1)
+    assert rec.gron_bound == {0: math.inf} and rec.gron_pass == {0: None}
 
 
 # ------------------------------------------------------- one-pass frame

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from dvns1d import ConfigurationError, Params, background_profile, build_mesh, mollify
 from dvns1d import diagnostics, harness, solver
@@ -409,6 +410,26 @@ def test_run_scenario_vacuum_is_recorded_not_raised(tmp_path):
     assert float(row["min_rho_run"]) < 0.0
 
 
+_DECADES = st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e)  # 1e-3 to 10
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(N=st.integers(16, 64), T=st.sampled_from([0.01, 0.05]), alpha=st.floats(0.05, 3.0),
+       gamma=st.one_of(st.just(1.0), st.floats(0.5, 5.0)), a=_DECADES, mu0=_DECADES,
+       rho_bar=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e), form=st.sampled_from(["U", "V", "both"]))
+@example(N=64, T=0.05, alpha=0.8, gamma=3.0, a=10.0, mu0=1e-3, rho_bar=1.0, form="U")
+@example(N=32, T=0.01, alpha=1.0, gamma=200.0, a=1.0, mu0=1.0, rho_bar=100.0, form="U")
+def test_every_accepted_point_ends_with_a_status(tmp_path_factory, N, T, alpha, gamma, a, mu0, rho_bar, form):
+    # no parameter point that the config accepts raises out of a run; the
+    # examples are a Gronwall envelope and a Gronwall rate past the float range
+    params = Params(alpha=alpha, gamma=gamma, a=a, mu0=mu0)
+    s = _scn(params=params, N=N, rho_minus=rho_bar, rho_plus=rho_bar, T=T, output_dt=T / 2, solver_form=form)
+    validate_scenario(s)
+    out = tmp_path_factory.mktemp("run")
+    assert run_scenario(s, out) == 0
+    assert {r["status"] for r in _rows(out / "summary.csv")} <= {"completed", "vacuum", "numerics"}
+
+
 # ------------------------------------------------------------ block writer
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
@@ -473,7 +494,7 @@ def _spike_scenario(tmp_path, **over):
 def test_sweep_rows_match_full_run(tmp_path):
     # every row of the lean sweep equals the summary of a full run (default
     # frame function, probe step and every functional) at the same point;
-    # the explicit scheme gives this grid all three verdicts and two vacua
+    # under the explicit scheme this grid ends in two vacua
     s = _spike_scenario(tmp_path, time_scheme="explicit")
     sweep(s, [0.7, 1.0], [1.2, 3.0], tmp_path / "sw")
     rows = _rows(tmp_path / "sw" / "sweep.csv")
@@ -488,9 +509,12 @@ def test_sweep_rows_match_full_run(tmp_path):
         for key in ("inside_theorem", "status", "min_rho_run", "vacuum", "breach_time",
                     "sup_v_inf", "gronwall"):
             assert row[key] == summary[key], key
-    assert {r["gronwall"] for r in rows} == {"pass", "fail", "unavailable"}
+    assert {r["gronwall"] for r in rows} == {"fail", "unavailable"}
     assert rows[0]["inside_theorem"] == "no" and rows[0]["gronwall"] == "unavailable"
     assert [r["status"] for r in rows[2:]] == ["vacuum", "vacuum"]
+    # this point breaches before its second frame, and the envelope of the
+    # first frame is its measured moment: no verdict
+    assert rows[3]["inside_theorem"] == "yes" and rows[3]["gronwall"] == "unavailable"
 
 
 @pytest.mark.parametrize("form", ["U", "V"])
@@ -576,24 +600,20 @@ def test_sweep_error_row_continues(tmp_path):
     assert rows[1]["gronwall"] == "unavailable"
 
 
-def test_sweep_overflow_at_one_point_keeps_the_table(tmp_path, monkeypatch):
-    # e.g. an OverflowError from float ** or math.exp in the Gronwall
-    # envelope near vacuum: only that point becomes an error row
-    real = diagnostics._gronwall_envelope
-
-    def flaky(initial_moment, integral, params, p):
-        if params.alpha == 0.8:
-            raise OverflowError("math range error")
-        return real(initial_moment, integral, params, p)
-
-    monkeypatch.setattr(diagnostics, "_gronwall_envelope", flaky)
-    s = _scn(N=64, amplitude=0.2, T=0.05, output_dt=0.05)
-    sweep(s, [0.8, 1.0], [2.0, 2.5], tmp_path / "sw")
+def test_sweep_with_an_overflowing_envelope_keeps_every_row(tmp_path):
+    # K = a*gamma/mu0 puts the envelope's exp(K*I) past the float range at
+    # gamma = 3 but not at gamma = 2: those points complete with no verdict,
+    # and every row is that of its point swept alone
+    s = load_config(_cfg(tmp_path, ENVELOPE_CFG))
+    sweep(s, [0.8, 0.9], [2.0, 3.0], tmp_path / "sw")
     rows = _rows(tmp_path / "sw" / "sweep.csv")
     assert [(r["alpha"], r["gamma"]) for r in rows] == [
-        ("0.8", "2.0"), ("0.8", "2.5"), ("1.0", "2.0"), ("1.0", "2.5")]
-    assert [r["status"] for r in rows[:2]] == ["error: math range error"] * 2
-    assert [r["status"] for r in rows[2:]] == ["completed"] * 2
+        ("0.8", "2.0"), ("0.8", "3.0"), ("0.9", "2.0"), ("0.9", "3.0")]
+    assert [(r["inside_theorem"], r["status"]) for r in rows] == [("yes", "completed")] * 4
+    assert [r["gronwall"] for r in rows] == ["pass", "unavailable"] * 2
+    for row in rows:
+        sweep(s, [float(row["alpha"])], [float(row["gamma"])], tmp_path / "one")
+        assert _rows(tmp_path / "one" / "sweep.csv") == [row]
 
 
 def test_sweep_order_permutation(tmp_path):
@@ -713,6 +733,12 @@ RUN_CFG = (
     "[initial]\namplitude = 0.3\n"
     "[run]\nname = clismoke\nT = 0.05\noutput_dt = 0.05\n"
 )
+# K = a*gamma/mu0 = 3e4: the Gronwall envelope's exp(K*I) leaves the float
+# range by t = 0.05
+ENVELOPE_CFG = "[params]\nalpha = 0.8\ngamma = 3\na = 10\nmu0 = 0.001\n[grid]\nN = 64\n[run]\nT = 0.05\n"
+# the Gronwall rate's rho_linf^(gamma - alpha) = 100^199 leaves it at t = 0
+RATE_CFG = ("[params]\nalpha = 1\ngamma = 200\n[grid]\nN = 32\n"
+            "[initial]\nrho_minus = 100\nrho_plus = 100\n[run]\nT = 0.01\n")
 
 
 def test_cli_validate(tmp_path, capsys):
@@ -756,19 +782,24 @@ def test_cli_missing_file_exit_code(capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    ["run"], ["refine", "--N", "32", "48", "64"], ["regularize", "--n", "2", "4"]])
-def test_cli_overflow_exit_code(tmp_path, capsys, monkeypatch, command):
-    # e.g. an OverflowError from math.exp in the Gronwall envelope near
-    # vacuum: one line on stderr and exit code 3, not a traceback
-    def overflow(*args):
-        raise OverflowError("math range error")
-
-    monkeypatch.setattr(diagnostics, "_gronwall_envelope", overflow)
-    cfg = str(_cfg(tmp_path, RUN_CFG))
-    assert main([command[0], cfg, "--outdir", str(tmp_path / "out"), *command[1:]]) == 3
-    err = capsys.readouterr().err
-    assert err == "arithmetic error: math range error\n"
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cfg", [ENVELOPE_CFG, RATE_CFG], ids=["envelope", "rate"])
+@pytest.mark.parametrize("command, artifact", [
+    (["run"], "summary.csv"), (["refine", "--N", "32", "48", "64"], "orders.csv"),
+    (["regularize", "--n", "2", "4"], "regularization.csv")], ids=["run", "refine", "regularize"])
+def test_cli_gronwall_past_the_float_range_writes_the_artifacts(tmp_path, capsys, cfg, command, artifact):
+    # a Gronwall envelope or rate past the float range is a bound that
+    # checks nothing, not a failed run
+    out = tmp_path / "out"
+    assert main([command[0], str(_cfg(tmp_path, cfg)), "--outdir", str(out), *command[1:]]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / artifact).exists()
+    if command == ["run"] and cfg == ENVELOPE_CFG:
+        last = _rows(out / "timeseries.csv")[-1]
+        assert last["t"] == "0.05"
+        assert {last[f"gron_bound_p{p}"] for p in (0, 2, 8, 30)} == {"undefined"}
+        assert {last[f"gron_pass_p{p}"] for p in (0, 2, 8, 30)} == {"unavailable"}
+        assert _rows(out / "summary.csv")[0]["gronwall"] == "unavailable"
 
 
 def test_cli_run_at_gamma_one(tmp_path):
