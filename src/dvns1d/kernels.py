@@ -16,7 +16,8 @@ kernel applied to that row alone.  Arithmetic on end cells goes through
 per-call cost than the 0-d array x[..., 0], and the column of first cells
 for a batch.  solve_tridiagonal takes a batch too: its final Thomas sweep
 runs once for all systems of a batch, and a zero pivot in any of them raises
-ZeroDivisionError, as it does in the solve of that system alone.
+ZeroDivisionError, as it does in the solve of that system alone, at every
+reduction level and in the sweep.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def diffusion_bands(base, coef, k):
 
 
 # systems at most this long are finished by a sequential Thomas sweep
-_THOMAS_MAX = 64
+_THOMAS_MAX = 16
 
 
 def solve_tridiagonal(lower, diag, upper, rhs):
@@ -232,12 +233,12 @@ def solve_tridiagonal(lower, diag, upper, rhs):
     bands of B systems, takes each reduction and the one sweep for all its
     systems at once, and each row of the result is bit-identical to the
     solve of that system alone.  There is no pivoting, so the system must
-    be diagonally dominant; a zero pivot in the sweep raises
-    ZeroDivisionError, in a batch if any of its systems has one.  For an
-    M-matrix every product and quotient below has a fixed sign, so in
-    exact arithmetic a positive rhs gives a positive solution; in floating
-    point only while the diagonal's excess over the off-diagonals is not
-    lost to rounding.
+    be diagonally dominant; a zero on the diagonal of any reduction level,
+    or a zero pivot in the sweep, raises ZeroDivisionError, in a batch if
+    any of its systems has one.  For an M-matrix every product and quotient
+    below has a fixed sign, so in exact arithmetic a positive rhs gives a
+    positive solution; in floating point only while the diagonal's excess
+    over the off-diagonals is not lost to rounding.
     """
     # through .T the unknowns run along axis 0, so a single system takes
     # plain slices, the cheapest per numpy call, and a batch's are columns
@@ -254,6 +255,8 @@ def _reduce(lower, diag, upper, rhs):
         if not pivots.all():  # numpy divides by a zero pivot where a float raises
             raise ZeroDivisionError("zero pivot in a batched tridiagonal solve")
         return x
+    if not diag.all():  # numpy would divide by a zero pivot where a float raises
+        raise ZeroDivisionError("zero pivot in a tridiagonal reduction level")
     ae, be, ce, de = lower[::2], diag[::2], upper[::2], rhs[::2]
     ao, bo, co, do = lower[1::2], diag[1::2], upper[1::2], rhs[1::2]
     ne, no = be.shape[0], bo.shape[0]

@@ -97,23 +97,23 @@ GOLDEN = {
 GOLDEN_IMEX = {
     'refine': {
         'orders.csv':
-            'b8ae136a6e226d505f128f3f4dff1fcbb5765a35ff4338f7b0001fd83033a559',
+            '2c68d93847a9e129d8d149b7dd4c9d26f3af92b2d9a72fa5fac8906e855f834f',
     },
     'run_both': {
         'fields_0.000000.csv':
             '22774707e3e57d4e1264980a8dbfe3e273a0408058755442ded4fa3177e30381',
         'fields_0.010000.csv':
-            '9b7c9897f340d1abac7a4e820627a9f517323c8090ffb3e01d45ee864ab41470',
+            '22f3fcd165ee473bf1afe4ace4a21d8395d38f418ff2db5cd46fda7490b27819',
         'fields_0.020000.csv':
-            '23c997ecdc4df6815d3dbf1f935ca86baedd8295785f790f9041645f0e7395a9',
+            '739ad67cc523aa3b8c04a73a746cdc6b4828a1fd91534550b61c7e6cb47e1c98',
         'fields_0.030000.csv':
-            '033de5428ec4dca92d66638c37f74e7d2f160729a8f2fa5a75de9ca926e7ab99',
+            'c470a8d327d6cd4dc4fc349435bcbaeb292f7e065ce47a07a34c8f69805d8488',
         'formdiff.csv':
             '89fcd486b456a04ea00cd5a70897899ab9c6260f47d92338b021a77c776cd7d2',
         'summary.csv':
             '6b24d92e6d087d7d7278b3b1f4f79b0b91e43850c4c59b24f9e3c599fc22e125',
         'timeseries.csv':
-            '3711c3656d0092dd3c44e939f3364ffca6eaad3ee46b8cbe0859f66439de5225',
+            '0b94acff1de89dc2846878482f86bc2c179416bf3ac487debddab8c45ed76ca2',
         'timeseries_v.csv':
             '20a8321f7ac3acb67960862c6b302f98862457f0cef592d497c959feafa73c10',
     },

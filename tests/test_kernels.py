@@ -278,11 +278,11 @@ def _matvec(lower, diag, upper, x):
     return left, diag * x, right
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 128, 257, 8192])
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 33, 63, 64, 65, 128, 257, 8192])
 def test_solve_tridiagonal_matches_dense_solve(n):
     # sizes on both sides of the Thomas cut-off, and odd and even lengths
-    # at every reduction level (8192 halves evenly down to 64, 257 gives
-    # 129, 65); rows 0, 1 and the last two are identity rows, as the
+    # at every reduction level (8192 halves evenly down to 16, 257 gives
+    # 129, 65, 33, 17); rows 0, 1 and the last two are identity rows, as the
     # clamped cells of a stage solve are.  At 8192 the dense matrix would
     # take 512 MB, so the reference there is the sequential Thomas sweep on
     # the whole system, which shares no step with the reduction.
@@ -346,7 +346,7 @@ def _m_matrix_bands(rng, shape):
     return lower, diag, upper
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 257, 1024])
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 33, 63, 64, 65, 257, 1024])
 @pytest.mark.parametrize("B", [2, 5, 25, 128])
 def test_batched_solve_is_each_row_solved_alone_bitwise(B, n):
     # a batch's Thomas sweep runs once over the (B,) rows of all its systems,
@@ -361,12 +361,13 @@ def test_batched_solve_is_each_row_solved_alone_bitwise(B, n):
         assert np.array_equal(_bits(x[r]), _bits(alone)), r
 
 
-@pytest.mark.parametrize("n", [2, 3, 64, 128])
+@pytest.mark.parametrize("n", [2, 3, 64, 128, 1024])
 def test_zero_pivot_in_a_batch_raises_as_its_row_alone_does(n):
     # in row 3 the pivot after the first elimination, 1 - (1/1)*1, is exactly
-    # 0 (for n = 128 in the system that the reduction leaves).  A float
-    # division by it raises; numpy's returns inf or nan, so the batched
-    # sweep must raise on its own
+    # 0 (for n >= 64 on the diagonal of the first reduced system, which the
+    # next level would fill in).  A float division by it raises; numpy's
+    # returns inf or nan, so the batched sweep and each level must raise on
+    # their own
     rng = np.random.default_rng(n)
     lower, diag, upper = _m_matrix_bands(rng, (5, n))
     diag[3, :2] = upper[3, 0] = lower[3, 1] = 1.0
@@ -376,5 +377,25 @@ def test_zero_pivot_in_a_batch_raises_as_its_row_alone_does(n):
             assert np.isfinite(kernels.solve_tridiagonal(lower[r], diag[r], upper[r], rhs[r])).all()
         with pytest.raises(ZeroDivisionError):
             kernels.solve_tridiagonal(lower[3], diag[3], upper[3], rhs[3])
+        with pytest.raises(ZeroDivisionError):
+            kernels.solve_tridiagonal(lower, diag, upper, rhs)
+
+
+@pytest.mark.parametrize("n", [128, 1024])
+def test_zero_diagonal_entry_inside_a_reduction_raises(n):
+    # a zero on the diagonal of an odd row is a divisor of the first
+    # reduction level, where numpy gives inf or nan instead of raising.  The
+    # matrix is well conditioned, but the solve does not pivot, so it must
+    # raise, for the system alone and in a batch
+    rng = np.random.default_rng(n)
+    lower = -rng.random((4, n))
+    upper = -rng.random((4, n))
+    diag = 0.1 + rng.random((4, n)) - lower - upper
+    lower[:, 0] = upper[:, -1] = diag[:, 5] = 0.0
+    rhs = rng.normal(size=(4, n))
+    assert np.linalg.cond(_dense(lower[0], diag[0], upper[0])) < 100.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ZeroDivisionError):
+            kernels.solve_tridiagonal(lower[0], diag[0], upper[0], rhs[0])
         with pytest.raises(ZeroDivisionError):
             kernels.solve_tridiagonal(lower, diag, upper, rhs)
