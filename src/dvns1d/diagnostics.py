@@ -247,7 +247,8 @@ def moment_sums(rho, u, v, mesh: Mesh, params: Params, moment_ps) -> list:
         kept = ~(abs_v < 2.0 ** (-1022 / q))  # NaN is kept
         s = np.array(np.sum(rho * np.power(abs_v, q, out=np.zeros_like(abs_v), where=kept), axis=-1))
         redo = ~(np.isfinite(s) & (s >= 2.0 ** -900))
-        s[redo] = np.sum(rho[redo] * abs_v[redo] ** q, axis=-1)
+        if redo.any():
+            s[redo] = np.sum(rho[redo] * abs_v[redo] ** q, axis=-1)
         sums.append(s * mesh.dx)
     return np.array(sums).reshape(len(sums), -1).T.tolist()
 

@@ -457,6 +457,44 @@ def test_block_writer_matches_per_cell_formatting(tmp_path, rng):
         assert f",{cell}," in text or f",{cell}\n" in text
 
 
+def _repeating_block(n, rng):
+    """An (n, 3) block that repeats values the way a snapshot does."""
+    u = rng.standard_normal(n) * 1e-3
+    u[n - n // 2:] = u[: n // 2][::-1]  # mirrored halves
+    rho = 1.0 + np.abs(u)
+    rho[: n // 3] = rho[n - n // 3:] = 1.0  # runs of 1.0
+    v = np.where(rng.random(n) < 0.4, u, u + 1e-9)  # v equal to u in ~40% of cells
+    v[::5] = rho[::5]  # one bit pattern in two columns
+    u[n // 2::7] = -0.0
+    u[0], v[0] = 0.0, -0.0  # equal as floats, but printed apart
+    return np.column_stack((rho, u, v))
+
+
+@pytest.mark.parametrize("n", [1, harness._CHUNK_LINES, harness._CHUNK_LINES + 1, 1024, 1025, 2500])
+def test_block_writer_repeated_values_match_per_cell_formatting(tmp_path, rng, n):
+    # row counts on both sides of the writer's chunk edges
+    block = _repeating_block(n, rng)
+    if n > 1:
+        assert len(np.unique(block.view(np.int64))) < 0.7 * block.size
+    x = np.linspace(-3.0, 3.0, n)
+    got, want = _write_both_ways(tmp_path, x, block)
+    lines = [",".join(map(repr, row)) for row in np.column_stack((x, block)).tolist()]
+    assert got == want == "\n".join(["x,rho,u,v", *lines, ""]).encode()
+    assert lines[0].split(",")[2:] == ["0.0", "-0.0"]
+
+
+@pytest.mark.parametrize("T, output_dt, frames", [(0.0200004, 0.01, 4), (3e-6, 2e-7, 16)])
+def test_frame_times_equal_to_six_decimals_get_their_own_snapshots(tmp_path, T, output_dt, frames):
+    # fields_<t>.csv names t with as many decimals as the run's frame times need
+    s = _scn(N=32, T=T, output_dt=output_dt)
+    assert run_scenario(s, tmp_path) == 0
+    times = [r["t"] for r in _rows(tmp_path / "timeseries.csv")]
+    snaps = sorted(tmp_path.glob("fields_*.csv"))
+    assert len(times) == len(snaps) == frames
+    assert [float(p.stem.removeprefix("fields_")) for p in snaps] == pytest.approx(
+        [float(t) for t in times], abs=5e-8)
+
+
 def test_block_writer_non_finite_falls_back_to_undefined(tmp_path, rng):
     block = rng.standard_normal((6, 3))
     block[1, 0], block[3, 2], block[5, 1] = np.nan, np.inf, -np.inf
