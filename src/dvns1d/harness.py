@@ -246,34 +246,26 @@ def _verdict(flag) -> str:
     return "pass" if flag else "fail"
 
 
-# _write_csv writes a file this many lines at a time.  The peak RSS of the
-# benchmark's bump-n8192-both workload read 44.1 MB with each file written as
-# one joined string, 42.7 MB in 1024-line chunks, 42.3 MB in 256 and 42.2 in 64
-_CHUNK_LINES = 256
-
-
 def _write_csv(path: Path, header: list, rows, first_col=None) -> None:
-    """Write one CSV file atomically: to path.tmp, a chunk of lines at a time,
-    then renamed over path.
+    """Write one CSV file atomically: line by line to path.tmp, then renamed
+    over path.
 
     rows is a list of mixed-type rows, formatted cell by cell with _fmt, or a
-    2-D float array (a block), which gives the same bytes.  A finite block
-    formats each distinct value once, with repr of the Python float (what _fmt
-    writes for a finite cell): a snapshot repeats many values (rho = 1.0 where
-    a bump has decayed, v = u where rho is locally flat).  Values are told
-    apart by their bits, not by ==, since -0.0 == 0.0 prints differently.  A
-    block with a non-finite cell goes through _fmt, so those cells still read
-    "undefined".  first_col holds the already formatted cells of a leading
-    column of a block, one per row.
+    2-D float array (a block), which gives the same bytes.  A block formats
+    each distinct value once, with repr of the Python float (what _fmt writes
+    for a finite cell) or "undefined" for a non-finite one: a snapshot repeats
+    many values (rho = 1.0 where a bump has decayed, v = u where rho is
+    locally flat).  Values are told apart by their bits, not by ==, since
+    -0.0 == 0.0 prints differently.  first_col holds the already formatted
+    cells of a leading column of a block, one per row.
     """
     if isinstance(rows, np.ndarray):
-        if np.isfinite(rows).all():
-            cells = np.ascontiguousarray(rows, dtype=np.float64)
-            bits, inv = np.unique(cells.view(np.int64), return_inverse=True)
-            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-            cols = text[inv.reshape(cells.shape)].T.tolist()
-        else:
-            cols = [map(_fmt, col) for col in rows.T.tolist()]
+        cells = np.ascontiguousarray(rows, dtype=np.float64)
+        bits, inv = np.unique(cells.view(np.int64), return_inverse=True)
+        values = bits.view(np.float64)
+        text = np.array(list(map(repr, values.tolist())), dtype=object)
+        text[~np.isfinite(values)] = "undefined"
+        cols = text[inv.reshape(cells.shape)].T.tolist()
         if first_col is not None:
             cols.insert(0, first_col)
         lines = map(",".join, zip(*cols))
@@ -282,8 +274,7 @@ def _write_csv(path: Path, header: list, rows, first_col=None) -> None:
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        for chunk in iter(lambda: list(itertools.islice(lines, _CHUNK_LINES)), []):
-            fh.write("\n".join(chunk) + "\n")
+        fh.writelines(line + "\n" for line in lines)
     os.replace(tmp, path)
 
 
