@@ -23,11 +23,8 @@ from .mesh import (
     Mesh,
     background_profile,
     build_mesh,
-    diffuse,
-    grad_c,
     integrate,
     mollify,
-    norm,
 )
 from .solver import (
     FlowState,
@@ -65,7 +62,7 @@ __all__ = [
     "dphi", "relative_pressure", "validate_params",
     "ConfigurationError", "DomainError", "VacuumBreach",
     "Mesh", "BackgroundProfile", "build_mesh", "background_profile", "mollify",
-    "grad_c", "diffuse", "integrate", "norm",
+    "integrate",
     "FlowState", "StepReport", "Trajectory", "U_FORM", "V_FORM", "make_state",
     "effective_velocity", "cfl_dt", "step_u", "step_v", "run",
     "DiagnosticsRecord", "RunAccumulators", "reciprocal_residual", "collect",

@@ -1,7 +1,10 @@
 """Constitutive laws: power-law viscosity, gamma-law pressure, and the
 density potential whose gradient turns u into the effective velocity v.
 
-All functions accept scalars or numpy arrays and are pure (phi also a batch).
+viscosity, pressure and phi are the checked forms of the one expression of
+each law in :mod:`dvns1d.kernels`: they reject a density outside the law's
+domain and return the kernel's bits.  All functions accept scalars or numpy
+arrays and are pure (phi also a batch).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, integer
 
 __all__ = [
     "Params",
@@ -56,8 +59,8 @@ class Params:
             raise ConfigurationError(f"alpha must be finite and positive, got {self.alpha!r}")
         if not math.isfinite(self.eps) or self.eps <= 0.0:
             raise ConfigurationError(f"eps must be finite and positive, got {self.eps!r}")
-        if self.reg_n is not None and (int(self.reg_n) != self.reg_n or self.reg_n < 1):
-            raise ConfigurationError(f"reg_n must be a positive integer or None, got {self.reg_n!r}")
+        if self.reg_n is not None:
+            integer(self.reg_n, "reg_n", 1)
         if self.beta is not None and (not math.isfinite(self.beta) or self.beta <= 0.0):
             raise ConfigurationError(f"beta must be finite and positive, got {self.beta!r}")
 
@@ -72,29 +75,26 @@ class Params:
         return 0.0 if self.reg_n is None else 1.0 / self.reg_n
 
 
-def _check_nonnegative(rho) -> None:
-    if np.any(np.asarray(rho) < 0.0):
-        raise DomainError("negative density")
-
-
-def _check_positive(rho) -> None:
-    if np.any(np.asarray(rho) <= 0.0):
-        raise DomainError("non-positive density")
+def _density(rho, vacuum_ok: bool = True) -> np.ndarray:
+    """rho as a float64 array; DomainError on a negative cell, or on a zero
+    one unless vacuum_ok."""
+    arr = np.asarray(rho, dtype=np.float64)
+    if np.any(arr < 0.0 if vacuum_ok else arr <= 0.0):
+        raise DomainError("negative density" if vacuum_ok else "non-positive density")
+    return arr
 
 
 def viscosity(rho, p: Params):
-    """mu(rho) = mu0 * rho^alpha, floored at 1/reg_n when regularization is on."""
-    _check_nonnegative(rho)
-    mu = p.mu0 * np.power(rho, p.alpha)
-    if p.reg_n is not None:
-        mu = np.maximum(mu, 1.0 / p.reg_n)
-    return mu
+    """mu(rho) = mu0 * rho^alpha, floored at 1/reg_n when regularization is on.
+
+    kernels.viscosity floors in place, so a scalar goes through it as one cell."""
+    rho = _density(rho)
+    return kernels.viscosity(np.atleast_1d(rho), p.alpha, p.mu0, p.visc_floor).reshape(rho.shape)[()]
 
 
 def pressure(rho, p: Params):
     """P(rho) = a * rho^gamma."""
-    _check_nonnegative(rho)
-    return p.a * np.power(rho, p.gamma)
+    return kernels.pressure(_density(rho), p.gamma, p.a)
 
 
 def phi(rho, p: Params):
@@ -105,13 +105,13 @@ def phi(rho, p: Params):
     Only the gradient of phi enters the dynamics, so the constant is
     unobservable; the regularization floor is deliberately not applied here.
     """
-    _check_positive(rho)
+    _density(rho, vacuum_ok=False)
     return kernels.per_value(kernels.potential, rho, p.alpha, p.mu0)
 
 
 def dphi(rho, p: Params):
     """phi'(rho) = mu0 * rho^(alpha-2)."""
-    _check_positive(rho)
+    _density(rho, vacuum_ok=False)
     return p.mu0 * np.power(rho, p.alpha - 2.0)
 
 
@@ -124,8 +124,8 @@ def relative_pressure(rho, rho_bar, p: Params):
     coefficient a like P(rho) = a*rho^gamma does.  Non-negative, zero exactly
     at rho == rho_bar.
     """
-    _check_nonnegative(rho)
-    _check_positive(rho_bar)
+    _density(rho)
+    _density(rho_bar, vacuum_ok=False)
     g = p.gamma
     if g == 1.0:  # the isothermal limit g -> 1; rho*log(rho) -> 0 as rho -> 0
         gap = rho * np.log(np.where(rho > 0.0, rho / rho_bar, 1.0)) - rho + rho_bar

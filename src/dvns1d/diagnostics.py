@@ -12,7 +12,10 @@ RunAccumulators.  The v moments and their Gronwall check come from
 `moment_sums` (one numpy call per quantity for all rows of a batch) and
 `moment_record`, which are also the whole per-frame work of a sweep.  The
 residual of the reciprocal-density equation needs a second snapshot and is
-`reciprocal_residual`'s, which the caller passes in.
+`reciprocal_residual`'s, which the caller passes in.  A frame's fields
+were checked when its state was made and at every step, so both apply the
+kernels' operators and laws (grad_c, diffuse, viscosity, pressure) to them
+directly.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import kernels
-from .constitutive import Params, phi, pressure, relative_pressure, viscosity
-from .errors import ConfigurationError
-from .mesh import Mesh, BackgroundProfile, diffuse, grad_c, integrate, norm
+from .constitutive import Params, phi, relative_pressure
+from .errors import ConfigurationError, integer
+from .mesh import Mesh, BackgroundProfile, integrate
 
 __all__ = [
     "MomentRecord",
@@ -142,10 +145,7 @@ def _kinetic_plus(rho, vel, relp, mesh: Mesh) -> float:
 def moment_orders(moment_ps) -> tuple:
     """The moment orders as ints; raises unless they are distinct non-negative
     integers (each order names a column of timeseries.csv)."""
-    for p in moment_ps:
-        if not math.isfinite(p) or int(p) != p or p < 0:
-            raise ConfigurationError(f"moment order p must be a non-negative integer, got {p!r}")
-    orders = tuple(int(p) for p in moment_ps)
+    orders = tuple(integer(p, "moment order p", 0) for p in moment_ps)
     if len(set(orders)) != len(orders):
         raise ConfigurationError(f"moment orders must be distinct, got {tuple(moment_ps)!r}")
     return orders
@@ -217,13 +217,13 @@ def reciprocal_residual(state_t, state_next, mesh: Mesh, params: Params) -> floa
     v = state_t.vel if state_t.form == "V" else velocities(state_t, mesh, params)[1]
     w0 = 1.0 / rho
     w1 = 1.0 / state_next.rho
-    gw = grad_c(w0, mesh)
+    gw = kernels.grad_c(w0, mesh.dx)
     resid = (
         (w1 - w0) / dt
-        - diffuse(params.mu0 * rho ** (params.alpha - 1.0), w0, mesh)
-        + 2.0 * params.mu0 * rho ** params.alpha * gw * gw
+        - kernels.diffuse(params.mu0 * rho ** (params.alpha - 1.0), w0, mesh.dx)
+        + 2.0 * kernels.viscosity(rho, params.alpha, params.mu0, 0.0) * gw * gw
         + 2.0 * v * gw
-        - grad_c(v * w0, mesh)
+        - kernels.grad_c(v * w0, mesh.dx)
     )
     core = resid[2:-2]
     return math.sqrt(float(np.sum(core * core)) * mesh.dx)
@@ -321,10 +321,10 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
     v = state_v.vel
     c = phi_gradient(rho, mesh, params) if correction is None else correction
     relp = relative_pressure(rho, profile.values, params)
-    grad_p = grad_c(pressure(rho, params), mesh)
+    grad_p = kernels.grad_c(kernels.pressure(rho, params.gamma, params.a), mesh.dx)
 
-    gu = grad_c(u, mesh)
-    du_rate = integrate(viscosity(rho, params) * gu * gu, mesh)
+    gu = kernels.grad_c(u, mesh.dx)
+    du_rate = integrate(kernels.viscosity(rho, params.alpha, params.mu0, params.visc_floor) * gu * gu, mesh)
     integrand = c * grad_p
     dbd_rate = integrate(integrand, mesh)
     dbd_rate_clamped = max(0.0, dbd_rate)
@@ -335,7 +335,7 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
     acc.prev_du_rate = du_rate
     acc.prev_dbd_rate = dbd_rate_clamped
 
-    mu_nominal = params.mu0 * rho ** params.alpha
+    mu_nominal = kernels.viscosity(rho, params.alpha, params.mu0, 0.0)
     # v - u is v - (v - c), the pair velocities gives for state_v; c alone
     # differs in the last bits, and the artifacts pin those
     rhs = params.a * params.gamma * rho ** (params.gamma + 1.0) / mu_nominal * (v - (v - c))
@@ -347,6 +347,8 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
     min_rho = float(np.min(rho))
     (sums,) = moment_sums(rho, u, v, mesh, params, moment_ps)
     mom = moment_record(t, sums, params, acc, h, moment_ps, gronwall_slack)
+    dev = rho - profile.values
+    gdev = kernels.grad_c(dev, mesh.dx)
     return DiagnosticsRecord(
         **vars(mom),
         mass=integrate(rho, mesh),
@@ -360,7 +362,7 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
         min_rho=min_rho,
         max_rho=float(np.max(rho)),
         inv_rho_max=1.0 / min_rho,
-        rho_h1=norm(rho - profile.values, mesh, "h1"),
+        rho_h1=math.sqrt(float(np.sum(dev * dev) * mesh.dx) + float(np.sum(gdev * gdev) * mesh.dx)),
         resid_recip=resid_recip,
         resid_pident=math.sqrt(float(np.sum(pident * pident)) * mesh.dx),
     )

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one check of an integer input."""
+
+import math
 
 
 class ConfigurationError(ValueError):
@@ -24,3 +26,11 @@ class VacuumBreach(RuntimeError):
         super().__init__(
             f"density {value:.3e} <= 0 in cell {cell} at t={time:.6g}"
         )
+
+
+def integer(value, name: str, least: int) -> int:
+    """value as an int; ConfigurationError unless it is finite (checked first,
+    as int() of inf or NaN raises) and an integer >= least."""
+    if not math.isfinite(value) or int(value) != value or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)

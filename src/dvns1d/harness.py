@@ -35,7 +35,7 @@ import numpy as np
 
 from . import diagnostics, solver
 from .constitutive import Params, TheoremReport, validate_params
-from .errors import ConfigurationError
+from .errors import ConfigurationError, integer
 from .mesh import Mesh, BackgroundProfile, background_profile, build_mesh, mollify
 from .solver import FlowState, Trajectory, U_FORM, V_FORM, effective_velocity
 
@@ -169,8 +169,8 @@ def validate_scenario(s: Scenario) -> None:
     s.moment_ps = diagnostics.moment_orders(s.moment_ps)
     if s.init_family == "custom-table" and not s.table:
         raise ConfigurationError("custom-table family requires the 'table' field")
-    # building the initial data checks the family and the positivity
-    # hypothesis that the data must satisfy
+    # building the initial data checks the family, the bump widths and the
+    # finiteness and positivity that the data must satisfy
     _prepare(s)
 
 
@@ -193,6 +193,9 @@ def _compact_bump(x: np.ndarray, width: float) -> np.ndarray:
 def build_initial(s: Scenario, mesh: Mesh, profile: BackgroundProfile,
                   mollify_override: int | None = None) -> FlowState:
     """Sample the scenario's initial data family as a U-form state."""
+    for name in ("sigma", "u_sigma"):  # a zero width puts 0/0 in the centre cell
+        if not getattr(s, name) > 0.0:
+            raise ConfigurationError(f"{name} must be positive, got {getattr(s, name)!r}")
     if s.init_family in ("gaussian-bump", "near-vacuum"):
         rho = profile.values + s.amplitude * np.exp(-((mesh.x / s.sigma) ** 2))
         u = s.u_amplitude * np.exp(-((mesh.x / s.u_sigma) ** 2))
@@ -217,6 +220,8 @@ def build_initial(s: Scenario, mesh: Mesh, profile: BackgroundProfile,
     if n is not None:
         rho = profile.values + mollify(rho - profile.values, mesh, n)
         u = mollify(u, mesh, n)
+    if not (np.isfinite(rho).all() and np.isfinite(u).all()):
+        raise ConfigurationError("initial data has a non-finite cell")
     if np.min(rho) <= 0.0:
         raise ConfigurationError(
             f"initial density must stay positive; amplitude {s.amplitude!r} drives "
@@ -544,7 +549,7 @@ def refinement_study(s: Scenario, n_list, outdir) -> int:
     every orders.csv value that needs it reads "undefined", flagged with
     its status.
     """
-    n_list = [int(n) for n in n_list]
+    n_list = [integer(n, "N", 8) for n in n_list]
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigurationError(f"refinement needs >= 3 strictly increasing resolutions, got {n_list!r}")
     out = _resolve_outdir(outdir)
@@ -592,7 +597,7 @@ def refinement_study(s: Scenario, n_list, outdir) -> int:
 
 def regularization_study(s: Scenario, n_list, outdir) -> int:
     """Run the floor/mollifier approximation ladder and its convergence table."""
-    n_list = [int(n) for n in n_list]
+    n_list = [integer(n, "n", 1) for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigurationError(f"regularization needs an increasing n list, got {n_list!r}")
     out = _resolve_outdir(outdir)

@@ -60,6 +60,7 @@ def per_value(fn, x, value, *args):
 
 
 def grad_c(f, dx):
+    """First derivative: centered in the interior, one-sided second order at the ends."""
     g = np.empty_like(f)
     np.subtract(f[..., 2:], f[..., :-2], out=g[..., 1:-1])
     g[..., 1:-1] /= 2.0 * dx
@@ -80,6 +81,10 @@ def _diffusion_core(a, f, dx):
 
 
 def diffuse(a, f, dx):
+    """Three-point flux form of d/dx(a * d/dx f) with arithmetic-mean faces.
+
+    The first and last cells get 0 (they sit inside the steppers' clamp); for
+    a >= 0 and fields vanishing at the boundary it is symmetric negative-semidefinite."""
     out = np.empty_like(f)
     out[..., 1:-1] = _diffusion_core(a, f, dx)
     out[..., 0] = out[..., -1] = 0.0
@@ -138,13 +143,18 @@ def viscosity(rho, alpha, mu0, floor):
     return mu
 
 
+def pressure(rho, gamma, a):
+    # P(rho) = a * rho^gamma
+    return _scaled(per_value(operator.pow, rho, gamma), a)
+
+
 def transport_u(rho, u, dx, alpha, gamma, a, mu0, floor):
     # rhs_u without the viscous term, same signature: d/dt rho = -(rho u)_x,
     # d/dt m = -(m u)_x - P_x
     wf, up = _face_velocity(u)
     drho = _donor_div(rho, u, wf, up, -dx)
     dm = _donor_div(rho * u, u, wf, up, -dx)
-    dm -= grad_c(_scaled(per_value(operator.pow, rho, gamma), a), dx)
+    dm -= grad_c(pressure(rho, gamma, a), dx)
     return drho, dm
 
 
@@ -179,7 +189,7 @@ def transport_v(rho, v, dx, alpha, gamma, a, mu0, floor):
     drho = upwind_div(rho, v, -dx)
     dv = upwind_grad(v, u, -dx)
     dv *= u
-    gp = grad_c(_scaled(per_value(operator.pow, rho, gamma), a), dx)
+    gp = grad_c(pressure(rho, gamma, a), dx)
     gp /= rho
     dv -= gp
     return drho, dv

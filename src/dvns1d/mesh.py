@@ -1,10 +1,10 @@
 """Spatial discretization: truncated domain, background density profile with
-differing end states, mollification of initial data, and the discrete
-differential/integral operators everything else is built from.
+differing end states, mollification of initial data, the field check
+`as_field` and the midpoint-rule `integrate`.
 
-The grid is uniform and cell-centered on [-L, L].  All operators act on
-plain float64 arrays of length N, validated by `as_field`; the stencils
-themselves live in :mod:`dvns1d.kernels`.
+The grid is uniform and cell-centered on [-L, L].  The discrete difference
+operators (grad_c, diffuse, ...) live in :mod:`dvns1d.kernels` and take the
+spacing mesh.dx; they act on fields that make_state has already checked.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, integer
 
 __all__ = [
     "Mesh",
@@ -24,10 +23,7 @@ __all__ = [
     "background_profile",
     "mollify",
     "as_field",
-    "grad_c",
-    "diffuse",
     "integrate",
-    "norm",
 ]
 
 
@@ -64,9 +60,7 @@ def build_mesh(L: float, N: int) -> Mesh:
         raise ConfigurationError(f"L must be finite, got {L!r}")
     if L < 2.0:
         raise ConfigurationError(f"L must be >= 2 so the constant far field is represented, got {L!r}")
-    if int(N) != N or N < 8:
-        raise ConfigurationError(f"N must be an integer >= 8, got {N!r}")
-    N = int(N)
+    N = integer(N, "N", 8)
     dx = 2.0 * L / N
     x = -L + (np.arange(N, dtype=np.float64) + 0.5) * dx
     return Mesh(L=float(L), N=N, dx=dx, x=x)
@@ -96,44 +90,9 @@ def as_field(f, mesh: Mesh) -> np.ndarray:
     return arr
 
 
-def grad_c(f, mesh: Mesh) -> np.ndarray:
-    """First derivative: centered in the interior, one-sided second order at the ends."""
-    return kernels.grad_c(as_field(f, mesh), mesh.dx)
-
-
-def diffuse(coef, f, mesh: Mesh) -> np.ndarray:
-    """Three-point flux form of d/dx(coef * d/dx f) with arithmetic-mean faces.
-
-    The first and last cells get 0 (they sit inside the Dirichlet clamp of
-    the steppers); on fields vanishing at the boundary the operator is
-    symmetric negative-semidefinite.
-    """
-    a = as_field(coef, mesh)
-    if np.any(a < 0.0):
-        raise DomainError("negative diffusion coefficient")
-    return kernels.diffuse(a, as_field(f, mesh), mesh.dx)
-
-
 def integrate(f, mesh: Mesh) -> float:
     """Midpoint-rule integral over the domain."""
     return float(np.sum(as_field(f, mesh)) * mesh.dx)
-
-
-def norm(f, mesh: Mesh, kind: str) -> float:
-    """Grid norms.
-
-    kind:
-      "linf"   - max |f_i|
-      "h1"     - sqrt(||f||_2^2 + ||grad_c f||_2^2)
-    """
-    arr = as_field(f, mesh)
-    kind = kind.lower()
-    if kind == "linf":
-        return float(np.max(np.abs(arr)))
-    if kind == "h1":
-        g = kernels.grad_c(arr, mesh.dx)
-        return math.sqrt(float(np.sum(arr * arr) * mesh.dx) + float(np.sum(g * g) * mesh.dx))
-    raise ConfigurationError(f"unknown norm kind {kind!r}")
 
 
 def mollify(f, mesh: Mesh, n: int) -> np.ndarray:
@@ -145,8 +104,7 @@ def mollify(f, mesh: Mesh, n: int) -> np.ndarray:
     domain and the discrete integral of f is preserved exactly.  Kernels
     narrower than one cell leave the field unchanged.
     """
-    if int(n) != n or n < 1:
-        raise ConfigurationError(f"mollifier index must be a positive integer, got {n!r}")
+    n = integer(n, "mollifier index", 1)
     arr = as_field(f, mesh)
     radius = 1.0 / n
     if radius >= mesh.L:

@@ -131,9 +131,16 @@ class Batch:
 def make_state(rho, vel, form: str, mesh: Mesh, t: float = 0.0) -> FlowState:
     if form not in (U_FORM, V_FORM):
         raise ConfigurationError(f"form must be 'U' or 'V', got {form!r}")
-    rho_arr = as_field(rho, mesh)
-    _require_positive(rho_arr, float(t))
-    return FlowState(rho_arr, as_field(vel, mesh), form, float(t))
+    state = FlowState(as_field(rho, mesh), as_field(vel, mesh), form, float(t))
+    _require_admissible(state)
+    return state
+
+
+def _require_admissible(state: FlowState) -> None:
+    """DomainError unless every cell of the state is finite and its density positive."""
+    if not (np.isfinite(state.rho).all() and np.isfinite(state.vel).all()):
+        raise DomainError(f"non-finite field at t={np.max(state.t):g}")
+    _require_positive(state.rho, state.t)
 
 
 def _require_positive(rho: np.ndarray, t) -> None:
@@ -166,9 +173,7 @@ def cfl_dt(state: FlowState, mesh: Mesh, params: Params, safety: float = 0.4, *,
     """
     _check_safety(safety)
     imex = uses_imex(time_scheme)
-    if not (np.isfinite(state.rho).all() and np.isfinite(state.vel).all()):
-        raise DomainError(f"non-finite field at t={np.max(state.t):g}")
-    _require_positive(state.rho, state.t)
+    _require_admissible(state)
     speed = state.vel
     if imex and state.form == V_FORM:
         u, _ = diagnostics.velocities(state, mesh, params)

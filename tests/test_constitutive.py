@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from dvns1d import (
     Params,
     dphi,
+    kernels,
     phi,
     pressure,
     relative_pressure,
@@ -76,6 +77,28 @@ def test_pressure_coefficient_scales():
     p1 = Params(alpha=1.0, gamma=2.0, a=1.0)
     p2 = Params(alpha=1.0, gamma=2.0, a=2.5)
     assert pressure(3.0, p2) == 2.5 * pressure(3.0, p1)
+
+
+# ------------------------------------------------------------- one formula
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("exponent", [0.5, 0.75, 1.0, 2.0, 2.5])
+@pytest.mark.parametrize("coef", [1.0, 0.3])
+@pytest.mark.parametrize("reg_n", [None, 4])
+def test_laws_are_the_kernels_bitwise(exponent, coef, reg_n):
+    # viscosity and pressure are checked forms of the kernels' one
+    # expression of each law: the same bits, for an array and for a scalar
+    p = Params(alpha=exponent, gamma=exponent, a=coef, mu0=coef, reg_n=reg_n)
+    rho = np.concatenate(([0.0, 1.0], np.random.default_rng(7).uniform(0.0, 5.0, 62)))
+    for law, kernel in ((viscosity, lambda r: kernels.viscosity(r, p.alpha, p.mu0, p.visc_floor)),
+                        (pressure, lambda r: kernels.pressure(r, p.gamma, p.a))):
+        want = kernel(rho.copy())
+        assert np.array_equal(_bits(law(rho, p)), _bits(want))
+        for k, r in enumerate(rho[:8].tolist()):
+            assert _bits(law(r, p)) == _bits(want[k])
 
 
 # ---------------------------------------------------------------- potential
@@ -209,6 +232,8 @@ def test_visc_floor_property():
         dict(alpha=1.0, gamma=2.0, reg_n=0),
         dict(alpha=1.0, gamma=2.0, reg_n=2.5),
         dict(alpha=1.0, gamma=2.0, beta=-0.1),
+        dict(alpha=1.0, gamma=2.0, reg_n=float("inf")),
+        dict(alpha=1.0, gamma=2.0, reg_n=float("nan")),
     ],
 )
 def test_params_construction_rejects(kwargs):

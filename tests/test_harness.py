@@ -200,6 +200,10 @@ def test_load_config_rejects_non_finite_run_values(tmp_path, capsys, line):
     dict(u_sigma=math.nan),
     dict(gronwall_slack=math.nan),
     dict(moment_ps=(2, 2)),  # the second set of columns would shadow the first
+    dict(sigma=0.0),  # a zero width is 0/0 in a centre cell, or a bump that vanishes
+    dict(u_sigma=0.0),
+    dict(sigma=-0.5),
+    dict(rho_minus=1e308, rho_plus=1e308, amplitude=1.7e308),  # an infinite initial density
 ])
 def test_validate_scenario_rejections(patch):
     s = _scn(N=64, **patch)
@@ -743,6 +747,10 @@ def test_refinement_rejects_bad_lists(tmp_path):
         refinement_study(s, [64, 128], tmp_path / "x")
     with pytest.raises(ConfigurationError):
         refinement_study(s, [128, 64, 256], tmp_path / "x")
+    # a fractional or non-finite resolution is an error, not truncated
+    for bad in ([32, 64.5, 128], [32, 64, math.inf], [32, 64, math.nan]):
+        with pytest.raises(ConfigurationError):
+            refinement_study(s, bad, tmp_path / "x")
 
 
 def test_regularization_table(tmp_path):
@@ -762,6 +770,9 @@ def test_regularization_rejects_unsorted(tmp_path):
     s = _scn(N=64)
     with pytest.raises(ConfigurationError):
         regularization_study(s, [4, 2], tmp_path / "x")
+    for bad in ([2, 4.5], [2, math.inf], [2, math.nan]):
+        with pytest.raises(ConfigurationError):
+            regularization_study(s, bad, tmp_path / "x")
 
 
 # -------------------------------------------------------------------- CLI

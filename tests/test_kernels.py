@@ -102,6 +102,10 @@ def _ref_diffuse(a, f, dx):
     return out
 
 
+def _ref_pressure(rho, gamma, a):
+    return a * rho**gamma
+
+
 def _ref_upwind_div(q, w, dx):
     n = q.shape[0]
     wf = 0.5 * (w[:-1] + w[1:])
@@ -124,7 +128,7 @@ def _ref_upwind_grad(f, w, dx):
 
 def _ref_rhs_u(rho, u, dx, alpha, gamma, a, mu0, floor):
     m = rho * u
-    P = a * rho**gamma
+    P = _ref_pressure(rho, gamma, a)
     mu = np.maximum(mu0 * rho**alpha, floor)
     drho = -_ref_upwind_div(rho, u, dx)
     dm = -_ref_upwind_div(m, u, dx) - _ref_grad_c(P, dx) + _ref_diffuse(mu, u, dx)
@@ -135,7 +139,7 @@ def _ref_rhs_v(rho, v, dx, alpha, gamma, a, mu0, floor):
     # the package's one density potential
     ph = phi(rho, Params(alpha=alpha, gamma=gamma, a=a, mu0=mu0))
     u = v - _ref_grad_c(ph, dx)
-    P = a * rho**gamma
+    P = _ref_pressure(rho, gamma, a)
     coef = np.maximum(mu0 * rho**alpha, floor) / rho
     drho = _ref_diffuse(coef, rho, dx) - _ref_upwind_div(rho, v, dx)
     dv = -u * _ref_upwind_grad(v, u, dx) - _ref_grad_c(P, dx) / rho
@@ -194,6 +198,9 @@ def test_primitives_match_reference_bitwise(n):
                               _bits(_ref_upwind_div(rho, w, dx)))
         assert np.array_equal(_bits(kernels.upwind_grad(w, rho - 0.7, dx)),
                               _bits(_ref_upwind_grad(w, rho - 0.7, dx)))
+    for gamma in (0.5, 1.0, 1.4, 2.0, 3.0):
+        for a in (1.0, 2.5):
+            assert np.array_equal(_bits(kernels.pressure(rho, gamma, a)), _bits(_ref_pressure(rho, gamma, a)))
 
 
 _GRID_A, _GRID_G = (0.6, 0.5, 0.8, 2.0, 1.0), (1.5, 2.0, 0.5, 3.0, 3.5)

@@ -27,7 +27,7 @@ from dvns1d import (
 from dvns1d import diagnostics, kernels, solver
 from dvns1d.solver import EXPLICIT, IMEX
 from dvns1d.errors import ConfigurationError, DomainError, VacuumBreach
-from dvns1d.mesh import grad_c
+from dvns1d.kernels import grad_c
 from test_kernels import ORACLE_PARAMS, _bits
 
 SW = Params(alpha=1.0, gamma=2.0, eps=0.125)  # shallow-water-like point
@@ -52,6 +52,12 @@ def test_make_state_validation():
         make_state(np.ones(8), np.zeros(8), "W", m)
     with pytest.raises(DomainError):
         make_state(np.zeros(8), np.zeros(8), "U", m)
+    # a NaN density passes a positivity check alone (NaN <= 0 is False)
+    nan_rho = np.ones(8)
+    nan_rho[3] = np.nan
+    for rho, vel in ((nan_rho, np.zeros(8)), (np.ones(8), np.full(8, np.inf))):
+        with pytest.raises(DomainError, match="non-finite"):
+            make_state(rho, vel, "U", m)
 
 
 # ------------------------------------------------------- effective velocity
@@ -314,8 +320,8 @@ def test_viscous_flux_commutation_identity():
         rho = 1.0 + 0.1 * np.sin(m.x)
         u = 0.3 * np.exp(-m.x**2)
         mu = viscosity(rho, p)
-        lhs = rho * grad_c((mu / rho**2) * grad_c(rho * u, m), m)
-        rhs = grad_c(mu * grad_c(u, m), m) + rho * u * grad_c(grad_c(phi(rho, p), m), m)
+        lhs = rho * grad_c((mu / rho**2) * grad_c(rho * u, m.dx), m.dx)
+        rhs = grad_c(mu * grad_c(u, m.dx), m.dx) + rho * u * grad_c(grad_c(phi(rho, p), m.dx), m.dx)
         return np.max(np.abs((lhs - rhs)[2:-2]))
 
     e1, e2 = err(256), err(512)
