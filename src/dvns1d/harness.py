@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, solver
+from . import diagnostics, floatrepr, solver
 from .constitutive import Params, TheoremReport, validate_params
 from .errors import ConfigurationError, integer
 from .mesh import Mesh, BackgroundProfile, background_profile, build_mesh, mollify
@@ -190,6 +190,8 @@ def _compact_bump(x: np.ndarray, width: float) -> np.ndarray:
     return out
 
 
+# an overflow gives a non-finite cell, which the finiteness check rejects
+@np.errstate(over="ignore", invalid="ignore")
 def build_initial(s: Scenario, mesh: Mesh, profile: BackgroundProfile,
                   mollify_override: int | None = None) -> FlowState:
     """Sample the scenario's initial data family as a U-form state."""
@@ -252,35 +254,39 @@ def _verdict(flag) -> str:
 
 
 def _write_csv(path: Path, header: list, rows, first_col=None) -> None:
-    """Write one CSV file atomically: line by line to path.tmp, then renamed
-    over path.
+    """Write one CSV file atomically: to path.tmp, then renamed over path.
 
     rows is a list of mixed-type rows, formatted cell by cell with _fmt, or a
-    2-D float array (a block), which gives the same bytes.  A block formats
-    each distinct value once, with repr of the Python float (what _fmt writes
-    for a finite cell) or "undefined" for a non-finite one: a snapshot repeats
-    many values (rho = 1.0 where a bump has decayed, v = u where rho is
-    locally flat).  Values are told apart by their bits, not by ==, since
-    -0.0 == 0.0 prints differently.  first_col holds the already formatted
-    cells of a leading column of a block, one per row.
+    2-D float array (a block), which gives the same bytes.  A block is
+    formatted by floatrepr.cells, _ROWS rows at a time: repr of each finite
+    cell and "undefined" for a non-finite one.  first_col is the
+    floatrepr.cells text of a leading column of a block, one cell per row.
     """
-    if isinstance(rows, np.ndarray):
-        cells = np.ascontiguousarray(rows, dtype=np.float64)
-        bits, inv = np.unique(cells.view(np.int64), return_inverse=True)
-        values = bits.view(np.float64)
-        text = np.array(list(map(repr, values.tolist())), dtype=object)
-        text[~np.isfinite(values)] = "undefined"
-        cols = text[inv.reshape(cells.shape)].T.tolist()
-        if first_col is not None:
-            cols.insert(0, first_col)
-        lines = map(",".join, zip(*cols))
-    else:
-        lines = (",".join(map(_fmt, row)) for row in rows)
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line + "\n" for line in lines)
+    with tmp.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if isinstance(rows, np.ndarray):
+            for r0 in range(0, len(rows), _ROWS):
+                fh.write(_block_bytes(rows[r0:r0 + _ROWS], first_col, r0))
+        else:
+            fh.writelines((",".join(map(_fmt, row)) + "\n").encode() for row in rows)
     os.replace(tmp, path)
+
+
+_ROWS = 1024  # block rows per floatrepr.cells call: at most 4096 cells for 4 columns
+
+
+def _block_bytes(block: np.ndarray, first_col, r0: int) -> bytes:
+    """The CSV lines of a block of rows, after first_col's cells from row r0."""
+    rows, first = len(block), int(first_col is not None)
+    # each cell's NUL-padded text and its separator; the NULs are deleted
+    cells = np.empty((rows, first + block.shape[1], floatrepr.WIDTH + 1), dtype=np.uint8)
+    cells[:, first:, :-1] = floatrepr.cells(block)[0].reshape(rows, -1, floatrepr.WIDTH)
+    if first:
+        cells[:, 0, :-1] = first_col[r0:r0 + rows]
+    cells[:, :, -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0")
 
 
 # the DiagnosticsRecord fields of a timeseries.csv row, in column order
@@ -417,7 +423,7 @@ def run_scenario(s: Scenario, outdir) -> int:
             _timeseries_header(s.moment_ps),
             [_timeseries_row(r, s.moment_ps) for r in trajs[V_FORM].records],
         )
-    x_cells = list(map(repr, mesh.x.tolist()))  # finite, and the same in every frame
+    x_cells = floatrepr.cells(mesh.x)[0]  # the same in every frame
     for name, frame in zip(_snapshot_names(primary.times), primary.frames):
         _write_csv(
             out / name,

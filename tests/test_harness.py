@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from dvns1d import ConfigurationError, Params, background_profile, build_mesh, mollify
-from dvns1d import diagnostics, harness, solver
+from dvns1d import diagnostics, floatrepr, harness, solver
 from dvns1d.cli import main
 from dvns1d.harness import (
     Scenario,
@@ -205,6 +205,7 @@ def test_load_config_rejects_non_finite_run_values(tmp_path, capsys, line):
     dict(sigma=-0.5),
     dict(rho_minus=1e308, rho_plus=1e308, amplitude=1.7e308),  # an infinite initial density
 ])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the ConfigurationError comes alone
 def test_validate_scenario_rejections(patch):
     s = _scn(N=64, **patch)
     with pytest.raises(ConfigurationError):
@@ -441,12 +442,20 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
 
 
 def _write_both_ways(tmp_path, x, block):
-    """Write one fields block as a block and as per-cell rows; return both files' bytes."""
-    x_cells = [harness._fmt(v) for v in x.tolist()]
-    harness._write_csv(tmp_path / "block.csv", ["x", "rho", "u", "v"], block, first_col=x_cells)
+    """Write one fields block as a block and as per-cell rows; return both files' bytes.
+
+    The block is written twice, with x as first_col (formatted once, as
+    run_scenario does) and with x as the block's own first column; both
+    must give the same bytes.
+    """
+    header = ["x", "rho", "u", "v"]
+    harness._write_csv(tmp_path / "block.csv", header, block, first_col=floatrepr.cells(x)[0])
+    harness._write_csv(tmp_path / "whole.csv", header, np.column_stack((x, block)))
     rows = [[x[i], *block[i]] for i in range(len(x))]  # numpy scalars, one _fmt call each
-    harness._write_csv(tmp_path / "cells.csv", ["x", "rho", "u", "v"], rows)
-    return (tmp_path / "block.csv").read_bytes(), (tmp_path / "cells.csv").read_bytes()
+    harness._write_csv(tmp_path / "cells.csv", header, rows)
+    got = (tmp_path / "block.csv").read_bytes()
+    assert (tmp_path / "whole.csv").read_bytes() == got
+    return got, (tmp_path / "cells.csv").read_bytes()
 
 
 def test_block_writer_matches_per_cell_formatting(tmp_path, rng):
