@@ -1,10 +1,9 @@
-"""Constitutive laws: power-law viscosity, gamma-law pressure, and the
-density potential whose gradient turns u into the effective velocity v.
-
-viscosity, pressure and phi are the checked forms of the one expression of
-each law in :mod:`dvns1d.kernels`: they reject a density outside the law's
-domain and return the kernel's bits.  All functions accept scalars or numpy
-arrays and are pure (phi also a batch).
+"""Constitutive laws: power-law viscosity, gamma-law pressure, the density
+potential whose gradient turns u into the effective velocity v, and the
+relative pressure.  Each is the checked form of the one expression of its
+law in :mod:`dvns1d.kernels`: it rejects a density outside the law's domain
+and returns the kernel's bits.  All functions accept scalars or numpy arrays
+and are pure (phi also a batch).
 """
 
 from __future__ import annotations
@@ -118,27 +117,13 @@ def dphi(rho, p: Params):
 def relative_pressure(rho, rho_bar, p: Params):
     """Relative pressure potential: the convexity gap of a*rho^gamma/(gamma-1) at rho_bar.
 
-    p(rho/rho_bar) = a*(rho^g/(g-1) - rho_bar^g/(g-1) - g/(g-1)*rho_bar^(g-1)*(rho-rho_bar))
-    with g = gamma.  Its density derivative is the enthalpy gap
-    h(rho) - h(rho_bar) with h' = P'(rho)/rho, so it scales with the pressure
-    coefficient a like P(rho) = a*rho^gamma does.  Non-negative, zero exactly
-    at rho == rho_bar.
+    At gamma = 1 it is its limit a*(rho*log(rho/rho_bar) - rho + rho_bar), at vacuum
+    a*rho_bar^gamma; non-negative, zero at rho == rho_bar.  Relative error below 1e-12 on
+    0.05 <= rho/rho_bar <= 3 at any gamma, ~1e-16/|rho/rho_bar - 1| close to rho_bar.
     """
     _density(rho)
     _density(rho_bar, vacuum_ok=False)
-    g = p.gamma
-    if g == 1.0:  # the isothermal limit g -> 1; rho*log(rho) -> 0 as rho -> 0
-        gap = rho * np.log(np.where(rho > 0.0, rho / rho_bar, 1.0)) - rho + rho_bar
-        return p.a * np.maximum(gap, 0.0)
-    c = 1.0 / (g - 1.0)
-    gap = (
-        c * np.power(rho, g)
-        - c * np.power(rho_bar, g)
-        - g * c * np.power(rho_bar, g - 1.0) * (rho - rho_bar)
-    )
-    # cancellation near rho == rho_bar can leave a few negative ulps; the
-    # quantity is mathematically >= 0, so clip instead of propagating them
-    return p.a * np.maximum(gap, 0.0)
+    return kernels.relative_pressure(rho, rho_bar, p.gamma, p.a)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ RunAccumulators.  The v moments and their Gronwall check come from
 residual of the reciprocal-density equation needs a second snapshot and is
 `reciprocal_residual`'s, which the caller passes in.  A frame's fields
 were checked when its state was made and at every step, so both apply the
-kernels' operators and laws (grad_c, diffuse, viscosity, pressure) to them
-directly.
+kernels' operators and laws (grad_c, diffuse, viscosity, pressure,
+potential, relative_pressure) to them directly.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import kernels
-from .constitutive import Params, phi, relative_pressure
+from .constitutive import Params
 from .errors import ConfigurationError, integer
 from .mesh import Mesh, BackgroundProfile, integrate
 
@@ -119,7 +119,7 @@ class RunAccumulators:
 
 def phi_gradient(rho, mesh: Mesh, params: Params) -> np.ndarray:
     """d/dx phi(rho), the difference v - u of the two velocities (per row of a batch)."""
-    return kernels.grad_c(phi(rho, params), mesh.dx)
+    return kernels.grad_c(kernels.per_value(kernels.potential, rho, params.alpha, params.mu0), mesh.dx)
 
 
 def velocities(state, mesh: Mesh, params: Params,
@@ -320,7 +320,7 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
     u = state_u.vel
     v = state_v.vel
     c = phi_gradient(rho, mesh, params) if correction is None else correction
-    relp = relative_pressure(rho, profile.values, params)
+    relp = kernels.relative_pressure(rho, profile.values, params.gamma, params.a)
     grad_p = kernels.grad_c(kernels.pressure(rho, params.gamma, params.a), mesh.dx)
 
     gu = kernels.grad_c(u, mesh.dx)

@@ -174,11 +174,11 @@ def validate_scenario(s: Scenario) -> None:
     _prepare(s)
 
 
-def _prepare(s: Scenario, N: int | None = None, mollify_override: int | None = None):
-    """The mesh, background profile and initial state of s (on N cells if given)."""
-    mesh = build_mesh(s.L, s.N if N is None else N)
+def _prepare(s: Scenario):
+    """The mesh, background profile and initial state of s."""
+    mesh = build_mesh(s.L, s.N)
     profile = background_profile(mesh, s.rho_minus, s.rho_plus)
-    return mesh, profile, build_initial(s, mesh, profile, mollify_override)
+    return mesh, profile, build_initial(s, mesh, profile)
 
 
 def _compact_bump(x: np.ndarray, width: float) -> np.ndarray:
@@ -205,7 +205,10 @@ def build_initial(s: Scenario, mesh: Mesh, profile: BackgroundProfile,
         rho = profile.values.copy()
         u = s.u_amplitude * _compact_bump(mesh.x, s.u_sigma)
     elif s.init_family == "custom-table":
-        data = np.loadtxt(s.table, delimiter=",", skiprows=1, ndmin=2)
+        try:  # a non-numeric cell or a ragged row
+            data = np.loadtxt(s.table, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise ConfigurationError(f"custom table {s.table!r}: {exc}") from exc
         if data.shape[1] < 3:
             raise ConfigurationError(f"custom table {s.table!r} needs columns x,rho,u")
         # np.interp silently returns garbage for unsorted or non-finite nodes
@@ -563,7 +566,7 @@ def refinement_study(s: Scenario, n_list, outdir) -> int:
     both = s.solver_form == "both"
     finals = {}
     for n in n_list:
-        mesh, profile, state0 = _prepare(s, n)
+        mesh, profile, state0 = _prepare(dataclasses.replace(s, N=n))
         traj, *other = [_integrate_scenario(s, mesh, profile, state0, form) for form in s.forms]
         last, rec = traj.frames[-1], traj.records[-1]
         entry = {
@@ -612,8 +615,8 @@ def regularization_study(s: Scenario, n_list, outdir) -> int:
     results = {}
     for n in n_list:
         params_n = dataclasses.replace(s.params, reg_n=n)
-        s_n = dataclasses.replace(s, params=params_n)
-        mesh, profile, state0 = _prepare(s_n, mollify_override=n)
+        s_n = dataclasses.replace(s, params=params_n, mollify_n=n)
+        mesh, profile, state0 = _prepare(s_n)
         traj = _integrate_scenario(s_n, mesh, profile, state0, form)
         min_visc = (
             params_n.mu0 * traj.min_rho_ever ** params_n.alpha

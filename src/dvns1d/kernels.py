@@ -148,6 +148,17 @@ def pressure(rho, gamma, a):
     return _scaled(per_value(operator.pow, rho, gamma), a)
 
 
+def relative_pressure(rho, rho_bar, gamma, a):
+    # a*rho_bar^gamma*(r*E - (r-1)), r = rho/rho_bar, E = (r^(gamma-1) - 1)/(gamma-1) and
+    # log r at gamma = 1, for a scalar gamma; log 1 stands in for log 0 (the limit at
+    # rho = 0), and the clip takes off the negative ulps rounding can leave near r = 1
+    r = rho / rho_bar
+    e = np.log(np.where(r > 0.0, r, 1.0))
+    if gamma != 1.0:
+        e = np.expm1((gamma - 1.0) * e) / (gamma - 1.0)
+    return a * rho_bar ** gamma * np.maximum(r * e - (r - 1.0), 0.0)
+
+
 def transport_u(rho, u, dx, alpha, gamma, a, mu0, floor):
     # rhs_u without the viscous term, same signature: d/dt rho = -(rho u)_x,
     # d/dt m = -(m u)_x - P_x

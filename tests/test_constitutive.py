@@ -6,6 +6,7 @@ of the closed-form derivative of phi).
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -89,12 +90,15 @@ def _bits(x):
 @pytest.mark.parametrize("coef", [1.0, 0.3])
 @pytest.mark.parametrize("reg_n", [None, 4])
 def test_laws_are_the_kernels_bitwise(exponent, coef, reg_n):
-    # viscosity and pressure are checked forms of the kernels' one
-    # expression of each law: the same bits, for an array and for a scalar
+    # viscosity, pressure and the relative pressure are checked forms of the
+    # kernels' one expression of each law: the same bits, for an array and
+    # for a scalar
     p = Params(alpha=exponent, gamma=exponent, a=coef, mu0=coef, reg_n=reg_n)
     rho = np.concatenate(([0.0, 1.0], np.random.default_rng(7).uniform(0.0, 5.0, 62)))
     for law, kernel in ((viscosity, lambda r: kernels.viscosity(r, p.alpha, p.mu0, p.visc_floor)),
-                        (pressure, lambda r: kernels.pressure(r, p.gamma, p.a))):
+                        (pressure, lambda r: kernels.pressure(r, p.gamma, p.a)),
+                        (lambda r, p: relative_pressure(r, 1.3, p),
+                         lambda r: kernels.relative_pressure(r, 1.3, p.gamma, p.a))):
         want = kernel(rho.copy())
         assert np.array_equal(_bits(law(rho, p)), _bits(want))
         for k, r in enumerate(rho[:8].tolist()):
@@ -176,6 +180,46 @@ def test_relative_pressure_isothermal_limit():
     for g in (1.0 - 1e-6, 1.0 + 1e-6):
         assert relative_pressure(rho, rho_bar, Params(alpha=1.0, gamma=g, a=a)) == pytest.approx(
             want, rel=1e-5, abs=1e-12)
+
+
+def _relative_pressure_decimal(rho, rho_bar, gamma):
+    # the defining three-power form (its g -> 1 limit at g = 1) in 80 digits
+    with localcontext() as ctx:
+        ctx.prec = 80
+        r, b, g = Decimal(rho), Decimal(rho_bar), Decimal(gamma)
+        if gamma == 1.0:
+            return float(r * (r / b).ln() - r + b)
+        return float((r ** g - b ** g - g * b ** (g - 1) * (r - b)) / (g - 1))
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6,
+                                   1.4, 2.0, 3.0])
+def test_relative_pressure_matches_decimal(gamma):
+    # one expression for every gamma: nothing cancels near gamma = 1
+    rho = np.linspace(0.05, 3.0, 500)
+    rho = rho[rho != 1.0]
+    want = np.array([_relative_pressure_decimal(r, 1.0, gamma) for r in rho.tolist()])
+    got = relative_pressure(rho, 1.0, Params(alpha=1.0, gamma=gamma))
+    assert np.max(np.abs(got - want) / want) <= 1e-11
+
+
+def test_relative_pressure_near_rho_bar():
+    # within 1e-4 of rho_bar the gap is second order in d = rho/rho_bar - 1,
+    # and r*E - (r - 1) cancels to it: the relative error is at most 1e-9
+    # for |d| >= 1e-6 and grows no faster than 1e-15/|d| closer in
+    d = np.concatenate((-np.geomspace(1e-9, 1e-4, 60), np.geomspace(1e-9, 1e-4, 60)))
+    rho = 1.0 + d
+    want = np.array([_relative_pressure_decimal(r, 1.0, 2.0) for r in rho.tolist()])
+    got = relative_pressure(rho, 1.0, Params(alpha=1.0, gamma=2.0))
+    assert np.all(np.abs(got - want) / want <= 1e-15 / np.abs(d))
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_relative_pressure_vacuum_limit(gamma):
+    # at rho = 0 the gap is a*rho_bar^gamma on either side of gamma = 1
+    a, rho_bar = 2.0, 1.5
+    assert relative_pressure(0.0, rho_bar, Params(alpha=1.0, gamma=gamma, a=a)) == pytest.approx(
+        a * rho_bar ** gamma, rel=1e-15)
 
 
 # --------------------------------------------------------------- validation

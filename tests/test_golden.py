@@ -81,9 +81,9 @@ GOLDEN = {
         'summary.csv':
             'd6d9176a5f21e1abf3dbcdf5957c34a88959aea8e7926b5401b217820bad2cad',
         'timeseries.csv':
-            '122a19203415a436d5f5a77e2ec0921c6caf8f99ff92c9a0961e1cd753937728',
+            '2c6f2252761dbeb8933c34028616b1528eee6ae5741707e30bac37931fda26c9',
         'timeseries_v.csv':
-            '4bf6792f1bb8a16a31232ab7390963c108a52ca5c341fa2d0a8e7e208ffd6343',
+            '7875af54b9978419616f213333324686582c91ee7b81817c383e25bb263a2a84',
     },
     'sweep_nearvac': {
         'sweep.csv':
@@ -113,9 +113,9 @@ GOLDEN_IMEX = {
         'summary.csv':
             '6b24d92e6d087d7d7278b3b1f4f79b0b91e43850c4c59b24f9e3c599fc22e125',
         'timeseries.csv':
-            '0b94acff1de89dc2846878482f86bc2c179416bf3ac487debddab8c45ed76ca2',
+            '9408ae2180f550ad83681659591f8a54cbcbe8bd41deb760568da3db54c6cd9c',
         'timeseries_v.csv':
-            '20a8321f7ac3acb67960862c6b302f98862457f0cef592d497c959feafa73c10',
+            '5c0dcff09497390bbf59201086547daded2e4ff1cc222260559eb5092e1f27b8',
     },
     'sweep_nearvac': {
         'sweep.csv':

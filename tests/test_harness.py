@@ -283,6 +283,8 @@ def test_build_initial_custom_table_needs_three_columns(tmp_path):
     ("-5,1.5,0.0\n0,2.0,inf\n5,1.5,0.2\n", "non-finite"),
     ("-5,1.5,0.0\n5,2.0,0.1\n0,1.5,0.2\n", "strictly increasing"),
     ("-5,1.5,0.0\n0,2.0,0.1\n0,1.5,0.2\n", "strictly increasing"),
+    ("-5,1.5,0.0\n0,abc,0.1\n5,1.5,0.2\n", "abc"),  # not a number
+    ("-5,1.5,0.0\n0,2.0\n5,1.5,0.2\n", "columns"),  # a ragged row
 ])
 def test_build_initial_custom_table_rejects_bad_nodes(tmp_path, body, match):
     table = tmp_path / "bad.csv"

@@ -497,14 +497,14 @@ def test_run_evaluates_phi_once_per_frame(form, monkeypatch):
     # V-form step derives u for its limit as well, so the count is taken
     # under the explicit scheme)
     calls = []
-    inner = diagnostics.phi
+    inner = diagnostics.phi_gradient
 
     def counting(*args):
         calls.append(1)
         return inner(*args)
 
     m, st = _bump_state(128, form=form)
-    monkeypatch.setattr(diagnostics, "phi", counting)
+    monkeypatch.setattr(diagnostics, "phi_gradient", counting)
     traj = run(st, m, background_profile(m, 1.0, 1.0), SW, T=0.05, output_dt=0.01,
                time_scheme=EXPLICIT)
     assert traj.status == "completed" and len(traj.records) == 6
