@@ -206,9 +206,13 @@ def build_initial(s: Scenario, mesh: Mesh, profile: BackgroundProfile,
         u = s.u_amplitude * _compact_bump(mesh.x, s.u_sigma)
     elif s.init_family == "custom-table":
         try:  # a non-numeric cell or a ragged row
-            data = np.loadtxt(s.table, delimiter=",", skiprows=1, ndmin=2)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # numpy's own for a table without data rows
+                data = np.loadtxt(s.table, delimiter=",", skiprows=1, ndmin=2)
         except ValueError as exc:
             raise ConfigurationError(f"custom table {s.table!r}: {exc}") from exc
+        if not data.size:
+            raise ConfigurationError(f"custom table {s.table!r} has no data rows")
         if data.shape[1] < 3:
             raise ConfigurationError(f"custom table {s.table!r} needs columns x,rho,u")
         # np.interp silently returns garbage for unsorted or non-finite nodes

@@ -327,37 +327,34 @@ def _stages_v(state: FlowState, mesh: Mesh, p: Params, dt):
     (I - gamma*dt*D_c) rho_s = rho0 + inc_rho (+ g) for its increment
     rho_s - rho0, whose right-hand side is exactly 0 on a constant state.
 
-    The diffusivity c is taken at rho0 for a first solve and at that first
-    answer for the second: a diffusivity lagging the stage by O(dt) would
-    leave the step first order for alpha != 1.  Both stages share the
-    first solve's c, its diffusion of rho0 and its bands, formed once here.
+    One solve per stage, with the diffusivity c taken at the stage's
+    explicit estimate rho0 + inc_rho (+ g) + gamma*dt*D_c(rho0) rho0, its
+    implicit term frozen at rho0: the estimate is O(dt^2) from the stage,
+    so the step stays second order for alpha != 1, where a diffusivity
+    lagging the stage by O(dt) would leave it first order.  The estimate
+    keeps rho0 in the clamped cells, as the solve's identity rows do, and
+    in any cell where it is not positive or is NaN.
     """
     rho0, v0, dx = state.rho, state.vel, mesh.dx
+    k = _ARS_G * dt
     ones = np.ones_like(rho0)
 
     def diffusivity(rho):
         return kernels.diffusivity(rho, p.alpha, p.mu0, p.visc_floor)
 
-    def system(c):
-        # the diffusion of rho0 and the bands of a solve with diffusivity c
-        k = _ARS_G * dt
-        return k * kernels.diffuse(c, rho0, dx), kernels.diffusion_bands(ones, c, k / dx**2)
-
-    def solve(known, diffused, bands, t):
-        rhs = known + diffused
-        rhs[..., :_CLAMP] = rhs[..., -_CLAMP:] = 0.0  # identity rows
-        rho = rho0 + kernels.solve_tridiagonal(*bands, rhs)
-        _check_vacuum(rho, t)
-        return rho
-
-    first = system(diffusivity(rho0))
+    d0 = k * kernels.diffuse(diffusivity(rho0), rho0, dx)
 
     def stage(inc, g, t):
         v = v0 + inc[1]
         _clamp_ends(v, v0)
         known = inc[0] if g is None else inc[0] + g
-        rho = solve(known, *first, t)
-        rho = solve(known, *system(diffusivity(rho)), t)
+        est = rho0 + (known + d0)
+        _clamp_ends(est, rho0)
+        c = diffusivity(np.where(est > 0.0, est, rho0))
+        rhs = known + k * kernels.diffuse(c, rho0, dx)
+        rhs[..., :_CLAMP] = rhs[..., -_CLAMP:] = 0.0  # identity rows
+        rho = rho0 + kernels.solve_tridiagonal(*kernels.diffusion_bands(ones, c, k / dx**2), rhs)
+        _check_vacuum(rho, t)
         return rho, v, kernels.diffuse(diffusivity(rho), rho, dx) if g is None else None
 
     return stage

@@ -109,13 +109,13 @@ GOLDEN_IMEX = {
         'fields_0.030000.csv':
             'c470a8d327d6cd4dc4fc349435bcbaeb292f7e065ce47a07a34c8f69805d8488',
         'formdiff.csv':
-            '89fcd486b456a04ea00cd5a70897899ab9c6260f47d92338b021a77c776cd7d2',
+            '86b13927a954af3a4a1e5402b3c6256fcae7507d57b1ccb95fb4499e972a7a42',
         'summary.csv':
-            '6b24d92e6d087d7d7278b3b1f4f79b0b91e43850c4c59b24f9e3c599fc22e125',
+            '5a372ec6179a2d7a4af33c8911ef2a93b26d74673a0a56b0eb0a8587c4da0e56',
         'timeseries.csv':
             '9408ae2180f550ad83681659591f8a54cbcbe8bd41deb760568da3db54c6cd9c',
         'timeseries_v.csv':
-            '5c0dcff09497390bbf59201086547daded2e4ff1cc222260559eb5092e1f27b8',
+            '3d731127bce5796bc8f7e310a13afd67a0915ba6ffb505ea1cfc268b8048bc76',
     },
     'sweep_nearvac': {
         'sweep.csv':

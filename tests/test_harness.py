@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -285,14 +286,17 @@ def test_build_initial_custom_table_needs_three_columns(tmp_path):
     ("-5,1.5,0.0\n0,2.0,0.1\n0,1.5,0.2\n", "strictly increasing"),
     ("-5,1.5,0.0\n0,abc,0.1\n5,1.5,0.2\n", "abc"),  # not a number
     ("-5,1.5,0.0\n0,2.0\n5,1.5,0.2\n", "columns"),  # a ragged row
+    ("", "no data rows"),  # a header alone
 ])
 def test_build_initial_custom_table_rejects_bad_nodes(tmp_path, body, match):
     table = tmp_path / "bad.csv"
     table.write_text("x,rho,u\n" + body)
     s = _scn(N=64, init_family="custom-table", table=str(table))
     m = build_mesh(s.L, s.N)
-    with pytest.raises(ConfigurationError, match=match):
-        build_initial(s, m, background_profile(m, 1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error alone, no numpy warning beside it
+        with pytest.raises(ConfigurationError, match=match):
+            build_initial(s, m, background_profile(m, 1.0, 1.0))
 
 
 def test_load_config_rejects_unsorted_custom_table(tmp_path):
