@@ -7,16 +7,7 @@ package integrates both formulations side by side and monitors the full
 entropy/moment/bound structure of the underlying estimates at runtime.
 """
 
-from .constitutive import (
-    Params,
-    TheoremReport,
-    dphi,
-    phi,
-    pressure,
-    relative_pressure,
-    validate_params,
-    viscosity,
-)
+from .constitutive import Params, TheoremReport, dphi, phi, validate_params
 from .errors import ConfigurationError, DomainError, VacuumBreach
 from .mesh import (
     BackgroundProfile,
@@ -58,8 +49,7 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Params", "TheoremReport", "viscosity", "pressure", "phi",
-    "dphi", "relative_pressure", "validate_params",
+    "Params", "TheoremReport", "phi", "dphi", "validate_params",
     "ConfigurationError", "DomainError", "VacuumBreach",
     "Mesh", "BackgroundProfile", "build_mesh", "background_profile", "mollify",
     "integrate",

@@ -1,9 +1,8 @@
-"""Constitutive laws: power-law viscosity, gamma-law pressure, the density
-potential whose gradient turns u into the effective velocity v, and the
-relative pressure.  Each is the checked form of the one expression of its
-law in :mod:`dvns1d.kernels`: it rejects a density outside the law's domain
-and returns the kernel's bits.  All functions accept scalars or numpy arrays
-and are pure (phi also a batch).
+"""Model parameters, the density potential whose gradient turns u into the
+effective velocity v, and the admissibility check.  The laws themselves are
+one expression each in :mod:`dvns1d.kernels`; phi and dphi are checked forms
+that reject a density outside their domain.  Both accept scalars or numpy
+arrays and are pure (phi also a batch).
 """
 
 from __future__ import annotations
@@ -19,11 +18,8 @@ from .errors import ConfigurationError, DomainError, integer
 __all__ = [
     "Params",
     "TheoremReport",
-    "viscosity",
-    "pressure",
     "phi",
     "dphi",
-    "relative_pressure",
     "validate_params",
 ]
 
@@ -74,26 +70,10 @@ class Params:
         return 0.0 if self.reg_n is None else 1.0 / self.reg_n
 
 
-def _density(rho, vacuum_ok: bool = True) -> np.ndarray:
-    """rho as a float64 array; DomainError on a negative cell, or on a zero
-    one unless vacuum_ok."""
-    arr = np.asarray(rho, dtype=np.float64)
-    if np.any(arr < 0.0 if vacuum_ok else arr <= 0.0):
-        raise DomainError("negative density" if vacuum_ok else "non-positive density")
-    return arr
-
-
-def viscosity(rho, p: Params):
-    """mu(rho) = mu0 * rho^alpha, floored at 1/reg_n when regularization is on.
-
-    kernels.viscosity floors in place, so a scalar goes through it as one cell."""
-    rho = _density(rho)
-    return kernels.viscosity(np.atleast_1d(rho), p.alpha, p.mu0, p.visc_floor).reshape(rho.shape)[()]
-
-
-def pressure(rho, p: Params):
-    """P(rho) = a * rho^gamma."""
-    return kernels.pressure(_density(rho), p.gamma, p.a)
+def _density(rho):
+    """DomainError unless every cell of rho is positive."""
+    if np.any(np.asarray(rho, dtype=np.float64) <= 0.0):
+        raise DomainError("non-positive density")
 
 
 def phi(rho, p: Params):
@@ -104,26 +84,14 @@ def phi(rho, p: Params):
     Only the gradient of phi enters the dynamics, so the constant is
     unobservable; the regularization floor is deliberately not applied here.
     """
-    _density(rho, vacuum_ok=False)
+    _density(rho)
     return kernels.per_value(kernels.potential, rho, p.alpha, p.mu0)
 
 
 def dphi(rho, p: Params):
     """phi'(rho) = mu0 * rho^(alpha-2)."""
-    _density(rho, vacuum_ok=False)
-    return p.mu0 * np.power(rho, p.alpha - 2.0)
-
-
-def relative_pressure(rho, rho_bar, p: Params):
-    """Relative pressure potential: the convexity gap of a*rho^gamma/(gamma-1) at rho_bar.
-
-    At gamma = 1 it is its limit a*(rho*log(rho/rho_bar) - rho + rho_bar), at vacuum
-    a*rho_bar^gamma; non-negative, zero at rho == rho_bar.  Relative error below 1e-12 on
-    0.05 <= rho/rho_bar <= 3 at any gamma, ~1e-16/|rho/rho_bar - 1| close to rho_bar.
-    """
     _density(rho)
-    _density(rho_bar, vacuum_ok=False)
-    return kernels.relative_pressure(rho, rho_bar, p.gamma, p.a)
+    return p.mu0 * np.power(rho, p.alpha - 2.0)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 import csv
 import dataclasses
 import functools
+import importlib
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import dvns1d
 from dvns1d import ConfigurationError, Params, background_profile, build_mesh, mollify
 from dvns1d import diagnostics, floatrepr, harness, solver
 from dvns1d.cli import main
@@ -902,3 +905,11 @@ def test_imex_run_imports_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    # `from dvns1d import *` fails on a name in an __all__ that its module lacks
+    names = [m.name for m in pkgutil.iter_modules(dvns1d.__path__) if m.name != "__main__"]
+    for module in [dvns1d] + [importlib.import_module(f"dvns1d.{n}") for n in names]:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], module.__name__

@@ -22,7 +22,6 @@ from dvns1d import (
     run,
     step_u,
     step_v,
-    viscosity,
 )
 from dvns1d import diagnostics, kernels, solver
 from dvns1d.solver import EXPLICIT, IMEX
@@ -319,7 +318,7 @@ def test_viscous_flux_commutation_identity():
         m = build_mesh(10.0, N)
         rho = 1.0 + 0.1 * np.sin(m.x)
         u = 0.3 * np.exp(-m.x**2)
-        mu = viscosity(rho, p)
+        mu = kernels.viscosity(rho, p.alpha, p.mu0, p.visc_floor)
         lhs = rho * grad_c((mu / rho**2) * grad_c(rho * u, m.dx), m.dx)
         rhs = grad_c(mu * grad_c(u, m.dx), m.dx) + rho * u * grad_c(grad_c(phi(rho, p), m.dx), m.dx)
         return np.max(np.abs((lhs - rhs)[2:-2]))
@@ -525,6 +524,28 @@ def test_run_vacuum_status_imex():
     traj = run(st, m, prof, SW, T=0.5, output_dt=0.1, safety=0.9, time_scheme=IMEX)
     assert traj.status == "vacuum" and traj.steps == 0
     assert 0.0 < traj.breach_time < 0.5 and traj.min_rho_ever < 0.0
+
+
+@pytest.mark.parametrize("alpha, depth", [
+    (0.55, 1e-3),
+    (0.7, 1e-6),
+    # the one-solve V stage takes its diffusivity at an explicit estimate of
+    # the stage density, which misses by orders of magnitude on this
+    # unresolved dip: the run ends "numerics" after 2306 steps (min rho 2e-76)
+    pytest.param(0.55, 1e-6, marks=pytest.mark.xfail(
+        strict=True, reason="V stage predictor misses on an unresolved near-vacuum dip")),
+])
+def test_imex_v_unresolved_dip_completes(alpha, depth):
+    # eight cells at depth d in a unit background, pulled apart at +-2
+    N = 128
+    m = build_mesh(8.0, N)
+    p = Params(alpha=alpha, gamma=2.0)
+    rho = np.ones(N)
+    rho[N // 2 - 4:N // 2 + 4] = depth
+    st = effective_velocity(make_state(rho, 2.0 * np.sign(m.x), "U", m), m, p)
+    traj = run(st, m, background_profile(m, 1.0, 1.0), p, T=0.02, output_dt=0.02, safety=0.9,
+               time_scheme=IMEX)
+    assert traj.status == "completed" and traj.steps <= 200
 
 
 def _bump_final(form, params, safety, N=256, T=0.5):
