@@ -162,6 +162,8 @@ def validate_scenario(s: Scenario) -> None:
     if form not in _FORMS:
         raise ConfigurationError(f"solver_form must be U, V or both, got {s.solver_form!r}")
     s.solver_form = form
+    if any(c in s.name for c in ",\r\n"):  # a cell of summary.csv
+        raise ConfigurationError(f"name must hold no comma or line break, got {s.name!r}")
     for name in ("amplitude", "sigma", "u_amplitude", "u_sigma", "gronwall_slack"):
         if not math.isfinite(getattr(s, name)):
             raise ConfigurationError(f"{name} must be finite, got {getattr(s, name)!r}")

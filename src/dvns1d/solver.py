@@ -17,10 +17,10 @@ incoming boundary values (the far field is constant by construction) and
 treat a non-positive density as a recorded vacuum-breach event rather than
 a numerical accident.
 
-The stability limit is evaluated once per step: the loop computes it, derives
-dt from it and hands it to the stepper as `dt_max`, which the stepper checks
-dt against instead of evaluating it again.  A stepper called without
-`dt_max` evaluates the limit itself.
+A stepper picks its own step: it evaluates the stability limit `cfl_dt`
+once, at the caller's safety, and shortens the step to land exactly on
+`until` when that lies within reach.  No caller supplies a dt, so none can
+exceed the limit.
 
 `run_batch` is the one stepping loop: it steps B runs that differ only in
 (alpha, gamma) as (B, N) arrays, one numpy call per kernel for all of them,
@@ -95,6 +95,7 @@ class StepReport:
     dt_used: float
     min_rho: float
     max_rho: float
+    landed: bool
 
 
 @dataclass(eq=False)
@@ -213,13 +214,14 @@ def uses_imex(time_scheme: str) -> bool:
     return time_scheme == IMEX
 
 
-def _check_dt(dt: float, state: FlowState, mesh: Mesh, params: Params, dt_max: float | None,
-              time_scheme: str) -> None:
-    """Raise if dt exceeds the scheme's stability limit (evaluated here unless given)."""
-    if dt_max is None:
-        dt_max = cfl_dt(state, mesh, params, 1.0, time_scheme=time_scheme)
-    if np.any(dt > dt_max * (1.0 + 1e-6)):
-        raise DomainError(f"dt={np.max(dt):g} exceeds the stability limit {np.min(dt_max):g}")
+def _land(state: FlowState, dt, until) -> tuple:
+    """(dt, t1, landed): dt, or until - t if that is at most dt*(1 + 1e-6) and t1 is until."""
+    remaining = until - state.t
+    if not np.all(remaining >= 0.0):
+        raise ConfigurationError(f"until={until!r} lies before t={float(np.min(state.t))!r}")
+    landed = remaining <= dt * (1.0 + 1e-6)
+    dt = np.where(landed, remaining, dt)[()]
+    return dt, np.where(landed, until, state.t + dt)[()], landed
 
 
 def _clamp_ends(arr: np.ndarray, ref: np.ndarray) -> None:
@@ -243,14 +245,14 @@ def _keep(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return x
 
 
-def _midpoint(state: FlowState, mesh: Mesh, params: Params, dt: float, dt_max: float | None,
+def _midpoint(state: FlowState, mesh: Mesh, params: Params, step: tuple,
               rhs, to_unknown, to_vel) -> tuple[FlowState, StepReport]:
     """One two-stage midpoint step of the system whose right-hand side is rhs.
 
-    The stepped pair is (rho, q) with q = to_unknown(vel, rho); rhs takes
-    (rho, vel) and returns (d/dt rho, d/dt q), and to_vel(q, rho) maps q back.
+    The stepped pair is (rho, q) with q = to_unknown(vel, rho); rhs takes (rho, vel) and returns
+    (d/dt rho, d/dt q), to_vel(q, rho) maps q back, and step is _land's (dt, t1, landed).
     """
-    _check_dt(dt, state, mesh, params, dt_max, EXPLICIT)
+    dt, t1, landed = step
     rho0, vel0 = state.rho, state.vel
     args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
 
@@ -272,13 +274,13 @@ def _midpoint(state: FlowState, mesh: Mesh, params: Params, dt: float, dt_max: f
         _clamp_ends(q1, q0)
         min_rho = _check_vacuum(rho1, state.t + dt)
 
-        out = FlowState(rho1, to_vel(q1, rho1), state.form, state.t + dt)
-    return out, StepReport(dt_used=dt, min_rho=min_rho, max_rho=rho1.max(axis=-1))
+        out = FlowState(rho1, to_vel(q1, rho1), state.form, t1)
+    return out, StepReport(dt, min_rho, rho1.max(axis=-1), landed)
 
 
-def _ars(state: FlowState, mesh: Mesh, params: Params, dt, dt_max, explicit,
+def _ars(state: FlowState, mesh: Mesh, params: Params, step: tuple, explicit,
          stages) -> tuple[FlowState, StepReport]:
-    """One ARS(2,2,2) step: two explicit evaluations, two implicit stages.
+    """One ARS(2,2,2) step (dt, t1, landed) = step: two explicit evaluations, two implicit stages.
 
     explicit is a kernel with the signature of rhs_u/rhs_v that returns the
     explicit terms (d/dt rho, d/dt q) of the stepped pair.
@@ -288,7 +290,7 @@ def _ars(state: FlowState, mesh: Mesh, params: Params, dt, dt_max, explicit,
     implicit terms, which the last stage receives, scaled, as g (and
     returns None).  The last stage is the step (stiffly accurate).
     """
-    _check_dt(dt, state, mesh, params, dt_max, IMEX)
+    dt, t1, landed = step
     args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         stage = stages(state, mesh, params, dt)
@@ -298,8 +300,8 @@ def _ars(state: FlowState, mesh: Mesh, params: Params, dt, dt_max, explicit,
         f2 = explicit(rho2, vel2, *args)
         inc = [dt * (_ARS_D * a + (1.0 - _ARS_D) * b) for a, b in zip(f1, f2)]
         rho1, vel1, _ = stage(inc, ((1.0 - _ARS_G) * dt) * g2, state.t + dt)
-    out = FlowState(rho1, vel1, state.form, state.t + dt)
-    return out, StepReport(dt_used=dt, min_rho=_check_vacuum(rho1, out.t), max_rho=rho1.max(axis=-1))
+    out = FlowState(rho1, vel1, state.form, t1)
+    return out, StepReport(dt, _check_vacuum(rho1, t1), rho1.max(axis=-1), landed)
 
 
 def _stages_u(state: FlowState, mesh: Mesh, p: Params, dt):
@@ -360,38 +362,40 @@ def _stages_v(state: FlowState, mesh: Mesh, p: Params, dt):
     return stage
 
 
-def step_u(state: FlowState, mesh: Mesh, params: Params, dt: float,
-           dt_max: float | None = None, *, time_scheme: str = IMEX) -> tuple[FlowState, StepReport]:
+def step_u(state: FlowState, mesh: Mesh, params: Params, *, safety: float = 0.4,
+           until: float = math.inf, time_scheme: str = IMEX) -> tuple[FlowState, StepReport]:
     """One step of the conservative (rho, rho*u) system: two-stage midpoint
     (explicit) or ARS(2,2,2) with implicit viscosity (imex).
 
-    time_scheme defaults to imex, as in run and cfl_dt.  dt_max is the
-    stability limit cfl_dt(state, ..., 1.0, time_scheme=time_scheme) when the
-    caller has already evaluated it; otherwise it is evaluated here.
+    The step is cfl_dt(state, ..., safety, time_scheme=time_scheme), shortened
+    to land on until when within reach (ConfigurationError if until < t).
+    time_scheme defaults to imex, as in run and cfl_dt.
     """
     if state.form != U_FORM:
         raise ConfigurationError("step_u expects a U-form state")
-    if uses_imex(time_scheme):
-        return _ars(state, mesh, params, dt, dt_max, kernels.transport_u, _stages_u)
+    step = _land(state, cfl_dt(state, mesh, params, safety, time_scheme=time_scheme), until)
+    if time_scheme == IMEX:
+        return _ars(state, mesh, params, step, kernels.transport_u, _stages_u)
     # stepped unknown m = u*rho, bit-equal to rho*u
-    return _midpoint(state, mesh, params, dt, dt_max, kernels.rhs_u, np.multiply, np.divide)
+    return _midpoint(state, mesh, params, step, kernels.rhs_u, np.multiply, np.divide)
 
 
-def step_v(state: FlowState, mesh: Mesh, params: Params, dt: float,
-           dt_max: float | None = None, *, time_scheme: str = IMEX) -> tuple[FlowState, StepReport]:
+def step_v(state: FlowState, mesh: Mesh, params: Params, *, safety: float = 0.4,
+           until: float = math.inf, time_scheme: str = IMEX) -> tuple[FlowState, StepReport]:
     """One step of the (rho, v) system: two-stage midpoint (explicit) or
     ARS(2,2,2) with implicit density diffusion (imex).
 
     Density: d/dt rho = d/dx(mu(rho)/rho * d/dx rho) - d/dx(rho v).
     Velocity: d/dt v = -u * (upwind d/dx v) - grad P / rho with
-    u = v - d/dx phi(rho) recomputed at each stage.  time_scheme and dt_max
-    as in step_u.
+    u = v - d/dx phi(rho) recomputed at each stage.  safety, until and
+    time_scheme as in step_u.
     """
     if state.form != V_FORM:
         raise ConfigurationError("step_v expects a V-form state")
-    if uses_imex(time_scheme):
-        return _ars(state, mesh, params, dt, dt_max, kernels.transport_v, _stages_v)
-    return _midpoint(state, mesh, params, dt, dt_max, kernels.rhs_v, _keep, _keep)
+    step = _land(state, cfl_dt(state, mesh, params, safety, time_scheme=time_scheme), until)
+    if time_scheme == IMEX:
+        return _ars(state, mesh, params, step, kernels.transport_v, _stages_v)
+    return _midpoint(state, mesh, params, step, kernels.rhs_v, _keep, _keep)
 
 
 def _emit(state: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Params,
@@ -408,8 +412,7 @@ def _emit(state: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Para
     # quantity; an imex step at the acoustic limit would add an O(dx) time
     # difference to it
     try:
-        limit = cfl_dt(sv, mesh, params, 1.0, time_scheme=EXPLICIT)
-        sv_next, _ = step_v(sv, mesh, params, probe_safety * limit, limit, time_scheme=EXPLICIT)
+        sv_next, _ = step_v(sv, mesh, params, safety=probe_safety, time_scheme=EXPLICIT)
         resid_recip = diagnostics.reciprocal_residual(sv, sv_next, mesh, params)
     except (VacuumBreach, DomainError):
         resid_recip = math.nan
@@ -450,28 +453,21 @@ def _step_rows(state: FlowState, mesh: Mesh, params: Batch, target: float, safet
                time_scheme: str) -> list:
     """One step of each row of the batch state with params.points[i] and its
     own dt, landing on target when within reach: per row (rho, vel, t, min
-    rho, max rho, hit), or the VacuumBreach, DomainError or ArithmeticError
+    rho, max rho, landed), or the VacuumBreach, DomainError or ArithmeticError
     that stopped it.  If the batched step raises, each row steps alone."""
     try:
         if len(params.points) == 1:  # a row alone steps as 1-D fields: numpy's per-call cost is lower
             state = FlowState(state.rho[0], state.vel[0], state.form, state.t[0])
-        # safety * cfl_dt(.., 1.0) == cfl_dt(.., safety) bit for bit
-        limit = cfl_dt(state, mesh, params, 1.0, time_scheme=time_scheme)
-        dt = safety * limit
-        remaining = target - state.t
-        hit = remaining <= dt * (1.0 + 1e-6)
-        new, rep = stepper(state, mesh, params, np.where(hit, remaining, dt), limit,
-                           time_scheme=time_scheme)
+        new, rep = stepper(state, mesh, params, safety=safety, until=target, time_scheme=time_scheme)
     except (VacuumBreach, DomainError, ArithmeticError) as exc:
         if len(params.points) == 1:
             return [exc]
         return [out for i, p in enumerate(params.points) for out in _step_rows(
             FlowState(state.rho[i:i + 1], state.vel[i:i + 1], state.form, state.t[i:i + 1]),
             mesh, Batch([p]), target, safety, stepper, time_scheme)]
-    t = np.where(hit, target, new.t)  # land output frames on exact times
     rows = len(params.points), -1
-    return list(zip(new.rho.reshape(rows), new.vel.reshape(rows), t.ravel().tolist(),
-                    np.ravel(rep.min_rho).tolist(), np.ravel(rep.max_rho).tolist(), hit.ravel().tolist()))
+    cols = (np.ravel(x).tolist() for x in (new.t, rep.min_rho, rep.max_rho, rep.landed))
+    return list(zip(new.rho.reshape(rows), new.vel.reshape(rows), *cols))
 
 
 def run_batch(state0: FlowState, mesh: Mesh, points: list, *, T: float, output_dt: float, frame,
@@ -525,13 +521,13 @@ def run_batch(state0: FlowState, mesh: Mesh, points: list, *, T: float, output_d
                 elif isinstance(res, Exception):  # a DomainError or an ArithmeticError
                     traj.status, traj.breach_time = "numerics", float(times[i, 0])
                 else:
-                    rho[i], vel[i], times[i, 0], low, high, hit = res
+                    rho[i], vel[i], times[i, 0], low, high, landed = res
                     traj.steps += 1
                     traj.min_rho_ever = min(traj.min_rho_ever, low)
                     if not math.isfinite(low) or not math.isfinite(high):
                         traj.status, traj.breach_time = "numerics", float(times[i, 0])
-                    elif hit or times[i, 0] < T - tiny:
-                        todo[i] = not hit
+                    elif landed or times[i, 0] < T - tiny:
+                        todo[i] = not landed
                         continue
                 # the run of row i is over; one that ends short of target completed
                 running[i] = todo[i] = False

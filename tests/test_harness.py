@@ -19,7 +19,7 @@ from hypothesis import example, given, strategies as st
 
 import dvns1d
 from dvns1d import ConfigurationError, Params, background_profile, build_mesh, mollify
-from dvns1d import diagnostics, floatrepr, harness, solver
+from dvns1d import diagnostics, floatrepr, harness, kernels, solver
 from dvns1d.cli import main
 from dvns1d.harness import (
     Scenario,
@@ -167,6 +167,17 @@ def test_load_config_interpolation_error_names_the_key(tmp_path, capsys, value):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: field 'name' in [run]") and err.count("\n") == 1
     assert load_config(_cfg(tmp_path, MINIMAL + "[run]\nname = 100%%\n")).name == "100%"
+
+
+@pytest.mark.parametrize("name", ["a,b", "a\n  b"])
+def test_name_with_a_comma_or_line_break_is_a_configuration_error(tmp_path, capsys, name):
+    # the name is a cell of summary.csv: a comma or a line break in it
+    # would shift or split that row under the header
+    path = _cfg(tmp_path, MINIMAL + f"[grid]\nN = 64\n[run]\nname = {name}\n")
+    with pytest.raises(ConfigurationError, match="name"):
+        validate_scenario(load_config(path))
+    assert main(["validate", str(path)]) == 1
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_load_config_missing_file():
@@ -624,6 +635,30 @@ def test_u_form_sweep_runs_no_full_frame(tmp_path, monkeypatch):
     # the counters see the full frame of a plain run
     run_scenario(s, tmp_path / "run")
     assert calls == {"collect": 3, "reciprocal_residual": 3, "step_v": 3}
+
+
+@pytest.mark.parametrize("form", ["U", "V"])
+def test_sweep_evaluates_the_stability_limit_once_per_batched_step(tmp_path, monkeypatch, form):
+    # a sweep frame probes nothing, so each batched step call, whatever its
+    # rows, is the one stability evaluation
+    calls = {"stability_terms": 0, "step_u": 0, "step_v": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(kernels, "stability_terms")
+    counting(solver, "step_u")
+    counting(solver, "step_v")
+    s = _scn(N=64, amplitude=0.2, T=0.05, output_dt=0.025, solver_form=form)
+    sweep(s, [0.8, 1.0], [2.0, 2.5], tmp_path / "sw")
+    assert [r["status"] for r in _rows(tmp_path / "sw" / "sweep.csv")] == ["completed"] * 4
+    assert calls["stability_terms"] == calls["step_u"] + calls["step_v"] > 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

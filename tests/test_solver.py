@@ -147,27 +147,49 @@ def test_cfl_rejects():
         cfl_dt(st, m, SW, 0.4)
 
 
-def test_step_rejects_oversized_dt():
-    m, st = _bump_state(64)
-    dt_max = cfl_dt(st, m, SW, 1.0)
-    with pytest.raises(DomainError):
-        step_u(st, m, SW, 2.0 * dt_max)
-    with pytest.raises(DomainError):
-        step_u(st, m, SW, 2.0 * dt_max, dt_max)
+@pytest.mark.parametrize("time_scheme", [IMEX, EXPLICIT])
+@pytest.mark.parametrize("form", ["U", "V"])
+def test_step_lands_on_until_within_reach(form, time_scheme):
+    # a step picks cfl_dt at its safety and shortens it to until - t when
+    # that is at most dt*(1 + 1e-6): the state then sits on until bit for bit
+    m, st = _bump_state(64, form=form)
+    st.t = 0.1
+    stepper = step_u if form == "U" else step_v
+    dt = cfl_dt(st, m, SW, 0.4, time_scheme=time_scheme)
+    for until in (0.1 + 0.5 * dt, 0.1 + dt * (1.0 + 5e-7)):
+        out, rep = stepper(st, m, SW, safety=0.4, until=until, time_scheme=time_scheme)
+        assert out.t == until and rep.landed
+        assert rep.dt_used == until - 0.1
+    out, rep = stepper(st, m, SW, safety=0.4, until=0.1 + 2.0 * dt, time_scheme=time_scheme)
+    assert not rep.landed
+    assert rep.dt_used == dt and out.t == 0.1 + dt
+    assert rep.min_rho == float(np.min(out.rho)) and rep.max_rho == float(np.max(out.rho))
 
 
 @pytest.mark.parametrize("form", ["U", "V"])
-def test_step_with_supplied_limit_matches(form):
-    # run hands the limit it already evaluated to the stepper; the step must
-    # be the same as one that evaluates the limit itself
+def test_step_until_before_t_is_a_configuration_error(form):
+    # an until at t is a zero-length step that lands, which the stepping loop
+    # takes when a step below an ulp of the output time left t on it unlanded
     m, st = _bump_state(64, form=form)
+    st.t = 0.25
     stepper = step_u if form == "U" else step_v
-    dt_max = cfl_dt(st, m, SW, 1.0)
-    a, rep_a = stepper(st, m, SW, 0.4 * dt_max)
-    b, rep_b = stepper(st, m, SW, 0.4 * dt_max, dt_max)
-    assert np.array_equal(a.rho, b.rho) and np.array_equal(a.vel, b.vel)
-    assert rep_a == rep_b
-    assert rep_a.min_rho == float(np.min(a.rho)) and rep_a.max_rho == float(np.max(a.rho))
+    with pytest.raises(ConfigurationError, match="until"):
+        stepper(st, m, SW, until=math.nextafter(0.25, 0.0))
+    with pytest.raises(ConfigurationError, match="until"):
+        stepper(st, m, SW, until=math.nan)
+    out, rep = stepper(st, m, SW, until=0.25)
+    assert rep.landed and rep.dt_used == 0.0 and out.t == 0.25
+    assert np.allclose(out.rho, st.rho, rtol=1e-15, atol=0.0)
+
+
+def test_step_takes_no_positional_dt():
+    # safety is keyword-only: a dt passed where it used to go raises rather
+    # than running at a safety of 1e-6
+    m, st = _bump_state(64)
+    with pytest.raises(TypeError):
+        step_u(st, m, SW, 1e-6)
+    with pytest.raises(TypeError):
+        step_v(effective_velocity(st, m, SW), m, SW, 1e-6)
 
 
 # The two-stage midpoint bodies step_u and step_v had before they shared one
@@ -227,15 +249,13 @@ def test_step_matches_reference_bitwise(n, point):
     for vel in (w, np.full(n, -0.0)):
         for form, stepper, ref in (("U", step_u, _ref_step_u), ("V", step_v, _ref_step_v)):
             st = make_state(rho, vel, form, m, t=0.25)
-            limit = cfl_dt(st, m, params, 1.0, time_scheme=EXPLICIT)
-            dt = 0.4 * limit
+            dt = cfl_dt(st, m, params, 0.4, time_scheme=EXPLICIT)
             want_rho, want_vel = ref(st, m, params, dt)
-            want_rep = StepReport(dt_used=dt, min_rho=float(want_rho.min()), max_rho=float(want_rho.max()))
-            for dt_max in (None, limit):
-                out, rep = stepper(st, m, params, dt, dt_max, time_scheme=EXPLICIT)
-                assert np.array_equal(_bits(out.rho), _bits(want_rho)), form
-                assert np.array_equal(_bits(out.vel), _bits(want_vel)), form
-                assert (out.form, out.t, rep) == (form, 0.25 + dt, want_rep)
+            want_rep = StepReport(dt, float(want_rho.min()), float(want_rho.max()), False)
+            out, rep = stepper(st, m, params, safety=0.4, time_scheme=EXPLICIT)
+            assert np.array_equal(_bits(out.rho), _bits(want_rho)), form
+            assert np.array_equal(_bits(out.vel), _bits(want_vel)), form
+            assert (out.form, out.t, rep) == (form, 0.25 + dt, want_rep)
 
 
 def test_run_rejects_bad_safety():
@@ -262,7 +282,7 @@ def test_run_infinite_output_dt_writes_the_first_and_last_frame():
 def test_step_form_mismatch():
     m, st = _bump_state(64)
     with pytest.raises(ConfigurationError):
-        step_v(st, m, SW, 1e-6)
+        step_v(st, m, SW)
 
 
 def test_constant_state_is_exact_fixed_point():
@@ -274,8 +294,7 @@ def test_constant_state_is_exact_fixed_point():
     for time_scheme in (EXPLICIT, IMEX):
         for form, stepper in (("U", step_u), ("V", step_v)):
             st = make_state(np.full(128, 1.5), np.zeros(128), form, m)
-            dt = cfl_dt(st, m, SW, 0.4, time_scheme=time_scheme)
-            out, rep = stepper(st, m, SW, dt, time_scheme=time_scheme)
+            out, rep = stepper(st, m, SW, safety=0.4, time_scheme=time_scheme)
             assert np.array_equal(out.rho, st.rho)
             assert np.array_equal(out.vel, st.vel)
             assert rep.min_rho == 1.5 and rep.max_rho == 1.5
@@ -284,7 +303,7 @@ def test_constant_state_is_exact_fixed_point():
 def test_step_reports_extrema():
     m, st = _bump_state(128)
     dt = cfl_dt(st, m, SW, 0.4)
-    out, rep = step_u(st, m, SW, dt)
+    out, rep = step_u(st, m, SW, safety=0.4)
     assert rep.dt_used == dt
     assert rep.min_rho == np.min(out.rho)
     assert rep.max_rho == np.max(out.rho)
@@ -300,7 +319,7 @@ def test_stepper_vacuum_breach():
     rho[N // 2] = 2.0
     st = make_state(rho, np.zeros(N), "U", m)
     with pytest.raises(VacuumBreach) as exc:
-        step_u(st, m, SW, cfl_dt(st, m, SW, 1.0, time_scheme=EXPLICIT), time_scheme=EXPLICIT)
+        step_u(st, m, SW, safety=1.0, time_scheme=EXPLICIT)
     assert exc.value.cell == N // 2
     assert exc.value.value < 0.0
     assert exc.value.time > 0.0
@@ -592,7 +611,7 @@ def test_run_and_steppers_reject_unknown_scheme():
     with pytest.raises(ConfigurationError, match="time_scheme"):
         run(st, m, prof, SW, T=0.1, output_dt=0.1, time_scheme="rk4")
     with pytest.raises(ConfigurationError, match="time_scheme"):
-        step_u(st, m, SW, 1e-6, time_scheme="rk4")
+        step_u(st, m, SW, time_scheme="rk4")
     with pytest.raises(ConfigurationError, match="time_scheme"):
         cfl_dt(st, m, SW, time_scheme="rk4")
 
@@ -671,9 +690,9 @@ def _counting(monkeypatch, module, name):
     calls = []
     inner = getattr(module, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
     return calls
@@ -692,9 +711,22 @@ def test_imex_step_makes_one_solve_per_stage(form, rows, monkeypatch):
                               np.zeros((rows, 1)))
     calls = _counting(monkeypatch, kernels, "solve_tridiagonal")
     stepper = step_u if form == "U" else step_v
-    out, _ = stepper(st, m, params, 0.5 * cfl_dt(st, m, params, 1.0))
+    out, _ = stepper(st, m, params, safety=0.5)
     assert len(calls) == 2
     assert out.rho.shape == st.rho.shape and np.isfinite(out.rho).all()
+
+
+@pytest.mark.parametrize("time_scheme", [IMEX, EXPLICIT])
+@pytest.mark.parametrize("form", ["U", "V"])
+def test_run_evaluates_the_stability_limit_once_per_step(form, time_scheme, monkeypatch):
+    # one stability evaluation per loop step and one per frame's probe step:
+    # a stepper that evaluated the limit twice would count each step twice
+    m, st = _bump_state(64, form=form)
+    calls = _counting(monkeypatch, kernels, "stability_terms")
+    traj = run(st, m, background_profile(m, 1.0, 1.0), SW, T=0.05, output_dt=0.025,
+               time_scheme=time_scheme)
+    assert traj.status == "completed" and len(traj.records) == 3
+    assert len(calls) == traj.steps + len(traj.records)
 
 
 def test_imex_v_step_at_alpha_one_is_the_two_solve_step_bitwise():
@@ -705,9 +737,9 @@ def test_imex_v_step_at_alpha_one_is_the_two_solve_step_bitwise():
     rng = np.random.default_rng(7)
     st = make_state(0.5 + rng.random(257), 0.3 * rng.normal(size=257), "V", m)
     for _ in range(5):
-        dt = 0.9 * cfl_dt(st, m, params, 1.0)
-        want, want_rep = solver._ars(st, m, params, dt, None, kernels.transport_v, _ref_stages_v)
-        st, rep = step_v(st, m, params, dt)
+        step = solver._land(st, cfl_dt(st, m, params, 0.9), math.inf)
+        want, want_rep = solver._ars(st, m, params, step, kernels.transport_v, _ref_stages_v)
+        st, rep = step_v(st, m, params, safety=0.9)
         assert np.array_equal(_bits(st.rho), _bits(want.rho))
         assert np.array_equal(_bits(st.vel), _bits(want.vel))
         assert rep == want_rep
