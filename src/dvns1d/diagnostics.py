@@ -10,7 +10,9 @@ P(rho) and |v| computed once and shared.  Every time integral is a running
 trapezoid over the output cadence, carried between frames by
 RunAccumulators.  The v moments and their Gronwall check come from
 `moment_sums` (one numpy call per quantity for all rows of a batch) and
-`moment_record`, which are also the whole per-frame work of a sweep.  The
+`Gronwall.check`, the one evaluator of the rate, its running trapezoid,
+the envelope and the verdict, in Python floats; `moment_record` makes its
+output a record.  A sweep frame calls the same two and keeps no record.  The
 residual of the reciprocal-density equation needs a second snapshot and is
 `reciprocal_residual`'s, which the caller passes in.  A frame's fields
 were checked when its state was made and at every step, so both apply the
@@ -21,7 +23,7 @@ potential, relative_pressure) to them directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "reciprocal_residual",
     "moment_orders",
     "moment_sums",
+    "Gronwall",
     "moment_record",
     "collect",
 ]
@@ -95,9 +98,8 @@ class RunAccumulators:
 
     Every time integral is a running trapezoid: each frame adds the panel
     from the previous frame, in the order a re-integration of the whole
-    history would add it, so the sums match that bit for bit.  gron_integral
-    and gron_prev_rate map the moment order p to the integral of the
-    Gronwall rate A(s) and to A at the previous frame.
+    history would add it, so the sums match that bit for bit.  gronwall
+    is the run's Gronwall check of its v moments.
     """
 
     t_prev: float | None = None
@@ -105,9 +107,7 @@ class RunAccumulators:
     cum_diss_bd: float = 0.0
     prev_du_rate: float = 0.0
     prev_dbd_rate: float = 0.0
-    initial_moments: dict | None = None
-    gron_integral: dict = dc_field(default_factory=dict)
-    gron_prev_rate: dict = dc_field(default_factory=dict)
+    gronwall: Gronwall | None = None
 
     def advance(self, t: float) -> float | None:
         """Make t the current frame time; return the panel width since the
@@ -151,27 +151,13 @@ def moment_orders(moment_ps) -> tuple:
     return orders
 
 
-def _gronwall_available(params: Params) -> bool:
-    return params.gamma - params.alpha - params.beta_eff >= 0.0
+class Gronwall:
+    """The Gronwall check of one run's v moments, one check() per output frame.
 
-
-def _gronwall_rate(wvel: float, sql2: float, rho_linf: float, params: Params, p: int) -> float:
-    """A(s) = wvel^(p/(p+2)) * sql2^(2/(p+2)) * rho_linf^(gamma - alpha - p*beta/(p+2)),
-    or inf past the float range."""
-    q = p + 2
-    er = params.gamma - params.alpha - p * params.beta_eff / q
-    try:
-        return (wvel ** (p / q)) * (sql2 ** (2.0 / q)) * (rho_linf ** er)
-    except OverflowError:
-        return math.inf
-
-
-def _gronwall_envelope(initial_moment: float, integral: float, params: Params, p: int) -> float:
-    """Gronwall envelope for the p-th v-moment.
-
-    bound = (m0^q + K*q*I)^(1/q) * exp(K*I) with q = p + 2, K = a*gamma/mu0,
-    m0 the initial moment and I the time integral of the rate A(s) of
-    _gronwall_rate, wvel^(p/q) * sql2^(2/q) * rho_linf^(gamma - alpha - p*beta/q).
+    The envelope of the p-th moment (q = p + 2, K = a*gamma/mu0) is
+    (m0^q + K*q*I)^(1/q) * exp(K*I), with m0 the first frame's moment and I
+    the running trapezoid over the output frames of the rate
+    A(s) = wvel^(p/q) * sql2^(2/q) * rho_linf^(gamma - alpha - p*beta/q).
 
     Derivation: v solves rho*(v_t + u*v_x) + P(rho)_x = 0, so with
     M = integral of rho*|v|^q, dM/dt = -q * integral of P_x*|v|^p*v.  Since
@@ -184,18 +170,58 @@ def _gronwall_envelope(initial_moment: float, integral: float, params: Params, p
     K is the factor P'(rho)/rho^(gamma-1) = a*gamma divided by the
     viscosity coefficient mu0; it equals gamma at a = mu0 = 1.
 
-    Requires gamma - alpha - beta >= 0 (_gronwall_available); outside that
-    region the envelope has no closed form (the missing ingredient is a
-    bound on 1/rho) and moment_record reports it as unavailable.  A bound
-    past the float range is inf, which checks nothing either.
+    The envelope needs gamma - alpha - beta >= 0; outside that region it
+    has no closed form (the missing ingredient is a bound on 1/rho) and
+    reads None.  A rate or bound past the float range is inf, which checks
+    nothing either.  The arithmetic is Python float arithmetic (numpy's
+    power differs from Python's in some last bits, which the artifacts
+    pin), with the per-order constants computed once.
     """
-    q = p + 2
-    k = params.a * params.gamma / params.mu0
-    try:
-        base = initial_moment ** q + k * q * integral
-        return base ** (1.0 / q) * math.exp(k * integral)
-    except OverflowError:
-        return math.inf
+
+    def __init__(self, params: Params, moment_ps, gronwall_slack: float):
+        self.k = params.a * params.gamma / params.mu0
+        self.factor = 1.0 + gronwall_slack
+        self.orders = []  # per p: q, 1/q, the three exponents of the rate and K*q
+        for p in moment_ps:
+            q = p + 2
+            self.orders.append((q, 1.0 / q, p / q, 2.0 / q,
+                                params.gamma - params.alpha - p * params.beta_eff / q, self.k * q))
+        self.available = params.gamma - params.alpha - params.beta_eff >= 0.0
+        self.initial = None  # the first frame's moments
+        self.integral = [0.0] * len(self.orders)
+        self.rate = [0.0] * len(self.orders)
+
+    def check(self, h: float | None, sums) -> tuple:
+        """(sql2, moments, bounds, verdicts) of one frame, one list entry per order.
+
+        sums is the frame's row of moment_sums and h the time since the
+        previous frame (None at the first, whose moments become m0).  A
+        verdict is moment <= bound * (1 + slack), or None when the bound is
+        None or inf.
+        """
+        _, wvel, rho_u2, rho_linf, *integrals = sums
+        sql2 = math.sqrt(rho_u2)
+        moments = [m ** iq for m, (_, iq, *_) in zip(integrals, self.orders)]
+        if self.initial is None:
+            self.initial = moments
+        if not self.available:
+            none = [None] * len(moments)
+            return sql2, moments, none, none
+        bounds, verdicts = [], []
+        for j, (q, iq, ew, es, er, kq) in enumerate(self.orders):
+            try:
+                rate = (wvel ** ew) * (sql2 ** es) * (rho_linf ** er)
+            except OverflowError:
+                rate = math.inf
+            integral = 0.0 if h is None else self.integral[j] + 0.5 * (rate + self.rate[j]) * h
+            self.integral[j], self.rate[j] = integral, rate
+            try:
+                bound = (self.initial[j] ** q + kq * integral) ** iq * math.exp(self.k * integral)
+            except OverflowError:
+                bound = math.inf
+            bounds.append(bound)
+            verdicts.append(None if bound == math.inf else bool(moments[j] <= bound * self.factor))
+        return sql2, moments, bounds, verdicts
 
 
 def reciprocal_residual(state_t, state_next, mesh: Mesh, params: Params) -> float:
@@ -230,7 +256,7 @@ def reciprocal_residual(state_t, state_next, mesh: Mesh, params: Params) -> floa
 
 
 def moment_sums(rho, u, v, mesh: Mesh, params: Params, moment_ps) -> list:
-    """The reductions moment_record reads, as floats, one list per row of a
+    """The reductions Gronwall.check reads, as floats, one list per row of a
     batch (one list for a field): v_inf, the weighted sup max |rho^beta * u|
     (beta the configured weight exponent), the integral of rho*u^2, max rho
     and, per p of moment_ps, the integral of rho*|v|^(p+2).
@@ -255,43 +281,23 @@ def moment_sums(rho, u, v, mesh: Mesh, params: Params, moment_ps) -> list:
 
 def moment_record(t: float, sums, params: Params, acc: RunAccumulators,
                   h: float | None, moment_ps, gronwall_slack: float) -> MomentRecord:
-    """The v moments of one frame and their Gronwall check.
+    """The v moments of one frame and their Gronwall check, as a record.
 
-    sums is the frame's row of moment_sums, h is acc.advance(t).  The first
-    frame's moments become the envelope's initial moments; every later frame
-    adds its panel to the running trapezoid of the rate A(s) and compares
-    each moment with the envelope.  moment_ps holds validated orders.
+    sums is the frame's row of moment_sums, h is acc.advance(t).  The
+    check is acc.gronwall's, made at the first frame.  moment_ps holds
+    validated orders.
     """
-    v_inf, wvel, rho_u2, rho_linf, *integrals = sums
-    sql2 = math.sqrt(rho_u2)
-    moments = {p: m ** (1.0 / (p + 2)) for p, m in zip(moment_ps, integrals)}
-    if acc.initial_moments is None:
-        acc.initial_moments = dict(moments)
-
-    gron_bound: dict = {}
-    gron_pass: dict = {}
-    available = _gronwall_available(params)
-    for p, measured in moments.items():
-        bound = None
-        if available:
-            rate = _gronwall_rate(wvel, sql2, rho_linf, params, p)
-            if h is None:
-                acc.gron_integral[p] = 0.0
-            else:
-                acc.gron_integral[p] += 0.5 * (rate + acc.gron_prev_rate[p]) * h
-            acc.gron_prev_rate[p] = rate
-            bound = _gronwall_envelope(acc.initial_moments[p], acc.gron_integral[p], params, p)
-        gron_bound[p] = bound
-        gron_pass[p] = None if bound in (None, math.inf) else bool(measured <= bound * (1.0 + gronwall_slack))
-
+    if acc.gronwall is None:
+        acc.gronwall = Gronwall(params, moment_ps, gronwall_slack)
+    sql2, moments, bounds, verdicts = acc.gronwall.check(h, sums)
     return MomentRecord(
         t=t,
-        v_inf=v_inf,
-        wvel_inf=wvel,
+        v_inf=sums[0],
+        wvel_inf=sums[1],
         sqrt_rho_u_l2=sql2,
-        moments=moments,
-        gron_bound=gron_bound,
-        gron_pass=gron_pass,
+        moments=dict(zip(moment_ps, moments)),
+        gron_bound=dict(zip(moment_ps, bounds)),
+        gron_pass=dict(zip(moment_ps, verdicts)),
     )
 
 

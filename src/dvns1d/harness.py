@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import functools
 import itertools
 import math
 import os
@@ -397,19 +396,40 @@ def _integrate_scenario(s: Scenario, mesh: Mesh, profile: BackgroundProfile,
     )
 
 
-def _sweep_frame(mesh: Mesh, moment_ps, gronwall_slack: float, state: FlowState, batch: solver.Batch,
-                 accs) -> list:
-    """The frame function of a sweep batch: only what a sweep.csv row reads.
+class _SweepMonitor:
+    """The frame function of a sweep batch: per row, only what its sweep.csv
+    row reads.
 
-    That is v_inf and the Gronwall verdicts: the (u, v) pairs and the moment
-    reductions of every point at once, then each point's MomentRecord.  No
-    probe step, energy, dissipation or residual.
+    That is the running sup of v_inf over its finite values (as _sup) and
+    the Gronwall verdict of every frame after the first (as
+    _overall_gronwall), from the moment reductions of all running rows at
+    once and each row's diagnostics.Gronwall check.  No record, probe step,
+    energy, dissipation or residual.
     """
-    u, v = diagnostics.velocities(state, mesh, batch)
-    sums = diagnostics.moment_sums(state.rho, u, v, mesh, batch, moment_ps)
-    return [diagnostics.moment_record(state.t, row, params, acc, acc.advance(state.t), moment_ps,
-                                      gronwall_slack)
-            for row, params, acc in zip(sums, batch.points, accs)]
+
+    def __init__(self, mesh: Mesh, points, moment_ps, gronwall_slack: float):
+        self.mesh, self.moment_ps = mesh, moment_ps
+        self.checks = [diagnostics.Gronwall(p, moment_ps, gronwall_slack) for p in points]
+        self.sup_v_inf = [math.nan] * len(points)
+        self.gronwall = ["unavailable"] * len(points)
+        self.t = None  # the previous frame's time; every row frames from t = 0 on
+
+    def __call__(self, state: FlowState, rows, batch: solver.Batch) -> None:
+        u, v = diagnostics.velocities(state, self.mesh, batch)
+        sums = diagnostics.moment_sums(state.rho, u, v, self.mesh, batch, self.moment_ps)
+        h = None if self.t is None else state.t - self.t
+        self.t = state.t
+        for i, row in zip(rows.tolist(), sums):
+            # max keeps the first of equal values, so a later one must be greater
+            if math.isfinite(row[0]) and not row[0] <= self.sup_v_inf[i]:
+                self.sup_v_inf[i] = row[0]
+            verdicts = self.checks[i].check(h, row)[3]
+            # the first frame's envelope is its measured moment: no verdict
+            if h is not None and self.gronwall[i] != "fail":
+                if False in verdicts:
+                    self.gronwall[i] = "fail"
+                elif True in verdicts:
+                    self.gronwall[i] = "pass"
 
 
 def run_scenario(s: Scenario, outdir) -> int:
@@ -465,7 +485,7 @@ def sweep(base: Scenario, alpha_grid, gamma_grid, outdir) -> int:
     """Run the (alpha, gamma) grid and tabulate vacuum/bound behavior per point.
 
     The points run as batches of at most max(1, CELLS // N) (solver.run_batch,
-    with `_sweep_frame`); each row is bit for bit that of its point run alone,
+    with a `_SweepMonitor`); each row is bit for bit that of its point run alone,
     status included.  A point that Params rejects gets an error row.
     """
     if not alpha_grid or not gamma_grid:
@@ -483,22 +503,22 @@ def sweep(base: Scenario, alpha_grid, gamma_grid, outdir) -> int:
                 rows.append(None)
             except ValueError as exc:
                 rows.append(_error_row(alpha, gamma, exc))
-    frame = functools.partial(_sweep_frame, mesh, diagnostics.moment_orders(base.moment_ps),
-                              base.gronwall_slack)
+    moment_ps = diagnostics.moment_orders(base.moment_ps)
     size = max(1, CELLS // mesh.N)
     for chunk in (points[k:k + size] for k in range(0, len(points), size)):
         states = [state0 if form == U_FORM else effective_velocity(state0, mesh, p) for _, p, _ in chunk]
         batch = FlowState(np.stack([st.rho for st in states]), np.stack([st.vel for st in states]), form)
+        monitor = _SweepMonitor(mesh, [p for _, p, _ in chunk], moment_ps, base.gronwall_slack)
         trajs = solver.run_batch(batch, mesh, [p for _, p, _ in chunk], T=base.T, output_dt=base.output_dt,
-                                 frame=frame, safety=base.safety, time_scheme=base.time_scheme)
-        for (k, params, report), traj in zip(chunk, trajs):
+                                 frame=monitor, safety=base.safety, time_scheme=base.time_scheme)
+        for j, ((k, params, report), traj) in enumerate(zip(chunk, trajs)):
             rows[k] = [
                 params.alpha, params.gamma, "yes" if report.inside_theorem else "no", traj.status,
                 traj.min_rho_ever,
                 "yes" if traj.status == "vacuum" else "no",
                 traj.breach_time if traj.breach_time is not None else "none",
-                _sup(r.v_inf for r in traj.records),
-                _overall_gronwall(traj.records),
+                monitor.sup_v_inf[j],
+                monitor.gronwall[j],
             ]
     _write_csv(
         out / "sweep.csv",

@@ -25,11 +25,14 @@ exceed the limit.
 `run_batch` is the one stepping loop: it steps B runs that differ only in
 (alpha, gamma) as (B, N) arrays, one numpy call per kernel for all of them,
 and each row is bit for bit the run of its point alone; `run` is the batch
-of one.  What a batch records at an output frame is up to its frame
-function: `run`'s, `_emit`, builds the full DiagnosticsRecord (with its
-reciprocal-residual probe step); a caller that reads only part of a record
-passes a leaner one.  The status comes from the loop alone; a step's
-DomainError or ArithmeticError (a zero pivot in a solve) ends the run "numerics".
+of one.  The loop keeps per-row counters as arrays, takes each batched
+step's arrays whole and does per-row Python work only for a row whose run
+ends.  What a batch keeps of an output frame is up to its frame function,
+which gets the running rows' state and indices: `run`'s copies the frame
+and builds the full DiagnosticsRecord with `_emit` (with its
+reciprocal-residual probe step); a sweep's keeps only running values per
+row.  The status comes from the loop alone; a step's DomainError or
+ArithmeticError (a zero pivot in a solve) ends the run "numerics".
 """
 
 from __future__ import annotations
@@ -102,8 +105,8 @@ class StepReport:
 class Trajectory:
     """Output frames of one run plus its termination metadata.
 
-    records holds what run's frame function returned at each frame: a
-    DiagnosticsRecord by default.
+    run fills frames and records, a DiagnosticsRecord per frame; run_batch
+    leaves them empty, since its frame function keeps what it needs.
     """
 
     form: str
@@ -308,12 +311,13 @@ def _stages_u(state: FlowState, mesh: Mesh, p: Params, dt):
     """The mass is explicit; the velocity then solves
     (rho_s - gamma*dt*D_mu(rho_s)) u_s = m0 + inc_m (+ g)."""
     rho0, u0 = state.rho, state.vel
+    m0 = u0 * rho0
 
     def stage(inc, g, t):
         rho = rho0 + inc[0]
         _clamp_ends(rho, rho0)
         _check_vacuum(rho, t)
-        m = u0 * rho0 + inc[1]
+        m = m0 + inc[1]
         if g is not None:
             m += g
         _clamp_ends(m, u0)  # identity rows
@@ -436,59 +440,61 @@ def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Param
     limit.  The run is run_batch's batch of one.
     """
     moment_ps = diagnostics.moment_orders(moment_ps)
-    frames = []
+    acc = diagnostics.RunAccumulators()
+    frames, records = [], []
 
-    def frame(state, batch, accs):
-        frames.append(FlowState(state.rho[0], state.vel[0], state.form, state.t))
+    def frame(state, rows, batch):
+        # a later step may overwrite the loop's arrays: keep copies
+        frames.append(FlowState(state.rho[0].copy(), state.vel[0].copy(), state.form, state.t))
         # _emit is looked up per frame, so a replaced module attribute is seen
-        return [_emit(frames[-1], mesh, profile, params, accs[0], moment_ps, gronwall_slack, safety)]
+        records.append(_emit(frames[-1], mesh, profile, params, acc, moment_ps, gronwall_slack, safety))
 
     (traj,) = run_batch(FlowState(state0.rho[None], state0.vel[None], state0.form), mesh, [params],
                         T=T, output_dt=output_dt, frame=frame, safety=safety, time_scheme=time_scheme)
-    traj.frames = frames
+    traj.frames, traj.records = frames, records
     return traj
 
 
 def _step_rows(state: FlowState, mesh: Mesh, params: Batch, target: float, safety: float, stepper,
-               time_scheme: str) -> list:
+               time_scheme: str) -> tuple:
     """One step of each row of the batch state with params.points[i] and its
-    own dt, landing on target when within reach: per row (rho, vel, t, min
-    rho, max rho, landed), or the VacuumBreach, DomainError or ArithmeticError
-    that stopped it.  If the batched step raises, each row steps alone."""
-    try:
-        if len(params.points) == 1:  # a row alone steps as 1-D fields: numpy's per-call cost is lower
-            state = FlowState(state.rho[0], state.vel[0], state.form, state.t[0])
-        new, rep = stepper(state, mesh, params, safety=safety, until=target, time_scheme=time_scheme)
-    except (VacuumBreach, DomainError, ArithmeticError) as exc:
-        if len(params.points) == 1:
-            return [exc]
-        return [out for i, p in enumerate(params.points) for out in _step_rows(
-            FlowState(state.rho[i:i + 1], state.vel[i:i + 1], state.form, state.t[i:i + 1]),
-            mesh, Batch([p]), target, safety, stepper, time_scheme)]
-    rows = len(params.points), -1
-    cols = (np.ravel(x).tolist() for x in (new.t, rep.min_rho, rep.max_rho, rep.landed))
-    return list(zip(new.rho.reshape(rows), new.vel.reshape(rows), *cols))
+    own dt, landing on target when within reach: the arrays (rho, vel, t,
+    min rho, max rho, landed) over the rows.  A VacuumBreach, DomainError or
+    ArithmeticError of the step propagates."""
+    b = len(params.points)
+    if b == 1:  # a row alone steps as 1-D fields: numpy's per-call cost is lower
+        state = FlowState(state.rho[0], state.vel[0], state.form, state.t[0])
+    new, rep = stepper(state, mesh, params, safety=safety, until=target, time_scheme=time_scheme)
+    return (new.rho.reshape(b, -1), new.vel.reshape(b, -1),
+            *(np.ravel(x) for x in (new.t, rep.min_rho, rep.max_rho, rep.landed)))
 
 
 def run_batch(state0: FlowState, mesh: Mesh, points: list, *, T: float, output_dt: float, frame,
               safety: float = 0.4, time_scheme: str = IMEX) -> list:
     """Integrate row i of the (B, N) batch state0 with points[i] from t=0 to
-    T; one Trajectory per row, bit for bit `run` of that point alone.
+    T; one Trajectory per row, bit for bit `run` of that point alone, with
+    its times, status, breach data, steps and minimum density.
 
     The points may differ only in alpha and gamma.  The rows that have not
-    reached the next output time step together, each with its own dt.  At
-    every output frame, frame(state, batch, accs) gets the running rows, their
-    Batch and RunAccumulators and returns a record per row.
+    reached the next output time step together, each with its own dt; if
+    their step raises, each of them steps alone.  At every output frame,
+    frame(state, rows, batch) gets the state of the running rows, their
+    indices into state0 and their Batch, and keeps what it needs: the
+    state's arrays are the loop's own (views while every row runs), which
+    a later step may overwrite.
     """
     check_run_args(T, output_dt, safety, time_scheme)
     if len({dataclasses.replace(p, alpha=1.0, gamma=2.0) for p in points}) != 1:
         raise ConfigurationError("the points of a batch may differ only in alpha and gamma")
     stepper = step_u if state0.form == U_FORM else step_v
+    form, size = state0.form, len(points)
     rho, vel = state0.rho.copy(), state0.vel.copy()
-    trajs = [Trajectory(form=state0.form, min_rho_ever=float(r.min())) for r in rho]
-    accs = [diagnostics.RunAccumulators() for _ in trajs]
-    running = np.ones(len(trajs), dtype=bool)
-    times = np.zeros((len(trajs), 1))
+    trajs = [Trajectory(form=form) for _ in points]
+    min_rho = rho.min(axis=-1)
+    steps = np.zeros(size, dtype=int)
+    framed = np.zeros(size, dtype=int)  # frames per row: a row's times are the first framed[i]
+    running = np.ones(size, dtype=bool)
+    times = np.zeros((size, 1))
     tiny = 1e-12 * max(T, 1.0)
     batches = {}  # the Batch of each set of rows that has framed or stepped together
 
@@ -498,38 +504,65 @@ def run_batch(state0: FlowState, mesh: Mesh, points: list, *, T: float, output_d
             batches[key] = Batch([points[i] for i in key])
         return batches[key]
 
-    t, frame_no = 0.0, 1
+    def rows_of(mask):
+        """The rows of mask and their index: a slice while every row is in it."""
+        rows = np.flatnonzero(mask)
+        return rows, slice(None) if len(rows) == size else rows
+
+    def advance(rows, sel, target) -> bool:
+        """Step the rows together; False, with nothing changed, if a step of
+        more than one row raised."""
+        nonlocal rho, vel
+        try:
+            new_rho, new_vel, t1, low, high, landed = _step_rows(
+                FlowState(rho[sel], vel[sel], form, times[sel]), mesh, batch(rows), target, safety,
+                stepper, time_scheme)
+        except (VacuumBreach, DomainError, ArithmeticError) as exc:
+            if len(rows) > 1:
+                return False
+            i = rows[0]
+            traj = trajs[i]
+            if isinstance(exc, VacuumBreach):
+                traj.status, traj.breach_time, traj.breach_cell = "vacuum", exc.time, exc.cell
+                min_rho[i] = min(min_rho[i], exc.value)
+            else:  # a DomainError or an ArithmeticError
+                traj.status, traj.breach_time = "numerics", float(times[i, 0])
+            running[i] = todo[i] = False
+            return True
+        # take the step's arrays whole: no copy, and while they live on top of
+        # the heap, malloc does not trim and re-fault it at every step
+        if len(rows) == size:
+            rho, vel = new_rho, new_vel
+        else:
+            rho[sel], vel[sel] = new_rho, new_vel
+        times[sel, 0] = t1
+        steps[sel] += 1
+        min_rho[sel] = np.fmin(min_rho[sel], low)
+        finite = np.isfinite(low) & np.isfinite(high)
+        go = finite & (landed | (t1 < T - tiny))
+        todo[sel] = go & ~landed
+        # the runs that end here; one that ends short of target completed
+        running[rows[~go]] = False
+        for k in np.flatnonzero(~finite):
+            trajs[rows[k]].status, trajs[rows[k]].breach_time = "numerics", float(t1[k])
+        return True
+
+    t, frame_no, frame_times = 0.0, 1, []
     while running.any():
-        rows = np.flatnonzero(running)
-        recs = frame(FlowState(rho[rows], vel[rows], state0.form, t), batch(rows), [accs[i] for i in rows])
-        for i, rec in zip(rows, recs):
-            trajs[i].times.append(t)
-            trajs[i].records.append(rec)
+        rows, sel = rows_of(running)
+        frame(FlowState(rho[sel], vel[sel], form, t), rows, batch(rows))
+        framed[sel] += 1
+        frame_times.append(t)
         if t >= T - tiny:
             break
         target = min(frame_no * output_dt, T)
         todo = running.copy()  # the rows that have not reached target
         while todo.any():
-            rows = np.flatnonzero(todo)
-            sub = FlowState(rho[rows], vel[rows], state0.form, times[rows])
-            for i, res in zip(rows, _step_rows(sub, mesh, batch(rows), target, safety, stepper,
-                                               time_scheme)):
-                traj = trajs[i]
-                if isinstance(res, VacuumBreach):
-                    traj.status, traj.breach_time, traj.breach_cell = "vacuum", res.time, res.cell
-                    traj.min_rho_ever = min(traj.min_rho_ever, res.value)
-                elif isinstance(res, Exception):  # a DomainError or an ArithmeticError
-                    traj.status, traj.breach_time = "numerics", float(times[i, 0])
-                else:
-                    rho[i], vel[i], times[i, 0], low, high, landed = res
-                    traj.steps += 1
-                    traj.min_rho_ever = min(traj.min_rho_ever, low)
-                    if not math.isfinite(low) or not math.isfinite(high):
-                        traj.status, traj.breach_time = "numerics", float(times[i, 0])
-                    elif landed or times[i, 0] < T - tiny:
-                        todo[i] = not landed
-                        continue
-                # the run of row i is over; one that ends short of target completed
-                running[i] = todo[i] = False
+            rows, sel = rows_of(todo)
+            if not advance(rows, sel, target):  # each row steps alone
+                for k in range(len(rows)):
+                    advance(rows[k:k + 1], rows[k:k + 1], target)
         t, frame_no = target, frame_no + 1
+    for traj, n, k, low in zip(trajs, framed.tolist(), steps.tolist(), min_rho.tolist()):
+        traj.times, traj.steps, traj.min_rho_ever = frame_times[:n], k, low
     return trajs

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dvns1d import Params, background_profile, build_mesh, harness, solver
+from dvns1d import Params, background_profile, build_mesh, diagnostics, harness, solver
 from dvns1d.harness import Scenario, sweep
 
 MOMENT_PS = (0, 2, 8, 30)
@@ -30,40 +30,58 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("n", [8, 96, 257])
 @pytest.mark.parametrize("form", ["U", "V"])
 @pytest.mark.parametrize("scheme", ["imex", "explicit"])
-def test_batch_rows_equal_runs_alone(scheme, form, n):
+def test_batch_rows_equal_runs_alone(scheme, form, n, monkeypatch):
     # the rows step together with their own dt, some end in vacuum or
     # numerics while the others go on, and each row's status, steps, breach
-    # data, minimum density, frame records and last frame's fields are those
-    # of solver.run at that point (whose records are the full ones)
+    # data, minimum density, frame times and last frame's fields are those
+    # of solver.run at that point; so is what the sweep monitor reads of
+    # each frame through the shared Gronwall routine, and its sup v_inf and
+    # verdict are those of run's full records
     mesh = build_mesh(4.0, n)
     profile = background_profile(mesh, 1.0, 1.0)
-    statuses = set()
+    checks = {}
+    real = diagnostics.Gronwall.check
+
+    def check(self, h, sums):
+        out = real(self, h, sums)
+        checks.setdefault(self, []).append((sums[0], sums[1], *out))
+        return out
+
+    monkeypatch.setattr(diagnostics.Gronwall, "check", check)
+    statuses, verdicts = set(), set()
     for kind, alphas, gammas in GRIDS:
         points = [Params(alpha=a, gamma=g) for a in alphas for g in gammas]
         su = solver.make_state(*_initial(kind, mesh), "U", mesh)
         states = [su if form == "U" else solver.effective_velocity(su, mesh, p) for p in points]
+        monitor = harness._SweepMonitor(mesh, points, MOMENT_PS, 0.1)
         last = {}
 
-        def frame(state, batch, accs):
-            for p, rho, vel in zip(batch.points, state.rho, state.vel):
-                last[p] = rho.copy(), vel.copy()
-            return harness._sweep_frame(mesh, MOMENT_PS, 0.1, state, batch, accs)
+        def frame(state, rows, batch):
+            for i, rho, vel in zip(rows.tolist(), state.rho, state.vel):
+                last[i] = rho.copy(), vel.copy()
+            monitor(state, rows, batch)
 
         batch = solver.FlowState(np.stack([s.rho for s in states]), np.stack([s.vel for s in states]),
                                  form)
         trajs = solver.run_batch(batch, mesh, points, T=0.002, output_dt=0.001, frame=frame,
                                  time_scheme=scheme)
-        for p, st0, got in zip(points, states, trajs):
+        for i, (p, st0, got) in enumerate(zip(points, states, trajs)):
             want = solver.run(st0, mesh, profile, p, T=0.002, output_dt=0.001, time_scheme=scheme)
             assert repr((got.status, got.steps, got.breach_time, got.breach_cell, got.min_rho_ever,
                          got.times)) == repr((want.status, want.steps, want.breach_time,
                                               want.breach_cell, want.min_rho_ever, want.times)), p
-            for mine, ref in zip(got.records, want.records, strict=True):
-                assert repr(vars(mine)) == repr({key: getattr(ref, key) for key in vars(mine)}), p
-            assert _same_bits(last[p][0], want.frames[-1].rho), p
-            assert _same_bits(last[p][1], want.frames[-1].vel), p
+            assert repr(checks[monitor.checks[i]]) == repr([
+                (r.v_inf, r.wvel_inf, r.sqrt_rho_u_l2, [r.moments[q] for q in MOMENT_PS],
+                 [r.gron_bound[q] for q in MOMENT_PS], [r.gron_pass[q] for q in MOMENT_PS])
+                for r in want.records]), p
+            assert repr(monitor.sup_v_inf[i]) == repr(harness._sup(r.v_inf for r in want.records)), p
+            assert monitor.gronwall[i] == harness._overall_gronwall(want.records), p
+            assert _same_bits(last[i][0], want.frames[-1].rho), p
+            assert _same_bits(last[i][1], want.frames[-1].vel), p
             statuses.add(got.status)
+            verdicts.add(monitor.gronwall[i])
     assert {"completed", "numerics"} <= statuses
+    assert "unavailable" in verdicts
     if scheme == "explicit" and n == 257:
         assert "vacuum" in statuses
 

@@ -198,9 +198,10 @@ def test_v_moment_rejects_bad_order():
 
 # ------------------------------------------------------------ moment bound
 
-# The envelope re-integrated over a whole measured history, kept as the
-# reference for the running trapezoid that moment_record accumulates frame
-# by frame (and, through it, for the envelope's closed forms below).
+# The envelope re-integrated over a whole measured history: the rate and
+# the envelope of diagnostics.Gronwall's docstring written out in the same
+# operation order, the reference for the running trapezoid that
+# Gronwall.check accumulates frame by frame.
 
 def _trapezoid(values, times) -> float:
     total = 0.0
@@ -211,25 +212,48 @@ def _trapezoid(values, times) -> float:
 
 def gronwall_bound_v(times, wvel_hist, sql2_hist, rho_linf_hist, initial_moment, params, p):
     """The p-th v-moment's envelope from the history; None outside its region."""
-    if not diagnostics._gronwall_available(params):
+    if params.gamma - params.alpha - params.beta_eff < 0.0:
         return None
-    rates = [
-        diagnostics._gronwall_rate(w, s, r, params, p)
-        for w, s, r in zip(wvel_hist, sql2_hist, rho_linf_hist)
-    ]
-    return diagnostics._gronwall_envelope(initial_moment, _trapezoid(rates, times), params, p)
+    q = p + 2
+    er = params.gamma - params.alpha - p * params.beta_eff / q
+    k = params.a * params.gamma / params.mu0
+    rates = []
+    for w, s, r in zip(wvel_hist, sql2_hist, rho_linf_hist):
+        try:
+            rates.append((w ** (p / q)) * (s ** (2.0 / q)) * (r ** er))
+        except OverflowError:
+            rates.append(math.inf)
+    integral = _trapezoid(rates, times)
+    try:
+        return (initial_moment ** q + k * q * integral) ** (1.0 / q) * math.exp(k * integral)
+    except OverflowError:
+        return math.inf
+
+
+def checked_bound(times, wvel_hist, sql2_hist, rho_linf_hist, initial_moment, params, p):
+    """The last frame's envelope from diagnostics.Gronwall, checked frame by
+    frame with the history; every frame's moment is initial_moment."""
+    check = diagnostics.Gronwall(params, (p,), 0.1)
+    prev = None
+    for t, w, s, r in zip(*(np.asarray(h).tolist() for h in (times, wvel_hist, sql2_hist, rho_linf_hist))):
+        sums = [0.0, w, s * s, r, initial_moment ** (p + 2)]
+        _, _, (bound,), _ = check.check(None if prev is None else t - prev, sums)
+        prev = t
+    return bound
 
 
 def test_gronwall_zero_velocity_history():
     times = np.array([0.0, 0.5, 1.0])
     zero = np.zeros(3)
     ones = np.ones(3)
-    assert gronwall_bound_v(times, zero, zero, ones, 0.37, P2, 2) == pytest.approx(0.37, rel=1e-14)
+    for envelope in (gronwall_bound_v, checked_bound):
+        assert envelope(times, zero, zero, ones, 0.37, P2, 2) == pytest.approx(0.37, rel=1e-14)
 
 
 def test_gronwall_zero_horizon():
-    got = gronwall_bound_v(np.array([0.0]), np.ones(1), np.ones(1), np.ones(1), 0.37, P2, 2)
-    assert got == pytest.approx(0.37, rel=1e-14)
+    for envelope in (gronwall_bound_v, checked_bound):
+        got = envelope(np.array([0.0]), np.ones(1), np.ones(1), np.ones(1), 0.37, P2, 2)
+        assert got == pytest.approx(0.37, rel=1e-14)
 
 
 def test_gronwall_closed_form():
@@ -237,8 +261,9 @@ def test_gronwall_closed_form():
     # (1 + 2*2*1)^(1/2) * exp(2) = sqrt(5) e^2
     times = np.linspace(0.0, 1.0, 11)
     ones = np.ones(11)
-    got = gronwall_bound_v(times, ones, ones, ones, 1.0, P2, 0)
-    assert got == pytest.approx(math.sqrt(5.0) * math.exp(2.0), rel=1e-12)
+    for envelope in (gronwall_bound_v, checked_bound):
+        got = envelope(times, ones, ones, ones, 1.0, P2, 0)
+        assert got == pytest.approx(math.sqrt(5.0) * math.exp(2.0), rel=1e-12)
 
 
 def test_gronwall_factor_is_a_gamma_over_mu0():
@@ -247,8 +272,9 @@ def test_gronwall_factor_is_a_gamma_over_mu0():
     times = np.linspace(0.0, 1.0, 11)
     ones = np.ones(11)
     params = Params(alpha=1.0, gamma=2.0, a=3.0, mu0=1.5)
-    got = gronwall_bound_v(times, ones, ones, ones, 1.0, params, 0)
-    assert got == pytest.approx(3.0 * math.exp(4.0), rel=1e-12)
+    for envelope in (gronwall_bound_v, checked_bound):
+        got = envelope(times, ones, ones, ones, 1.0, params, 0)
+        assert got == pytest.approx(3.0 * math.exp(4.0), rel=1e-12)
 
 
 def test_gronwall_unavailable_outside_region():
@@ -256,17 +282,20 @@ def test_gronwall_unavailable_outside_region():
     p_out = Params(alpha=1.0, gamma=1.2, eps=0.125)
     times = np.linspace(0.0, 1.0, 11)
     ones = np.ones(11)
-    assert gronwall_bound_v(times, ones, ones, ones, 1.0, p_out, 0) is None
+    for envelope in (gronwall_bound_v, checked_bound):
+        assert envelope(times, ones, ones, ones, 1.0, p_out, 0) is None
 
 
 def test_gronwall_past_the_float_range_is_inf_and_checks_nothing():
-    # K = a*gamma/mu0 = 3e4 makes exp(K*I) overflow at I = 1, m0^q overflows
-    # at m0 = 1e200, and rho_linf^199 at rho_linf = 100; an infinite bound
+    # K = a*gamma/mu0 = 3e4 makes exp(K*I) overflow at I = 1, and
+    # rho_linf^199 at rho_linf = 100 overflows the rate; an infinite bound
     # gets no verdict
     wide = Params(alpha=0.8, gamma=3.0, a=10.0, mu0=1e-3)
-    assert diagnostics._gronwall_envelope(1.0, 1.0, wide, 0) == math.inf
-    assert diagnostics._gronwall_envelope(1e200, 0.0, wide, 30) == math.inf
-    assert diagnostics._gronwall_rate(1.0, 1.0, 100.0, Params(alpha=1.0, gamma=200.0), 0) == math.inf
+    steep = Params(alpha=1.0, gamma=200.0)
+    times, ones = [0.0, 1.0], [1.0, 1.0]
+    assert checked_bound(times, ones, ones, ones, 1.0, wide, 0) == math.inf
+    assert checked_bound(times, ones, ones, [100.0, 100.0], 1.0, steep, 0) == math.inf
+    assert gronwall_bound_v(times, ones, ones, [100.0, 100.0], 1.0, steep, 0) == math.inf
     acc = RunAccumulators()
     for t in (0.0, 1.0):
         rec = diagnostics.moment_record(t, [1.0] * 5, wide, acc, acc.advance(t), (0,), 0.1)
@@ -283,15 +312,16 @@ def test_collect_gronwall_bound_matches_the_oracle(origin):
     m = build_mesh(6.0, 96)
     prof = background_profile(m, 1.0, 1.5)
     acc = RunAccumulators()
-    hist = []
+    hist, first = [], None
     for k, t in enumerate((0.0, 0.1, 0.25, 0.3)):
         rho = prof.values + 0.3 * np.exp(-((m.x - 0.2 * k) ** 2))
         rec = _record(rho, 0.4 * np.sin(m.x + k), origin, m, prof, params, acc, t, moment_ps=(0, 3))
+        first = first or rec
         hist.append((t, rec.wvel_inf, rec.sqrt_rho_u_l2, rec.max_rho))
         times, wvel, sql2, rho_linf = zip(*hist)
         for p in (0, 3):
             assert rec.gron_bound[p] == gronwall_bound_v(
-                times, wvel, sql2, rho_linf, acc.initial_moments[p], params, p)
+                times, wvel, sql2, rho_linf, first.moments[p], params, p)
 
 
 @pytest.mark.parametrize("origin", ["U", "V"])

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import functools
 import importlib
 import math
 import os
@@ -590,25 +589,65 @@ def test_sweep_rows_match_full_run(tmp_path):
 
 
 @pytest.mark.parametrize("form", ["U", "V"])
-def test_sweep_monitor_records_equal_full_records(form):
-    # the sweep's frame function shares the Gronwall piece with collect, so
-    # each field it keeps is the full record's value bit for bit
+def test_sweep_monitor_records_equal_full_records(form, monkeypatch):
+    # the sweep's frame function shares the Gronwall routine with collect:
+    # each frame's check reads the full record's values bit for bit, and
+    # the monitor's sup v_inf and verdict are those of the full records
     params = Params(alpha=0.75, gamma=2.5, a=1.3, mu0=0.9)
     s = _scn(N=96, amplitude=0.4, u_amplitude=0.3, T=0.04, output_dt=0.01, params=params)
     mesh = build_mesh(s.L, s.N)
     profile = background_profile(mesh, s.rho_minus, s.rho_plus)
     state0 = build_initial(s, mesh, profile)
     full = harness._integrate_scenario(s, mesh, profile, state0, form)
+    checks = {}
+    real = diagnostics.Gronwall.check
+
+    def check(self, h, sums):
+        out = real(self, h, sums)
+        checks.setdefault(self, []).append((sums[0], sums[1], *out))
+        return out
+
+    monkeypatch.setattr(diagnostics.Gronwall, "check", check)
     st0 = state0 if form == "U" else solver.effective_velocity(state0, mesh, params)
+    monitor = harness._SweepMonitor(mesh, [params], s.moment_ps, s.gronwall_slack)
     (lean,) = solver.run_batch(solver.FlowState(st0.rho[None], st0.vel[None], form), mesh, [params],
-                               T=s.T, output_dt=s.output_dt,
-                               frame=functools.partial(harness._sweep_frame, mesh, s.moment_ps,
-                                                       s.gronwall_slack))
+                               T=s.T, output_dt=s.output_dt, frame=monitor)
     assert (lean.status, lean.steps, lean.times) == (full.status, full.steps, full.times)
-    assert len(lean.records) == len(full.records) == 5
-    for mine, ref in zip(lean.records, full.records):
-        assert vars(mine) == {key: getattr(ref, key) for key in vars(mine)}
-    assert any(flag is not None for rec in lean.records for flag in rec.gron_pass.values())
+    assert len(full.records) == 5
+    ps = s.moment_ps
+    assert repr(checks[monitor.checks[0]]) == repr([
+        (r.v_inf, r.wvel_inf, r.sqrt_rho_u_l2, [r.moments[p] for p in ps],
+         [r.gron_bound[p] for p in ps], [r.gron_pass[p] for p in ps]) for r in full.records])
+    assert repr(monitor.sup_v_inf[0]) == repr(harness._sup(r.v_inf for r in full.records))
+    assert monitor.gronwall[0] == harness._overall_gronwall(full.records) == "pass"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_monitor_sup_reads_only_finite_values():
+    # as _sup over the records: an infinite or NaN v_inf is skipped
+    mesh = build_mesh(4.0, 16)
+    params = Params(alpha=1.0, gamma=2.0)
+    monitor = harness._SweepMonitor(mesh, [params], (0,), 0.1)
+    tops = (0.5, math.inf, 0.25, math.nan)
+    for t, top in zip((0.0, 0.1, 0.2, 0.3), tops):
+        vel = np.zeros((1, mesh.N))
+        vel[0, 8] = top
+        monitor(solver.FlowState(np.ones((1, mesh.N)), vel, "V", t), np.array([0]), solver.Batch([params]))
+    assert monitor.sup_v_inf == [harness._sup(tops)] == [0.5]
+
+
+@pytest.mark.parametrize("time_scheme", ["imex", "explicit"])
+def test_sweep_builds_no_per_row_record(tmp_path, monkeypatch, time_scheme):
+    # a sweep frame keeps its rows' running values, not a record per row,
+    # and still writes the pinned sweep.csv of the golden near-vacuum sweep
+    from test_golden import GOLDEN, GOLDEN_IMEX, artifact_digests
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep built a MomentRecord")
+
+    monkeypatch.setattr(diagnostics, "MomentRecord", refuse)
+    want = (GOLDEN_IMEX if time_scheme == "imex" else GOLDEN)["sweep_nearvac"]
+    assert artifact_digests("sweep_nearvac", tmp_path, time_scheme) == want
 
 
 def test_u_form_sweep_runs_no_full_frame(tmp_path, monkeypatch):

@@ -5,7 +5,9 @@ identity are the load-bearing checks here; accuracy orders are measured by
 self-refinement against analytic fields.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -527,6 +529,47 @@ def test_run_evaluates_phi_once_per_frame(form, monkeypatch):
                time_scheme=EXPLICIT)
     assert traj.status == "completed" and len(traj.records) == 6
     assert len(calls) == len(traj.records)
+
+
+@pytest.mark.parametrize("form", ["U", "V"])
+def test_run_frames_own_their_memory(form, monkeypatch):
+    # the loop keeps each step's arrays and overwrites them, so a frame that
+    # kept a view would change with the steps after it: no kept frame shares
+    # memory with another frame or with any state a step returned
+    outputs = []
+    name = "step_u" if form == "U" else "step_v"
+    inner = getattr(solver, name)
+
+    def keeping(*args, **kwargs):
+        new, rep = inner(*args, **kwargs)
+        outputs.append(new)
+        return new, rep
+
+    m, st = _bump_state(64, form=form)
+    monkeypatch.setattr(solver, name, keeping)
+    traj = run(st, m, background_profile(m, 1.0, 1.0), SW, T=0.05, output_dt=0.01)
+    assert traj.status == "completed" and len(traj.frames) == 6 and traj.steps >= 5
+    fields = [f for frame in traj.frames for f in (frame.rho, frame.vel)]
+    for k, a in enumerate(fields):
+        assert not any(np.shares_memory(a, b) for b in fields[k + 1:])
+        assert not any(np.shares_memory(a, f) for new in outputs for f in (new.rho, new.vel))
+        assert not any(np.shares_memory(a, f) for f in (st.rho, st.vel))
+
+
+def test_run_leaves_no_reference_cycle():
+    # a run's loop state is freed when the run returns, not at the next
+    # full garbage collection: a cycle through the loop's closures held
+    # every call's arrays and trajectory, and memory grew call by call
+    m, st = _bump_state(64)
+    gc.disable()
+    try:
+        traj = run(st, m, background_profile(m, 1.0, 1.0), SW, T=0.02, output_dt=0.01)
+        assert traj.status == "completed" and traj.steps > 0
+        ref = weakref.ref(traj)
+        del traj
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------------------- imex
