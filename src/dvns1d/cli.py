@@ -74,10 +74,8 @@ def main(argv=None) -> int:
             code = harness.sweep(scenario, args.alpha, args.gamma, outdir)
         elif args.command == "refine":
             code = harness.refinement_study(scenario, args.n_grid, outdir)
-        elif args.command == "regularize":
+        else:  # regularize
             code = harness.regularization_study(scenario, args.reg_grid, outdir)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigurationError(f"unknown command {args.command!r}")
         print(f"artifacts written to {outdir}")
         return code
     except ConfigurationError as exc:

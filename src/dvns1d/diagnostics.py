@@ -11,8 +11,8 @@ trapezoid over the output cadence, carried between frames by
 RunAccumulators.  The v moments and their Gronwall check come from
 `moment_sums` (one numpy call per quantity for all rows of a batch) and
 `Gronwall.check`, the one evaluator of the rate, its running trapezoid,
-the envelope and the verdict, in Python floats; `moment_record` makes its
-output a record.  A sweep frame calls the same two and keeps no record.  The
+the envelope, the per-frame verdicts and the run's verdict, in Python
+floats.  A sweep frame calls the same two and keeps no record.  The
 residual of the reciprocal-density equation needs a second snapshot and is
 `reciprocal_residual`'s, which the caller passes in.  A frame's fields
 were checked when its state was made and at every step, so both apply the
@@ -33,7 +33,6 @@ from .errors import ConfigurationError, integer
 from .mesh import Mesh, BackgroundProfile, integrate
 
 __all__ = [
-    "MomentRecord",
     "DiagnosticsRecord",
     "RunAccumulators",
     "phi_gradient",
@@ -42,20 +41,21 @@ __all__ = [
     "moment_orders",
     "moment_sums",
     "Gronwall",
-    "moment_record",
     "collect",
 ]
 
 
 @dataclass(frozen=True)
-class MomentRecord:
-    """The v moments of one output frame and their Gronwall check.
+class DiagnosticsRecord:
+    """One output frame's worth of monitored quantities.
 
     moments maps p to the density-weighted L^{p+2} norm of v; gron_bound
     maps p to the Gronwall envelope (None outside the theorem region, inf
     past the float range) and gron_pass to the slack-adjusted comparison
     outcome (None when the bound is None or inf).  wvel_inf and
     sqrt_rho_u_l2 are the two velocity norms the envelope's rate reads.
+    diss_u / diss_bd are cumulative time integrals up to t; the *_rate
+    fields are the instantaneous integrands of those time integrals.
     """
 
     t: float
@@ -65,17 +65,6 @@ class MomentRecord:
     moments: dict
     gron_bound: dict
     gron_pass: dict
-
-
-@dataclass(frozen=True)
-class DiagnosticsRecord(MomentRecord):
-    """One output frame's worth of monitored quantities.
-
-    A MomentRecord plus the budgets, norms and identity residuals.  diss_u /
-    diss_bd are cumulative time integrals up to t; the *_rate fields are the
-    instantaneous integrands of those time integrals.
-    """
-
     mass: float
     energy: float
     bd_entropy: float
@@ -176,6 +165,11 @@ class Gronwall:
     nothing either.  The arithmetic is Python float arithmetic (numpy's
     power differs from Python's in some last bits, which the artifacts
     pin), with the per-order constants computed once.
+
+    verdict is the run's: "unavailable" until a frame after the first gives
+    a verdict (the first frame's envelope is its measured moment, so it
+    checks nothing), then "fail" for good at the first False, otherwise
+    "pass" once a verdict is True.
     """
 
     def __init__(self, params: Params, moment_ps, gronwall_slack: float):
@@ -190,6 +184,7 @@ class Gronwall:
         self.initial = None  # the first frame's moments
         self.integral = [0.0] * len(self.orders)
         self.rate = [0.0] * len(self.orders)
+        self.verdict = "unavailable"
 
     def check(self, h: float | None, sums) -> tuple:
         """(sql2, moments, bounds, verdicts) of one frame, one list entry per order.
@@ -197,7 +192,7 @@ class Gronwall:
         sums is the frame's row of moment_sums and h the time since the
         previous frame (None at the first, whose moments become m0).  A
         verdict is moment <= bound * (1 + slack), or None when the bound is
-        None or inf.
+        None or inf; the frame's verdicts update the run's verdict.
         """
         _, wvel, rho_u2, rho_linf, *integrals = sums
         sql2 = math.sqrt(rho_u2)
@@ -221,6 +216,11 @@ class Gronwall:
                 bound = math.inf
             bounds.append(bound)
             verdicts.append(None if bound == math.inf else bool(moments[j] <= bound * self.factor))
+        if h is not None and self.verdict != "fail":
+            if False in verdicts:
+                self.verdict = "fail"
+            elif True in verdicts:
+                self.verdict = "pass"
         return sql2, moments, bounds, verdicts
 
 
@@ -279,28 +279,6 @@ def moment_sums(rho, u, v, mesh: Mesh, params: Params, moment_ps) -> list:
     return np.array(sums).reshape(len(sums), -1).T.tolist()
 
 
-def moment_record(t: float, sums, params: Params, acc: RunAccumulators,
-                  h: float | None, moment_ps, gronwall_slack: float) -> MomentRecord:
-    """The v moments of one frame and their Gronwall check, as a record.
-
-    sums is the frame's row of moment_sums, h is acc.advance(t).  The
-    check is acc.gronwall's, made at the first frame.  moment_ps holds
-    validated orders.
-    """
-    if acc.gronwall is None:
-        acc.gronwall = Gronwall(params, moment_ps, gronwall_slack)
-    sql2, moments, bounds, verdicts = acc.gronwall.check(h, sums)
-    return MomentRecord(
-        t=t,
-        v_inf=sums[0],
-        wvel_inf=sums[1],
-        sqrt_rho_u_l2=sql2,
-        moments=dict(zip(moment_ps, moments)),
-        gron_bound=dict(zip(moment_ps, bounds)),
-        gron_pass=dict(zip(moment_ps, verdicts)),
-    )
-
-
 def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundProfile,
             acc: RunAccumulators, *, moment_ps=(0, 2, 8, 30), gronwall_slack: float = 0.10,
             resid_recip: float = math.nan, correction: np.ndarray | None = None) -> DiagnosticsRecord:
@@ -310,7 +288,8 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
     The energy, the viscous dissipation and the weighted sup read u from
     state_u; the moments read v from state_v, and the BD entropy reads
     u + c with c = d/dx phi(rho), computed once or passed in as correction.
-    moment_ps holds validated orders (moment_orders).
+    moment_ps holds validated orders (moment_orders); the moments' check is
+    acc.gronwall's, made at the first frame.
 
     The BD dissipation integrand d/dx phi(rho) * d/dx P(rho), P = a*rho^gamma,
     is analytically a*gamma*mu(rho)*rho^(gamma-3)*(drho/dx)^2 >= 0; discretely
@@ -352,11 +331,19 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
 
     min_rho = float(np.min(rho))
     (sums,) = moment_sums(rho, u, v, mesh, params, moment_ps)
-    mom = moment_record(t, sums, params, acc, h, moment_ps, gronwall_slack)
+    if acc.gronwall is None:
+        acc.gronwall = Gronwall(params, moment_ps, gronwall_slack)
+    sql2, moments, bounds, verdicts = acc.gronwall.check(h, sums)
     dev = rho - profile.values
     gdev = kernels.grad_c(dev, mesh.dx)
     return DiagnosticsRecord(
-        **vars(mom),
+        t=t,
+        v_inf=sums[0],
+        wvel_inf=sums[1],
+        sqrt_rho_u_l2=sql2,
+        moments=dict(zip(moment_ps, moments)),
+        gron_bound=dict(zip(moment_ps, bounds)),
+        gron_pass=dict(zip(moment_ps, verdicts)),
         mass=integrate(rho, mesh),
         energy=_kinetic_plus(rho, u, relp, mesh),
         bd_entropy=_kinetic_plus(rho, u + c, relp, mesh),

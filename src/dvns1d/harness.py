@@ -163,9 +163,13 @@ def validate_scenario(s: Scenario) -> None:
     s.solver_form = form
     if any(c in s.name for c in ",\r\n"):  # a cell of summary.csv
         raise ConfigurationError(f"name must hold no comma or line break, got {s.name!r}")
+    if any(c in s.name for c in "/\\") or s.name in (".", ".."):  # the default ./runs/<name>
+        raise ConfigurationError(f"name must hold no path separator and not be . or .., got {s.name!r}")
     for name in ("amplitude", "sigma", "u_amplitude", "u_sigma", "gronwall_slack"):
         if not math.isfinite(getattr(s, name)):
             raise ConfigurationError(f"{name} must be finite, got {getattr(s, name)!r}")
+    if s.gronwall_slack < 0.0:  # a tolerance; at -1 or below every verdict would read fail
+        raise ConfigurationError(f"gronwall_slack must be non-negative, got {s.gronwall_slack!r}")
     solver.check_run_args(s.T, s.output_dt, s.safety, s.time_scheme)
     s.moment_ps = diagnostics.moment_orders(s.moment_ps)
     if s.init_family == "custom-table" and not s.table:
@@ -327,16 +331,6 @@ def _sup(values) -> float:
     return max(finite) if finite else math.nan
 
 
-def _overall_gronwall(records) -> str:
-    # the first frame's envelope is its measured moment, so it checks nothing
-    flags = [flag for rec in records[1:] for flag in rec.gron_pass.values()]
-    if any(flag is False for flag in flags):
-        return "fail"
-    if any(flag is True for flag in flags):
-        return "pass"
-    return "unavailable"
-
-
 _SUMMARY_HEADER = [
     "name", "form", "status", "vacuum", "breach_time", "breach_cell", "steps",
     "min_rho_run", "sup_energy", "sup_bd_entropy", "total_diss_u", "total_diss_bd",
@@ -359,7 +353,7 @@ def _summary_row(name: str, traj: Trajectory, inside: bool) -> list:
         _sup(r.v_inf for r in recs), _sup(r.wvel_inf for r in recs),
         _sup(r.inv_rho_max for r in recs), _sup(r.rho_h1 for r in recs),
         _sup(r.resid_recip for r in recs), _sup(r.resid_pident for r in recs),
-        _overall_gronwall(recs), "yes" if inside else "no",
+        traj.gronwall, "yes" if inside else "no",
     ]
 
 
@@ -401,17 +395,16 @@ class _SweepMonitor:
     row reads.
 
     That is the running sup of v_inf over its finite values (as _sup) and
-    the Gronwall verdict of every frame after the first (as
-    _overall_gronwall), from the moment reductions of all running rows at
-    once and each row's diagnostics.Gronwall check.  No record, probe step,
-    energy, dissipation or residual.
+    the run's Gronwall verdict (checks[i].verdict, as solver.run's), from
+    the moment reductions of all running rows at once and each row's
+    diagnostics.Gronwall check.  No record, probe step, energy, dissipation
+    or residual.
     """
 
     def __init__(self, mesh: Mesh, points, moment_ps, gronwall_slack: float):
         self.mesh, self.moment_ps = mesh, moment_ps
         self.checks = [diagnostics.Gronwall(p, moment_ps, gronwall_slack) for p in points]
         self.sup_v_inf = [math.nan] * len(points)
-        self.gronwall = ["unavailable"] * len(points)
         self.t = None  # the previous frame's time; every row frames from t = 0 on
 
     def __call__(self, state: FlowState, rows, batch: solver.Batch) -> None:
@@ -423,13 +416,7 @@ class _SweepMonitor:
             # max keeps the first of equal values, so a later one must be greater
             if math.isfinite(row[0]) and not row[0] <= self.sup_v_inf[i]:
                 self.sup_v_inf[i] = row[0]
-            verdicts = self.checks[i].check(h, row)[3]
-            # the first frame's envelope is its measured moment: no verdict
-            if h is not None and self.gronwall[i] != "fail":
-                if False in verdicts:
-                    self.gronwall[i] = "fail"
-                elif True in verdicts:
-                    self.gronwall[i] = "pass"
+            self.checks[i].check(h, row)
 
 
 def run_scenario(s: Scenario, outdir) -> int:
@@ -518,7 +505,7 @@ def sweep(base: Scenario, alpha_grid, gamma_grid, outdir) -> int:
                 "yes" if traj.status == "vacuum" else "no",
                 traj.breach_time if traj.breach_time is not None else "none",
                 monitor.sup_v_inf[j],
-                monitor.gronwall[j],
+                monitor.checks[j].verdict,
             ]
     _write_csv(
         out / "sweep.csv",

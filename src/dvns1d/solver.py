@@ -105,14 +105,17 @@ class StepReport:
 class Trajectory:
     """Output frames of one run plus its termination metadata.
 
-    run fills frames and records, a DiagnosticsRecord per frame; run_batch
-    leaves them empty, since its frame function keeps what it needs.
+    run fills frames, records (a DiagnosticsRecord per frame) and gronwall,
+    the run's Gronwall verdict (diagnostics.Gronwall.verdict); run_batch
+    leaves them at their defaults, since its frame function keeps what it
+    needs.
     """
 
     form: str
     times: list = field(default_factory=list)
     frames: list = field(default_factory=list)
     records: list = field(default_factory=list)
+    gronwall: str = "unavailable"
     status: str = "completed"
     breach_time: float | None = None
     breach_cell: int | None = None
@@ -452,6 +455,8 @@ def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Param
     (traj,) = run_batch(FlowState(state0.rho[None], state0.vel[None], state0.form), mesh, [params],
                         T=T, output_dt=output_dt, frame=frame, safety=safety, time_scheme=time_scheme)
     traj.frames, traj.records = frames, records
+    if acc.gronwall is not None:
+        traj.gronwall = acc.gronwall.verdict
     return traj
 
 

@@ -296,10 +296,34 @@ def test_gronwall_past_the_float_range_is_inf_and_checks_nothing():
     assert checked_bound(times, ones, ones, ones, 1.0, wide, 0) == math.inf
     assert checked_bound(times, ones, ones, [100.0, 100.0], 1.0, steep, 0) == math.inf
     assert gronwall_bound_v(times, ones, ones, [100.0, 100.0], 1.0, steep, 0) == math.inf
-    acc = RunAccumulators()
-    for t in (0.0, 1.0):
-        rec = diagnostics.moment_record(t, [1.0] * 5, wide, acc, acc.advance(t), (0,), 0.1)
-    assert rec.gron_bound == {0: math.inf} and rec.gron_pass == {0: None}
+    check = diagnostics.Gronwall(wide, (0,), 0.1)
+    check.check(None, [1.0] * 5)
+    _, _, bounds, verdicts = check.check(1.0, [1.0] * 5)
+    assert bounds == [math.inf] and verdicts == [None]
+
+
+def test_gronwall_run_verdict():
+    # with no u the rate is 0 and the bound stays m0 = 1: a frame passes at
+    # M = 1 (moment 1) and fails at M = 4 (moment 2 > 1.1)
+    def frames(params, ms):
+        check = diagnostics.Gronwall(params, (0,), 0.1)
+        seen = []
+        for k, m in enumerate(ms):
+            verdicts = check.check(None if k == 0 else 0.5, [0.0, 0.0, 0.0, 1.0, m])[3]
+            seen.append((verdicts, check.verdict))
+        return seen
+
+    # the first frame checks nothing, a False is final, a True alone passes
+    assert frames(P2, [1.0, 1.0, 4.0, 1.0]) == [
+        ([True], "unavailable"), ([True], "pass"), ([False], "fail"), ([True], "fail")]
+    # bounds past the float range, or outside the theorem region, give no
+    # verdicts and keep the run unavailable
+    wide = Params(alpha=0.8, gamma=3.0, a=10.0, mu0=1e-3)
+    check = diagnostics.Gronwall(wide, (0,), 0.1)
+    assert check.check(None, [1.0] * 5)[3] == [True]
+    for _ in range(2):
+        assert check.check(1.0, [1.0] * 5)[3] == [None] and check.verdict == "unavailable"
+    assert frames(Params(alpha=1.0, gamma=1.2, eps=0.125), [1.0, 4.0]) == [([None], "unavailable")] * 2
 
 
 # ------------------------------------------------------- one-pass frame

@@ -168,15 +168,18 @@ def test_load_config_interpolation_error_names_the_key(tmp_path, capsys, value):
     assert load_config(_cfg(tmp_path, MINIMAL + "[run]\nname = 100%%\n")).name == "100%"
 
 
-@pytest.mark.parametrize("name", ["a,b", "a\n  b"])
+@pytest.mark.parametrize("name", ["a,b", "a\n  b", "/tmp/x", "a/b", "a\\b", ".", ".."])
 def test_name_with_a_comma_or_line_break_is_a_configuration_error(tmp_path, capsys, name):
     # the name is a cell of summary.csv: a comma or a line break in it
-    # would shift or split that row under the header
+    # would shift or split that row under the header; it is also the
+    # default output directory runs/<name>, which a path separator, . or ..
+    # would move out of runs/
     path = _cfg(tmp_path, MINIMAL + f"[grid]\nN = 64\n[run]\nname = {name}\n")
     with pytest.raises(ConfigurationError, match="name"):
         validate_scenario(load_config(path))
     assert main(["validate", str(path)]) == 1
-    assert "configuration error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: name") and err.count("\n") == 1
 
 
 def test_load_config_missing_file():
@@ -213,6 +216,7 @@ def test_load_config_rejects_non_finite_run_values(tmp_path, capsys, line):
     dict(u_amplitude=math.inf),
     dict(u_sigma=math.nan),
     dict(gronwall_slack=math.nan),
+    dict(gronwall_slack=-0.5),  # a tolerance; at -1 or below every verdict reads fail
     dict(moment_ps=(2, 2)),  # the second set of columns would shadow the first
     dict(sigma=0.0),  # a zero width is 0/0 in a centre cell, or a bump that vanishes
     dict(u_sigma=0.0),
@@ -619,7 +623,7 @@ def test_sweep_monitor_records_equal_full_records(form, monkeypatch):
         (r.v_inf, r.wvel_inf, r.sqrt_rho_u_l2, [r.moments[p] for p in ps],
          [r.gron_bound[p] for p in ps], [r.gron_pass[p] for p in ps]) for r in full.records])
     assert repr(monitor.sup_v_inf[0]) == repr(harness._sup(r.v_inf for r in full.records))
-    assert monitor.gronwall[0] == harness._overall_gronwall(full.records) == "pass"
+    assert monitor.checks[0].verdict == full.gronwall == "pass"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -643,9 +647,9 @@ def test_sweep_builds_no_per_row_record(tmp_path, monkeypatch, time_scheme):
     from test_golden import GOLDEN, GOLDEN_IMEX, artifact_digests
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a sweep built a MomentRecord")
+        raise AssertionError("a sweep built a DiagnosticsRecord")
 
-    monkeypatch.setattr(diagnostics, "MomentRecord", refuse)
+    monkeypatch.setattr(diagnostics, "DiagnosticsRecord", refuse)
     want = (GOLDEN_IMEX if time_scheme == "imex" else GOLDEN)["sweep_nearvac"]
     assert artifact_digests("sweep_nearvac", tmp_path, time_scheme) == want
 
