@@ -1,10 +1,11 @@
 """Hot finite-difference kernels on plain float64 arrays.
 
-The fused right-hand sides share face velocities and donor masks between
-fluxes and work in place on as few temporaries as the expressions allow, but
-every cell value is the same IEEE expression as in the plain
-operator-by-operator form, signed zeros included, so their output is
-bit-identical to it (see the reference copy in tests/test_kernels.py).  The
+Both forms' transport is one donor-cell body, _transport.  The fused
+right-hand sides share face velocities and donor masks between fluxes where
+one velocity carries both, and work in place on as few temporaries as the
+expressions allow, but every cell value is the same IEEE expression as in
+the plain operator-by-operator form, signed zeros included, so their output
+is bit-identical to it (see the reference copy in tests/test_kernels.py).  The
 rewrites that make this possible are exact in floating point:
 -(d/dx) == d/(-dx), a - b == a + (-b), w*where(m, p, q) == where(m, w*p, w*q),
 and 1.0*x == x.
@@ -98,33 +99,17 @@ def _face_velocity(w):
     return wf, wf >= 0.0
 
 
-def _donor_div(q, w, wf, up, dx):
-    # conservative d/dx(q*w) from precomputed face velocities; dx = -h
-    # yields the exact negation of the h result
-    faces = np.empty(q.shape[:-1] + (q.shape[-1] + 1,), dtype=q.dtype)
-    np.multiply(wf, np.where(up, q[..., :-1], q[..., 1:]), out=faces[..., 1:-1])
-    faces.T[0] = q.T[0] * w.T[0]
-    faces.T[-1] = q.T[-1] * w.T[-1]
-    out = faces[..., 1:] - faces[..., :-1]
+def upwind_div(q, w, dx, faces=None):
+    # conservative d/dx(q*w): central face velocity, donor-cell q; faces is
+    # _face_velocity(w) when the caller has it, and dx = -h yields the exact
+    # negation of the h result
+    wf, up = _face_velocity(w) if faces is None else faces
+    flux = np.empty(q.shape[:-1] + (q.shape[-1] + 1,), dtype=q.dtype)
+    np.multiply(wf, np.where(up, q[..., :-1], q[..., 1:]), out=flux[..., 1:-1])
+    flux.T[0] = q.T[0] * w.T[0]
+    flux.T[-1] = q.T[-1] * w.T[-1]
+    out = flux[..., 1:] - flux[..., :-1]
     out /= dx
-    return out
-
-
-def upwind_div(q, w, dx):
-    # conservative d/dx(q*w): central face velocity, donor-cell q
-    return _donor_div(q, w, *_face_velocity(w), dx)
-
-
-def upwind_grad(f, w, dx):
-    # pointwise one-sided d/dx(f) biased by the sign of w; both one-sided
-    # differences come from the same face difference, and the end cells use
-    # the only one available
-    d = f[..., 1:] - f[..., :-1]
-    d /= dx
-    out = np.empty_like(f)
-    out[..., 1:-1] = np.where(w[..., 1:-1] >= 0.0, d[..., :-1], d[..., 1:])
-    out[..., 0] = d[..., 0]
-    out[..., -1] = d[..., -1]
     return out
 
 
@@ -160,14 +145,20 @@ def relative_pressure(rho, rho_bar, gamma, a):
     return a * rho_bar ** gamma * np.maximum(r * e - (r - 1.0), 0.0)
 
 
+def _transport(rho, w, q, u, dx, gamma, a):
+    # the one transport body of both forms: (-(rho w)_x, -(q u)_x - P_x) with
+    # donor-cell fluxes; where u is w, both fluxes take the same face velocities
+    faces = _face_velocity(w)
+    drho = upwind_div(rho, w, -dx, faces)
+    dq = upwind_div(q, u, -dx, faces if u is w else None)
+    dq -= grad_c(pressure(rho, gamma, a), dx)
+    return drho, dq
+
+
 def transport_u(rho, u, dx, alpha, gamma, a, mu0, floor):
     # rhs_u without the viscous term, same signature: d/dt rho = -(rho u)_x,
-    # d/dt m = -(m u)_x - P_x
-    wf, up = _face_velocity(u)
-    drho = _donor_div(rho, u, wf, up, -dx)
-    dm = _donor_div(rho * u, u, wf, up, -dx)
-    dm -= grad_c(pressure(rho, gamma, a), dx)
-    return drho, dm
+    # d/dt m = -(m u)_x - P_x for m = rho u
+    return _transport(rho, u, rho * u, u, dx, gamma, a)
 
 
 def rhs_u(rho, u, dx, alpha, gamma, a, mu0, floor):
@@ -195,25 +186,19 @@ def potential(rho, alpha, mu0):
 
 def transport_v(rho, v, dx, alpha, gamma, a, mu0, floor):
     # rhs_v without the density diffusion, same signature: d/dt rho = -(rho v)_x,
-    # d/dt v = -u v_x - P_x / rho with u = v - phi(rho)_x
+    # d/dt q = -(q u)_x - P_x for q = rho v, carried by u = v - phi(rho)_x
     u = grad_c(per_value(potential, rho, alpha, mu0), dx)
     np.subtract(v, u, out=u)
-    drho = upwind_div(rho, v, -dx)
-    dv = upwind_grad(v, u, -dx)
-    dv *= u
-    gp = grad_c(pressure(rho, gamma, a), dx)
-    gp /= rho
-    dv -= gp
-    return drho, dv
+    return _transport(rho, v, rho * v, u, dx, gamma, a)
 
 
 def rhs_v(rho, v, dx, alpha, gamma, a, mu0, floor):
-    # d/dt rho = (mu/rho rho_x)_x - (rho v)_x,  d/dt v = -u v_x - P_x / rho
-    drho, dv = transport_v(rho, v, dx, alpha, gamma, a, mu0, floor)
+    # d/dt rho = (mu/rho rho_x)_x - (rho v)_x,  d/dt q = -(q u)_x - P_x for q = rho v
+    drho, dq = transport_v(rho, v, dx, alpha, gamma, a, mu0, floor)
     drho[..., 1:-1] += _diffusion_core(diffusivity(rho, alpha, mu0, floor), rho, dx)
     drho.T[0] += 0.0
     drho.T[-1] += 0.0
-    return drho, dv
+    return drho, dq
 
 
 def stability_terms(rho, vel, alpha, gamma, a, mu0, floor, diffusive=True):

@@ -3,9 +3,9 @@
 U-form evolves (rho, rho*u) conservatively: mass and momentum fluxes are
 upwinded at faces, pressure enters through the centered gradient and the
 velocity diffusion through the three-point flux form.  V-form evolves
-(rho, v) where v = u + d/dx phi(rho): the density equation gains an explicit
-diffusion term and v obeys a non-conservative transport equation divided
-through by rho.
+(rho, rho*v) where v = u + d/dx phi(rho), with the same donor-cell fluxes:
+rho*v is carried by u, and the density equation gains a diffusion term.
+A state holds (rho, vel) in either form; the steppers advance vel*rho.
 
 Two time schemes step either form.  `explicit` is a two-stage midpoint
 update, `_midpoint`, bound by the diffusive limit dx^2/(2 nu) as well as the
@@ -247,16 +247,12 @@ def _check_vacuum(rho: np.ndarray, t):
     return low
 
 
-def _keep(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return x
-
-
 def _midpoint(state: FlowState, mesh: Mesh, params: Params, step: tuple,
-              rhs, to_unknown, to_vel) -> tuple[FlowState, StepReport]:
+              rhs) -> tuple[FlowState, StepReport]:
     """One two-stage midpoint step of the system whose right-hand side is rhs.
 
-    The stepped pair is (rho, q) with q = to_unknown(vel, rho); rhs takes (rho, vel) and returns
-    (d/dt rho, d/dt q), to_vel(q, rho) maps q back, and step is _land's (dt, t1, landed).
+    The stepped pair is (rho, q) with q = vel*rho; rhs takes (rho, vel) and returns
+    (d/dt rho, d/dt q), and step is _land's (dt, t1, landed).
     """
     dt, t1, landed = step
     rho0, vel0 = state.rho, state.vel
@@ -265,7 +261,7 @@ def _midpoint(state: FlowState, mesh: Mesh, params: Params, step: tuple,
     # blow-ups surface as non-finite fields and become a "numerics" status;
     # the intermediate overflow itself is expected, not worth a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        q0 = to_unknown(vel0, rho0)
+        q0 = vel0 * rho0
         drho, dq = rhs(rho0, vel0, *args)
         rho_h = rho0 + 0.5 * dt * drho
         q_h = q0 + 0.5 * dt * dq
@@ -273,14 +269,14 @@ def _midpoint(state: FlowState, mesh: Mesh, params: Params, step: tuple,
         _clamp_ends(q_h, q0)
         _check_vacuum(rho_h, state.t + 0.5 * dt)
 
-        drho, dq = rhs(rho_h, to_vel(q_h, rho_h), *args)
+        drho, dq = rhs(rho_h, q_h / rho_h, *args)
         rho1 = rho0 + dt * drho
         q1 = q0 + dt * dq
         _clamp_ends(rho1, rho0)
         _clamp_ends(q1, q0)
         min_rho = _check_vacuum(rho1, state.t + dt)
 
-        out = FlowState(rho1, to_vel(q1, rho1), state.form, t1)
+        out = FlowState(rho1, q1 / rho1, state.form, t1)
     return out, StepReport(dt, min_rho, rho1.max(axis=-1), landed)
 
 
@@ -332,9 +328,10 @@ def _stages_u(state: FlowState, mesh: Mesh, p: Params, dt):
 
 
 def _stages_v(state: FlowState, mesh: Mesh, p: Params, dt):
-    """v is explicit; the density then solves
+    """q = rho*v is explicit; the density solves
     (I - gamma*dt*D_c) rho_s = rho0 + inc_rho (+ g) for its increment
-    rho_s - rho0, whose right-hand side is exactly 0 on a constant state.
+    rho_s - rho0, whose right-hand side is exactly 0 on a constant state,
+    and v_s = (q0 + inc_q) / rho_s keeps v0 in the clamped cells.
 
     One solve per stage, with the diffusivity c taken at the stage's
     explicit estimate rho0 + inc_rho (+ g) + gamma*dt*D_c(rho0) rho0, its
@@ -345,6 +342,7 @@ def _stages_v(state: FlowState, mesh: Mesh, p: Params, dt):
     in any cell where it is not positive or is NaN.
     """
     rho0, v0, dx = state.rho, state.vel, mesh.dx
+    q0 = v0 * rho0
     k = _ARS_G * dt
     ones = np.ones_like(rho0)
 
@@ -354,8 +352,6 @@ def _stages_v(state: FlowState, mesh: Mesh, p: Params, dt):
     d0 = k * kernels.diffuse(diffusivity(rho0), rho0, dx)
 
     def stage(inc, g, t):
-        v = v0 + inc[1]
-        _clamp_ends(v, v0)
         known = inc[0] if g is None else inc[0] + g
         est = rho0 + (known + d0)
         _clamp_ends(est, rho0)
@@ -364,6 +360,8 @@ def _stages_v(state: FlowState, mesh: Mesh, p: Params, dt):
         rhs[..., :_CLAMP] = rhs[..., -_CLAMP:] = 0.0  # identity rows
         rho = rho0 + kernels.solve_tridiagonal(*kernels.diffusion_bands(ones, c, k / dx**2), rhs)
         _check_vacuum(rho, t)
+        v = (q0 + inc[1]) / rho
+        _clamp_ends(v, v0)
         return rho, v, kernels.diffuse(diffusivity(rho), rho, dx) if g is None else None
 
     return stage
@@ -383,26 +381,25 @@ def step_u(state: FlowState, mesh: Mesh, params: Params, *, safety: float = 0.4,
     step = _land(state, cfl_dt(state, mesh, params, safety, time_scheme=time_scheme), until)
     if time_scheme == IMEX:
         return _ars(state, mesh, params, step, kernels.transport_u, _stages_u)
-    # stepped unknown m = u*rho, bit-equal to rho*u
-    return _midpoint(state, mesh, params, step, kernels.rhs_u, np.multiply, np.divide)
+    return _midpoint(state, mesh, params, step, kernels.rhs_u)
 
 
 def step_v(state: FlowState, mesh: Mesh, params: Params, *, safety: float = 0.4,
            until: float = math.inf, time_scheme: str = IMEX) -> tuple[FlowState, StepReport]:
-    """One step of the (rho, v) system: two-stage midpoint (explicit) or
-    ARS(2,2,2) with implicit density diffusion (imex).
+    """One step of the conservative (rho, rho*v) system: two-stage midpoint
+    (explicit) or ARS(2,2,2) with implicit density diffusion (imex).
 
     Density: d/dt rho = d/dx(mu(rho)/rho * d/dx rho) - d/dx(rho v).
-    Velocity: d/dt v = -u * (upwind d/dx v) - grad P / rho with
-    u = v - d/dx phi(rho) recomputed at each stage.  safety, until and
-    time_scheme as in step_u.
+    Momentum: d/dt (rho v) = -d/dx(rho v u) - d/dx P with u = v - d/dx phi(rho)
+    recomputed at each stage, through the donor-cell fluxes of step_u.
+    safety, until and time_scheme as in step_u.
     """
     if state.form != V_FORM:
         raise ConfigurationError("step_v expects a V-form state")
     step = _land(state, cfl_dt(state, mesh, params, safety, time_scheme=time_scheme), until)
     if time_scheme == IMEX:
         return _ars(state, mesh, params, step, kernels.transport_v, _stages_v)
-    return _midpoint(state, mesh, params, step, kernels.rhs_v, _keep, _keep)
+    return _midpoint(state, mesh, params, step, kernels.rhs_v)
 
 
 def _emit(state: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Params,

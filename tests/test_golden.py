@@ -65,7 +65,7 @@ def artifact_digests(name, out, time_scheme="explicit") -> dict:
 GOLDEN = {
     'refine': {
         'orders.csv':
-            '8851862bc0543924ab50ba901c0820a6054d6fa61c7587e8fb5af90039f89aec',
+            '7bbafcf8015bfd9d0983506d23329eabcea176ecbea6967fe2fd6ede94e31bcd',
     },
     'run_both': {
         'fields_0.000000.csv':
@@ -77,13 +77,13 @@ GOLDEN = {
         'fields_0.030000.csv':
             'a1ee31927e4f9acd6361be5653a79d75fe6f92ca6f6c9779517b86c5b6e52bc6',
         'formdiff.csv':
-            '935bb9804b6543b41d223295ecb0b671225e8743ee23d82f6a18ec067bd69f9b',
+            '8e7b9ea336973432aae55c3ebaa8f52b03f2d357cd42df17b3a8693e5eefc997',
         'summary.csv':
-            'd6d9176a5f21e1abf3dbcdf5957c34a88959aea8e7926b5401b217820bad2cad',
+            'c0390fcaeeafc99e7d621765381224cf50556334293b7687888ec5b19fe85492',
         'timeseries.csv':
-            '2c6f2252761dbeb8933c34028616b1528eee6ae5741707e30bac37931fda26c9',
+            'faf468531a1fb1bea1f0fe9f9d49a728b5870a0f2538373b654fc1ccaea6611b',
         'timeseries_v.csv':
-            '7875af54b9978419616f213333324686582c91ee7b81817c383e25bb263a2a84',
+            'abb3b82a1b2218783302775c4e14846534ff6ab1ef5a7d89e76953e50a1b4d37',
     },
     'sweep_nearvac': {
         'sweep.csv':
@@ -97,7 +97,7 @@ GOLDEN = {
 GOLDEN_IMEX = {
     'refine': {
         'orders.csv':
-            '2c68d93847a9e129d8d149b7dd4c9d26f3af92b2d9a72fa5fac8906e855f834f',
+            '6e147b99302619c4d5df136d909eac19acff57f570ad3448799c168c05e62770',
     },
     'run_both': {
         'fields_0.000000.csv':
@@ -109,13 +109,13 @@ GOLDEN_IMEX = {
         'fields_0.030000.csv':
             'c470a8d327d6cd4dc4fc349435bcbaeb292f7e065ce47a07a34c8f69805d8488',
         'formdiff.csv':
-            '86b13927a954af3a4a1e5402b3c6256fcae7507d57b1ccb95fb4499e972a7a42',
+            '885de32638744733517011277cd75231cbbd4a3d1c98d8cd93762b2ca1b7f609',
         'summary.csv':
-            '5a372ec6179a2d7a4af33c8911ef2a93b26d74673a0a56b0eb0a8587c4da0e56',
+            '4f8fce7647084fc7088f9494c765b774bdda6b9d62056daec846c51de8183de0',
         'timeseries.csv':
-            '9408ae2180f550ad83681659591f8a54cbcbe8bd41deb760568da3db54c6cd9c',
+            '61fd09cfc5a28f7c303fa9917c5bbc58fe7fd5027f4e190c3834458e3297838b',
         'timeseries_v.csv':
-            '3d731127bce5796bc8f7e310a13afd67a0915ba6ffb505ea1cfc268b8048bc76',
+            '240d82ad0528cf868949818e81dc7acbc1dd46ce5c21ba7f3d182e11ce94a582',
     },
     'sweep_nearvac': {
         'sweep.csv':

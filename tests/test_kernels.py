@@ -52,19 +52,6 @@ def test_upwind_div_reduces_to_div_flux_for_uniform_velocity():
     assert np.allclose(got, want, atol=1e-14)
 
 
-def test_upwind_grad_direction():
-    dx = 0.25
-    f = np.arange(8, dtype=float) * dx  # f = x, both one-sided slopes exact
-    ones = np.ones(8)
-    assert np.allclose(kernels.upwind_grad(f, ones, dx), 1.0, atol=1e-14)
-    assert np.allclose(kernels.upwind_grad(f, -ones, dx), 1.0, atol=1e-14)
-    # direction actually switches: quadratic has distinct one-sided slopes
-    g = (np.arange(8, dtype=float) * dx) ** 2
-    bwd = kernels.upwind_grad(g, ones, dx)
-    fwd = kernels.upwind_grad(g, -ones, dx)
-    assert np.all(fwd[1:-1] > bwd[1:-1])
-
-
 def test_stability_terms_oracle():
     rho, w = _random_fields(128, 5)
     smax, numax = kernels.stability_terms(rho, w, 0.75, 2.0, 1.0, 1.0, 0.25)
@@ -116,16 +103,6 @@ def _ref_upwind_div(q, w, dx):
     return (faces[1:] - faces[:-1]) / dx
 
 
-def _ref_upwind_grad(f, w, dx):
-    back = np.empty_like(f)
-    fwd = np.empty_like(f)
-    back[1:] = (f[1:] - f[:-1]) / dx
-    back[0] = (f[1] - f[0]) / dx
-    fwd[:-1] = (f[1:] - f[:-1]) / dx
-    fwd[-1] = (f[-1] - f[-2]) / dx
-    return np.where(w >= 0.0, back, fwd)
-
-
 def _ref_rhs_u(rho, u, dx, alpha, gamma, a, mu0, floor):
     m = rho * u
     P = _ref_pressure(rho, gamma, a)
@@ -142,8 +119,8 @@ def _ref_rhs_v(rho, v, dx, alpha, gamma, a, mu0, floor):
     P = _ref_pressure(rho, gamma, a)
     coef = np.maximum(mu0 * rho**alpha, floor) / rho
     drho = _ref_diffuse(coef, rho, dx) - _ref_upwind_div(rho, v, dx)
-    dv = -u * _ref_upwind_grad(v, u, dx) - _ref_grad_c(P, dx) / rho
-    return drho, dv
+    dq = -_ref_upwind_div(rho * v, u, dx) - _ref_grad_c(P, dx)
+    return drho, dq
 
 
 def _ref_stability_terms(rho, vel, alpha, gamma, a, mu0, floor):
@@ -196,8 +173,6 @@ def test_primitives_match_reference_bitwise(n):
         assert np.array_equal(_bits(kernels.diffuse(rho, w, dx)), _bits(_ref_diffuse(rho, w, dx)))
         assert np.array_equal(_bits(kernels.upwind_div(rho, w, dx)),
                               _bits(_ref_upwind_div(rho, w, dx)))
-        assert np.array_equal(_bits(kernels.upwind_grad(w, rho - 0.7, dx)),
-                              _bits(_ref_upwind_grad(w, rho - 0.7, dx)))
     for gamma in (0.5, 1.0, 1.4, 2.0, 3.0):
         for a in (1.0, 2.5):
             assert np.array_equal(_bits(kernels.pressure(rho, gamma, a)), _bits(_ref_pressure(rho, gamma, a)))

@@ -194,46 +194,29 @@ def test_step_takes_no_positional_dt():
         step_v(effective_velocity(st, m, SW), m, SW, 1e-6)
 
 
-# The two-stage midpoint bodies step_u and step_v had before they shared one
-# implementation, kept as references: the shared body must reproduce them
-# bit for bit.
+# The two-stage midpoint body of (rho, rho*vel), written out as a reference:
+# step_u with rhs_u and step_v with rhs_v must reproduce it bit for bit.
 
 def _ref_clamp(arr, ref):
     arr[:2] = ref[:2]
     arr[-2:] = ref[-2:]
 
 
-def _ref_step_u(state, mesh, params, dt):
-    rho0, u0 = state.rho, state.vel
-    m0 = rho0 * u0
+def _ref_step(rhs, state, mesh, params, dt):
+    rho0, vel0 = state.rho, state.vel
+    q0 = rho0 * vel0
     args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
-    drho, dm = kernels.rhs_u(rho0, u0, *args)
+    drho, dq = rhs(rho0, vel0, *args)
     rho_h = rho0 + 0.5 * dt * drho
-    m_h = m0 + 0.5 * dt * dm
+    q_h = q0 + 0.5 * dt * dq
     _ref_clamp(rho_h, rho0)
-    _ref_clamp(m_h, m0)
-    drho, dm = kernels.rhs_u(rho_h, m_h / rho_h, *args)
+    _ref_clamp(q_h, q0)
+    drho, dq = rhs(rho_h, q_h / rho_h, *args)
     rho1 = rho0 + dt * drho
-    m1 = m0 + dt * dm
+    q1 = q0 + dt * dq
     _ref_clamp(rho1, rho0)
-    _ref_clamp(m1, m0)
-    return rho1, m1 / rho1
-
-
-def _ref_step_v(state, mesh, params, dt):
-    rho0, v0 = state.rho, state.vel
-    args = (mesh.dx, params.alpha, params.gamma, params.a, params.mu0, params.visc_floor)
-    drho, dv = kernels.rhs_v(rho0, v0, *args)
-    rho_h = rho0 + 0.5 * dt * drho
-    v_h = v0 + 0.5 * dt * dv
-    _ref_clamp(rho_h, rho0)
-    _ref_clamp(v_h, v0)
-    drho, dv = kernels.rhs_v(rho_h, v_h, *args)
-    rho1 = rho0 + dt * drho
-    v1 = v0 + dt * dv
-    _ref_clamp(rho1, rho0)
-    _ref_clamp(v1, v0)
-    return rho1, v1
+    _ref_clamp(q1, q0)
+    return rho1, q1 / rho1
 
 
 @pytest.mark.parametrize("n", [8, 257])
@@ -249,10 +232,10 @@ def test_step_matches_reference_bitwise(n, point):
     w[rng.random(n) < 0.1] = 0.0
     w[rng.random(n) < 0.1] = -0.0
     for vel in (w, np.full(n, -0.0)):
-        for form, stepper, ref in (("U", step_u, _ref_step_u), ("V", step_v, _ref_step_v)):
+        for form, stepper, rhs in (("U", step_u, kernels.rhs_u), ("V", step_v, kernels.rhs_v)):
             st = make_state(rho, vel, form, m, t=0.25)
             dt = cfl_dt(st, m, params, 0.4, time_scheme=EXPLICIT)
-            want_rho, want_vel = ref(st, m, params, dt)
+            want_rho, want_vel = _ref_step(rhs, st, m, params, dt)
             want_rep = StepReport(dt, float(want_rho.min()), float(want_rho.max()), False)
             out, rep = stepper(st, m, params, safety=0.4, time_scheme=EXPLICIT)
             assert np.array_equal(_bits(out.rho), _bits(want_rho)), form
@@ -575,8 +558,9 @@ def test_run_leaves_no_reference_cycle():
 # ------------------------------------------------------------------- imex
 
 def test_run_vacuum_status_imex():
-    # a V-form state over 1e-6 gas pulled apart at +-5: the first implicit
-    # density stage goes negative, and run records it as a vacuum outcome
+    # a V-form state over 1e-6 gas pulled apart at +-5: after two steps an
+    # implicit density stage goes negative, and run records it as a vacuum
+    # outcome
     N = 256
     m = build_mesh(10.0, N)
     prof = background_profile(m, 1e-6, 1e-6)
@@ -584,21 +568,23 @@ def test_run_vacuum_status_imex():
     rho[N // 2 - 4:N // 2 + 4] = 2.0
     st = effective_velocity(make_state(rho, np.where(m.x < 0.0, -5.0, 5.0), "U", m), m, SW)
     traj = run(st, m, prof, SW, T=0.5, output_dt=0.1, safety=0.9, time_scheme=IMEX)
-    assert traj.status == "vacuum" and traj.steps == 0
+    assert traj.status == "vacuum" and traj.steps == 2
     assert 0.0 < traj.breach_time < 0.5 and traj.min_rho_ever < 0.0
 
 
-@pytest.mark.parametrize("alpha, depth", [
-    (0.55, 1e-3),
-    (0.7, 1e-6),
-    # the one-solve V stage takes its diffusivity at an explicit estimate of
-    # the stage density, which misses by orders of magnitude on this
-    # unresolved dip: the run ends "numerics" after 2306 steps (min rho 2e-76)
-    pytest.param(0.55, 1e-6, marks=pytest.mark.xfail(
-        strict=True, reason="V stage predictor misses on an unresolved near-vacuum dip")),
-])
+# steps to "completed" of each (alpha, depth) dip below, as measured
+_DIP_STEPS = {0.55: (14, 73, 224, 381), 0.6: (12, 55, 186, 306), 0.7: (9, 31, 90, 203),
+              0.85: (7, 13, 25, 45)}
+_DIP_DEPTHS = (1e-3, 1e-6, 1e-9, 1e-12)
+
+
+@pytest.mark.parametrize("depth", _DIP_DEPTHS)
+@pytest.mark.parametrize("alpha", sorted(_DIP_STEPS))
 def test_imex_v_unresolved_dip_completes(alpha, depth):
-    # eight cells at depth d in a unit background, pulled apart at +-2
+    # eight cells at depth d in a unit background, pulled apart at +-2.  The
+    # stage takes its diffusivity at an explicit estimate of the stage
+    # density, which can miss by orders of magnitude on such a dip; stepping
+    # rho*v keeps every case completing, within 10% of its measured steps
     N = 128
     m = build_mesh(8.0, N)
     p = Params(alpha=alpha, gamma=2.0)
@@ -607,7 +593,8 @@ def test_imex_v_unresolved_dip_completes(alpha, depth):
     st = effective_velocity(make_state(rho, 2.0 * np.sign(m.x), "U", m), m, p)
     traj = run(st, m, background_profile(m, 1.0, 1.0), p, T=0.02, output_dt=0.02, safety=0.9,
                time_scheme=IMEX)
-    assert traj.status == "completed" and traj.steps <= 200
+    assert traj.status == "completed"
+    assert traj.steps <= 1.1 * _DIP_STEPS[alpha][_DIP_DEPTHS.index(depth)]
 
 
 def _bump_final(form, params, safety, N=256, T=0.5):
@@ -698,8 +685,10 @@ def test_imex_v_stage_keeps_near_vacuum_density_positive(alpha):
 
 def _ref_stages_v(state, mesh, p, dt):
     # the two-solve V stage this package used before: the diffusivity at
-    # rho0 for a first solve and at that first answer for a second
+    # rho0 for a first solve and at that first answer for a second; q = rho*v
+    # is stepped as in the package's stage
     rho0, v0, dx = state.rho, state.vel, mesh.dx
+    q0 = rho0 * v0
     ones = np.ones_like(rho0)
 
     def diffusivity(rho):
@@ -719,11 +708,11 @@ def _ref_stages_v(state, mesh, p, dt):
     first = system(diffusivity(rho0))
 
     def stage(inc, g, t):
-        v = v0 + inc[1]
-        solver._clamp_ends(v, v0)
         known = inc[0] if g is None else inc[0] + g
         rho = solve(known, *first, t)
         rho = solve(known, *system(diffusivity(rho)), t)
+        v = (q0 + inc[1]) / rho
+        solver._clamp_ends(v, v0)
         return rho, v, kernels.diffuse(diffusivity(rho), rho, dx) if g is None else None
 
     return stage
@@ -806,26 +795,31 @@ def test_imex_v_step_error_at_alpha_07_stays_that_of_two_solves(monkeypatch):
         assert e_new <= 1.1 * e_old
 
 
-def _step_dip(alpha, depth, outflow):
+def _step_dip(alpha, depth, outflow, reg_n=None):
     # eight cells at density depth pulled apart at +-outflow, in a background
     # that is not flat at the clamped cells
     m = build_mesh(8.0, 128)
     rho = 1.0 + 0.005 * m.x**2
     rho[60:68] = depth
-    params = Params(alpha=alpha, gamma=2.0)
+    params = Params(alpha=alpha, gamma=2.0, reg_n=reg_n)
     su = make_state(rho, np.where(m.x < 0.0, -outflow, outflow) * (np.abs(m.x) < 2.0), "U", m)
     return m, params, effective_velocity(su, m, params)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("alpha, depth, status", [(0.7, 1e-9, "completed"), (1.0, 1e-6, "vacuum")])
-def test_imex_v_stage_takes_rho0_where_the_estimate_is_not_positive(alpha, depth, status, monkeypatch):
-    # a near-vacuum step with an outflow: some stage's explicit estimate
+@pytest.mark.parametrize("alpha, depth, reg_n, status",
+                         [(0.7, 1e-9, 100, "completed"), (1.0, 1e-6, 8, "vacuum")],
+                         ids=["0.7-1e-09-completed", "1.0-1e-06-vacuum"])
+def test_imex_v_stage_takes_rho0_where_the_estimate_is_not_positive(alpha, depth, reg_n, status,
+                                                                    monkeypatch):
+    # a near-vacuum step with an outflow and a viscosity floor: the floor
+    # makes the diffusivity floor/rho huge in the dip, where neither u nor v
+    # sees it, so some stage's explicit estimate
     # rho0 + inc (+ g) + gamma*dt*D_c(rho0) rho0 is not positive in an
-    # interior cell.  The stage takes its diffusivity at rho0 there and at
-    # the estimate elsewhere, and the run ends completed with a finite
-    # density, or as a vacuum run, without a floating-point warning
-    m, params, st = _step_dip(alpha, depth, 2.0)
+    # interior cell beside the dip.  The stage takes its diffusivity at rho0
+    # there and at the estimate elsewhere, and the run ends completed with a
+    # finite density, or as a vacuum run, without a floating-point warning
+    m, params, st = _step_dip(alpha, depth, 2.0, reg_n)
     args = _counting(monkeypatch, kernels, "diffusivity")
     stages_v, seen = solver._stages_v, []
 
