@@ -10,7 +10,6 @@ entropy/moment/bound structure of the underlying estimates at runtime.
 from .constitutive import Params, TheoremReport, dphi, phi, validate_params
 from .errors import ConfigurationError, DomainError, VacuumBreach
 from .mesh import (
-    BackgroundProfile,
     Mesh,
     background_profile,
     build_mesh,
@@ -32,7 +31,7 @@ from .solver import (
 )
 from .diagnostics import (
     DiagnosticsRecord,
-    RunAccumulators,
+    Gronwall,
     collect,
     reciprocal_residual,
 )
@@ -51,11 +50,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Params", "TheoremReport", "phi", "dphi", "validate_params",
     "ConfigurationError", "DomainError", "VacuumBreach",
-    "Mesh", "BackgroundProfile", "build_mesh", "background_profile", "mollify",
+    "Mesh", "build_mesh", "background_profile", "mollify",
     "integrate",
     "FlowState", "StepReport", "Trajectory", "U_FORM", "V_FORM", "make_state",
     "effective_velocity", "cfl_dt", "step_u", "step_v", "run",
-    "DiagnosticsRecord", "RunAccumulators", "reciprocal_residual", "collect",
+    "DiagnosticsRecord", "Gronwall", "reciprocal_residual", "collect",
     "Scenario", "load_config", "build_initial", "run_scenario", "sweep",
     "refinement_study", "regularization_study",
     "__version__",

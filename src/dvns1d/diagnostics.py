@@ -7,17 +7,17 @@ dissipation rates, the weighted sup norm, the density moments of v with
 their Gronwall envelope, the density extrema and the residual of the
 pressure identity -- in one pass, with d/dx phi(rho), the relative pressure,
 P(rho) and |v| computed once and shared.  Every time integral is a running
-trapezoid over the output cadence, carried between frames by
-RunAccumulators.  The v moments and their Gronwall check come from
-`moment_sums` (one numpy call per quantity for all rows of a batch) and
-`Gronwall.check`, the one evaluator of the rate, its running trapezoid,
-the envelope, the per-frame verdicts and the run's verdict, in Python
-floats.  A sweep frame calls the same two and keeps no record.  The
-residual of the reciprocal-density equation needs a second snapshot and is
-`reciprocal_residual`'s, which the caller passes in.  A frame's fields
-were checked when its state was made and at every step, so both apply the
-kernels' operators and laws (grad_c, diffuse, viscosity, pressure,
-potential, relative_pressure) to them directly.
+trapezoid over the output cadence: a frame's record carries its own, and
+the next frame adds one panel to it.  The v moments and their Gronwall
+check come from `moment_sums` (one numpy call per quantity for all rows of
+a batch) and the run's `Gronwall`, the one evaluator of the rate, its
+running trapezoid, the envelope, the per-frame verdicts and the run's
+verdict, in Python floats.  A sweep frame calls the same two and keeps no
+record.  The residual of the reciprocal-density equation needs a second
+snapshot and is `reciprocal_residual`'s, which the caller passes in.  A
+frame's fields were checked when its state was made and at every step, so
+both apply the kernels' operators and laws (grad_c, diffuse, viscosity,
+pressure, potential, relative_pressure) to them directly.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ import numpy as np
 from . import kernels
 from .constitutive import Params
 from .errors import ConfigurationError, integer
-from .mesh import Mesh, BackgroundProfile, integrate
+from .mesh import Mesh, integrate
 
 __all__ = [
     "DiagnosticsRecord",
-    "RunAccumulators",
     "phi_gradient",
     "velocities",
     "reciprocal_residual",
@@ -81,31 +80,6 @@ class DiagnosticsRecord:
     resid_pident: float
 
 
-@dataclass(eq=False)
-class RunAccumulators:
-    """Carries cumulative state between output frames of one run.
-
-    Every time integral is a running trapezoid: each frame adds the panel
-    from the previous frame, in the order a re-integration of the whole
-    history would add it, so the sums match that bit for bit.  gronwall
-    is the run's Gronwall check of its v moments.
-    """
-
-    t_prev: float | None = None
-    cum_diss_u: float = 0.0
-    cum_diss_bd: float = 0.0
-    prev_du_rate: float = 0.0
-    prev_dbd_rate: float = 0.0
-    gronwall: Gronwall | None = None
-
-    def advance(self, t: float) -> float | None:
-        """Make t the current frame time; return the panel width since the
-        previous frame, or None at the first frame."""
-        h = None if self.t_prev is None else t - self.t_prev
-        self.t_prev = t
-        return h
-
-
 def phi_gradient(rho, mesh: Mesh, params: Params) -> np.ndarray:
     """d/dx phi(rho), the difference v - u of the two velocities (per row of a batch)."""
     return kernels.grad_c(kernels.per_value(kernels.potential, rho, params.alpha, params.mu0), mesh.dx)
@@ -141,7 +115,8 @@ def moment_orders(moment_ps) -> tuple:
 
 
 class Gronwall:
-    """The Gronwall check of one run's v moments, one check() per output frame.
+    """The Gronwall check of one run's v moments (the validated orders
+    moment_ps, kept as self.moment_ps), one check() per output frame.
 
     The envelope of the p-th moment (q = p + 2, K = a*gamma/mu0) is
     (m0^q + K*q*I)^(1/q) * exp(K*I), with m0 the first frame's moment and I
@@ -173,6 +148,7 @@ class Gronwall:
     """
 
     def __init__(self, params: Params, moment_ps, gronwall_slack: float):
+        self.moment_ps = moment_ps
         self.k = params.a * params.gamma / params.mu0
         self.factor = 1.0 + gronwall_slack
         self.orders = []  # per p: q, 1/q, the three exponents of the rate and K*q
@@ -279,17 +255,22 @@ def moment_sums(rho, u, v, mesh: Mesh, params: Params, moment_ps) -> list:
     return np.array(sums).reshape(len(sums), -1).T.tolist()
 
 
-def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundProfile,
-            acc: RunAccumulators, *, moment_ps=(0, 2, 8, 30), gronwall_slack: float = 0.10,
-            resid_recip: float = math.nan, correction: np.ndarray | None = None) -> DiagnosticsRecord:
-    """Assemble one DiagnosticsRecord and advance the cumulative integrals.
+def collect(state_u, state_v, mesh: Mesh, params: Params, profile: np.ndarray, check: Gronwall,
+            previous: DiagnosticsRecord | None = None, *, resid_recip: float = math.nan,
+            correction: np.ndarray | None = None) -> DiagnosticsRecord:
+    """Assemble one DiagnosticsRecord of the frame after previous.
 
-    state_u and state_v are the two forms of one snapshot (same density).
+    state_u and state_v are the two forms of one snapshot (same density),
+    and profile is the sampled background density (mesh.background_profile).
     The energy, the viscous dissipation and the weighted sup read u from
     state_u; the moments read v from state_v, and the BD entropy reads
     u + c with c = d/dx phi(rho), computed once or passed in as correction.
-    moment_ps holds validated orders (moment_orders); the moments' check is
-    acc.gronwall's, made at the first frame.
+    check is the run's Gronwall: its orders are the moments', and check()
+    advances its integral.  previous is the run's last record, None at the
+    first frame: each cumulative dissipation is previous's plus the
+    trapezoid panel of the two frames' rates (the BD rate clamped at 0), in
+    the order a re-integration of the whole history adds it, so the sums
+    match that bit for bit.
 
     The BD dissipation integrand d/dx phi(rho) * d/dx P(rho), P = a*rho^gamma,
     is analytically a*gamma*mu(rho)*rho^(gamma-3)*(drho/dx)^2 >= 0; discretely
@@ -305,20 +286,18 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
     u = state_u.vel
     v = state_v.vel
     c = phi_gradient(rho, mesh, params) if correction is None else correction
-    relp = kernels.relative_pressure(rho, profile.values, params.gamma, params.a)
+    relp = kernels.relative_pressure(rho, profile, params.gamma, params.a)
     grad_p = kernels.grad_c(kernels.pressure(rho, params.gamma, params.a), mesh.dx)
 
     gu = kernels.grad_c(u, mesh.dx)
     du_rate = integrate(kernels.viscosity(rho, params.alpha, params.mu0, params.visc_floor) * gu * gu, mesh)
     integrand = c * grad_p
     dbd_rate = integrate(integrand, mesh)
-    dbd_rate_clamped = max(0.0, dbd_rate)
-    h = acc.advance(t)
-    if h is not None:
-        acc.cum_diss_u += 0.5 * (acc.prev_du_rate + du_rate) * h
-        acc.cum_diss_bd += 0.5 * (acc.prev_dbd_rate + dbd_rate_clamped) * h
-    acc.prev_du_rate = du_rate
-    acc.prev_dbd_rate = dbd_rate_clamped
+    h, diss_u, diss_bd = None, 0.0, 0.0
+    if previous is not None:
+        h = t - previous.t
+        diss_u = previous.diss_u + 0.5 * (previous.diss_u_rate + du_rate) * h
+        diss_bd = previous.diss_bd + 0.5 * (max(0.0, previous.diss_bd_rate) + max(0.0, dbd_rate)) * h
 
     mu_nominal = kernels.viscosity(rho, params.alpha, params.mu0, 0.0)
     # v - u is v - (v - c), the pair velocities gives for state_v; c alone
@@ -330,11 +309,10 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
     pident = (grad_p - rhs)[1:-1]
 
     min_rho = float(np.min(rho))
+    moment_ps = check.moment_ps
     (sums,) = moment_sums(rho, u, v, mesh, params, moment_ps)
-    if acc.gronwall is None:
-        acc.gronwall = Gronwall(params, moment_ps, gronwall_slack)
-    sql2, moments, bounds, verdicts = acc.gronwall.check(h, sums)
-    dev = rho - profile.values
+    sql2, moments, bounds, verdicts = check.check(h, sums)
+    dev = rho - profile
     gdev = kernels.grad_c(dev, mesh.dx)
     return DiagnosticsRecord(
         t=t,
@@ -347,8 +325,8 @@ def collect(state_u, state_v, mesh: Mesh, params: Params, profile: BackgroundPro
         mass=integrate(rho, mesh),
         energy=_kinetic_plus(rho, u, relp, mesh),
         bd_entropy=_kinetic_plus(rho, u + c, relp, mesh),
-        diss_u=acc.cum_diss_u,
-        diss_bd=acc.cum_diss_bd,
+        diss_u=diss_u,
+        diss_bd=diss_bd,
         diss_u_rate=du_rate,
         diss_bd_rate=dbd_rate,
         bd_integrand_min=float(integrand.min()),

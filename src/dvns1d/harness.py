@@ -35,7 +35,7 @@ import numpy as np
 from . import diagnostics, floatrepr, solver
 from .constitutive import Params, TheoremReport, validate_params
 from .errors import ConfigurationError, integer
-from .mesh import Mesh, BackgroundProfile, background_profile, build_mesh, mollify
+from .mesh import Mesh, background_profile, build_mesh, mollify
 from .solver import FlowState, Trajectory, U_FORM, V_FORM, effective_velocity
 
 __all__ = [
@@ -197,17 +197,18 @@ def _compact_bump(x: np.ndarray, width: float) -> np.ndarray:
 
 # an overflow gives a non-finite cell, which the finiteness check rejects
 @np.errstate(over="ignore", invalid="ignore")
-def build_initial(s: Scenario, mesh: Mesh, profile: BackgroundProfile,
+def build_initial(s: Scenario, mesh: Mesh, profile: np.ndarray,
                   mollify_override: int | None = None) -> FlowState:
-    """Sample the scenario's initial data family as a U-form state."""
+    """Sample the scenario's initial data family as a U-form state over the
+    sampled background density profile."""
     for name in ("sigma", "u_sigma"):  # a zero width puts 0/0 in the centre cell
         if not getattr(s, name) > 0.0:
             raise ConfigurationError(f"{name} must be positive, got {getattr(s, name)!r}")
     if s.init_family in ("gaussian-bump", "near-vacuum"):
-        rho = profile.values + s.amplitude * np.exp(-((mesh.x / s.sigma) ** 2))
+        rho = profile + s.amplitude * np.exp(-((mesh.x / s.sigma) ** 2))
         u = s.u_amplitude * np.exp(-((mesh.x / s.u_sigma) ** 2))
     elif s.init_family == "hoff-step":
-        rho = profile.values.copy()
+        rho = profile.copy()
         u = s.u_amplitude * _compact_bump(mesh.x, s.u_sigma)
     elif s.init_family == "custom-table":
         try:  # a non-numeric cell or a ragged row
@@ -232,7 +233,7 @@ def build_initial(s: Scenario, mesh: Mesh, profile: BackgroundProfile,
 
     n = mollify_override if mollify_override is not None else s.mollify_n
     if n is not None:
-        rho = profile.values + mollify(rho - profile.values, mesh, n)
+        rho = profile + mollify(rho - profile, mesh, n)
         u = mollify(u, mesh, n)
     if not (np.isfinite(rho).all() and np.isfinite(u).all()):
         raise ConfigurationError("initial data has a non-finite cell")
@@ -349,7 +350,7 @@ def _summary_row(name: str, traj: Trajectory, inside: bool) -> list:
         traj.breach_cell if traj.breach_cell is not None else "none",
         traj.steps, traj.min_rho_ever,
         _sup(r.energy for r in recs), _sup(r.bd_entropy for r in recs),
-        recs[-1].diss_u if recs else math.nan, recs[-1].diss_bd if recs else math.nan,
+        recs[-1].diss_u, recs[-1].diss_bd,
         _sup(r.v_inf for r in recs), _sup(r.wvel_inf for r in recs),
         _sup(r.inv_rho_max for r in recs), _sup(r.rho_h1 for r in recs),
         _sup(r.resid_recip for r in recs), _sup(r.resid_pident for r in recs),
@@ -378,7 +379,7 @@ def _resolve_outdir(outdir) -> Path:
     return path
 
 
-def _integrate_scenario(s: Scenario, mesh: Mesh, profile: BackgroundProfile,
+def _integrate_scenario(s: Scenario, mesh: Mesh, profile: np.ndarray,
                         state0: FlowState, form: str) -> Trajectory:
     """Run one form of the scenario."""
     st0 = state0 if form == U_FORM else effective_velocity(state0, mesh, s.params)
@@ -428,16 +429,11 @@ def run_scenario(s: Scenario, outdir) -> int:
     trajs = {form: _integrate_scenario(s, mesh, profile, state0, form) for form in forms}
 
     primary = trajs[forms[0]]
-    _write_csv(
-        out / "timeseries.csv",
-        _timeseries_header(s.moment_ps),
-        [_timeseries_row(r, s.moment_ps) for r in primary.records],
-    )
-    if len(forms) == 2:
+    for form, name in zip(forms, ("timeseries.csv", "timeseries_v.csv")):
         _write_csv(
-            out / "timeseries_v.csv",
+            out / name,
             _timeseries_header(s.moment_ps),
-            [_timeseries_row(r, s.moment_ps) for r in trajs[V_FORM].records],
+            [_timeseries_row(r, s.moment_ps) for r in trajs[form].records],
         )
     x_cells = floatrepr.cells(mesh.x)[0]  # the same in every frame
     for name, frame in zip(_snapshot_names(primary.times), primary.frames):
@@ -641,21 +637,16 @@ def regularization_study(s: Scenario, n_list, outdir) -> int:
             "min_rho": traj.min_rho_ever,
             "min_visc": min_visc,
             "floor_active": not (min_visc > 1.0 / n),
-            "rho_final": traj.frames[-1].rho if traj.frames else None,
+            "rho_final": traj.frames[-1].rho,
         }
 
     ref = results[n_list[-1]]["rho_final"]
     rows = []
     for n in n_list:
         r = results[n]
-        diff = (
-            float(np.max(np.abs(r["rho_final"] - ref)))
-            if r["rho_final"] is not None and ref is not None
-            else math.nan
-        )
         rows.append([
             n, r["status"], "yes" if r["floor_active"] else "no",
-            r["min_rho"], r["min_visc"], diff,
+            r["min_rho"], r["min_visc"], float(np.max(np.abs(r["rho_final"] - ref))),
         ])
     _write_csv(
         out / "regularization.csv",

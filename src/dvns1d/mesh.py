@@ -1,6 +1,7 @@
-"""Spatial discretization: truncated domain, background density profile with
-differing end states, mollification of initial data, the field check
-`as_field` and the midpoint-rule `integrate`.
+"""Spatial discretization: truncated domain, the background density profile
+with differing end states (a plain array, sampled on the mesh),
+mollification of initial data, the field check `as_field` and the
+midpoint-rule `integrate`.
 
 The grid is uniform and cell-centered on [-L, L].  The discrete difference
 operators (grad_c, diffuse, ...) live in :mod:`dvns1d.kernels` and take the
@@ -18,7 +19,6 @@ from .errors import ConfigurationError, integer
 
 __all__ = [
     "Mesh",
-    "BackgroundProfile",
     "build_mesh",
     "background_profile",
     "mollify",
@@ -35,19 +35,6 @@ class Mesh:
     N: int
     dx: float
     x: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class BackgroundProfile:
-    """Smooth monotone background density joining rho_minus to rho_plus.
-
-    Constant outside [-1, 1]; inside, a quintic smoothstep with two
-    continuous derivatives carries the transition.
-    """
-
-    rho_minus: float
-    rho_plus: float
-    values: np.ndarray
 
 
 def build_mesh(L: float, N: int) -> Mesh:
@@ -71,15 +58,19 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-def background_profile(mesh: Mesh, rho_minus: float, rho_plus: float) -> BackgroundProfile:
-    """Sample the background density on the mesh."""
+def background_profile(mesh: Mesh, rho_minus: float, rho_plus: float) -> np.ndarray:
+    """The smooth monotone background density joining rho_minus to rho_plus,
+    sampled on the mesh.
+
+    Constant outside [-1, 1]; inside, a quintic smoothstep with two
+    continuous derivatives carries the transition.
+    """
     if rho_minus <= 0.0 or rho_plus <= 0.0 or not (math.isfinite(rho_minus) and math.isfinite(rho_plus)):
         raise ConfigurationError(
             f"far-field densities must be finite and positive, got ({rho_minus!r}, {rho_plus!r})"
         )
     t = np.clip((mesh.x + 1.0) * 0.5, 0.0, 1.0)
-    values = rho_minus + (rho_plus - rho_minus) * _smoothstep(t)
-    return BackgroundProfile(rho_minus=float(rho_minus), rho_plus=float(rho_plus), values=values)
+    return rho_minus + (rho_plus - rho_minus) * _smoothstep(t)
 
 
 def as_field(f, mesh: Mesh) -> np.ndarray:

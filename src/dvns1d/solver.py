@@ -30,9 +30,11 @@ step's arrays whole and does per-row Python work only for a row whose run
 ends.  What a batch keeps of an output frame is up to its frame function,
 which gets the running rows' state and indices: `run`'s copies the frame
 and builds the full DiagnosticsRecord with `_emit` (with its
-reciprocal-residual probe step); a sweep's keeps only running values per
-row.  The status comes from the loop alone; a step's DomainError or
-ArithmeticError (a zero pivot in a solve) ends the run "numerics".
+reciprocal-residual probe step) from the previous record, which carries
+the time integrals, and the run's one Gronwall check; a sweep's keeps only
+running values per row.  The status comes from the loop alone; a step's
+DomainError or ArithmeticError (a zero pivot in a solve) ends the run
+"numerics".
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 from . import diagnostics, kernels
 from .constitutive import Params
 from .errors import ConfigurationError, DomainError, VacuumBreach
-from .mesh import Mesh, BackgroundProfile, as_field
+from .mesh import Mesh, as_field
 
 __all__ = [
     "FlowState",
@@ -264,19 +266,20 @@ def _midpoint(state: FlowState, mesh: Mesh, params: Params, step: tuple,
         q0 = vel0 * rho0
         drho, dq = rhs(rho0, vel0, *args)
         rho_h = rho0 + 0.5 * dt * drho
-        q_h = q0 + 0.5 * dt * dq
         _clamp_ends(rho_h, rho0)
-        _clamp_ends(q_h, q0)
         _check_vacuum(rho_h, state.t + 0.5 * dt)
+        # the clamped cells keep vel0 itself: (vel0*rho0)/rho0 may differ in the last bit
+        vel_h = (q0 + 0.5 * dt * dq) / rho_h
+        _clamp_ends(vel_h, vel0)
 
-        drho, dq = rhs(rho_h, q_h / rho_h, *args)
+        drho, dq = rhs(rho_h, vel_h, *args)
         rho1 = rho0 + dt * drho
-        q1 = q0 + dt * dq
         _clamp_ends(rho1, rho0)
-        _clamp_ends(q1, q0)
         min_rho = _check_vacuum(rho1, state.t + dt)
+        vel1 = (q0 + dt * dq) / rho1
+        _clamp_ends(vel1, vel0)
 
-        out = FlowState(rho1, q1 / rho1, state.form, t1)
+        out = FlowState(rho1, vel1, state.form, t1)
     return out, StepReport(dt, min_rho, rho1.max(axis=-1), landed)
 
 
@@ -402,9 +405,11 @@ def step_v(state: FlowState, mesh: Mesh, params: Params, *, safety: float = 0.4,
     return _midpoint(state, mesh, params, step, kernels.rhs_v)
 
 
-def _emit(state: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Params,
-          acc, moment_ps, gronwall_slack: float, probe_safety: float):
-    """The frame function of `run`: the full DiagnosticsRecord."""
+def _emit(state: FlowState, mesh: Mesh, profile: np.ndarray, params: Params,
+          check: diagnostics.Gronwall, previous: diagnostics.DiagnosticsRecord | None,
+          probe_safety: float):
+    """The frame function of `run`: the full DiagnosticsRecord of the frame
+    after the record previous (None at the first), checked with check."""
     c = diagnostics.phi_gradient(state.rho, mesh, params)
     u, v = diagnostics.velocities(state, mesh, params, c)
     su = FlowState(state.rho, u, U_FORM, state.t)
@@ -421,39 +426,36 @@ def _emit(state: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Para
     except (VacuumBreach, DomainError):
         resid_recip = math.nan
 
-    return diagnostics.collect(
-        su, sv, mesh, params, profile, acc,
-        moment_ps=moment_ps, gronwall_slack=gronwall_slack, resid_recip=resid_recip,
-        correction=c,
-    )
+    return diagnostics.collect(su, sv, mesh, params, profile, check, previous,
+                               resid_recip=resid_recip, correction=c)
 
 
-def run(state0: FlowState, mesh: Mesh, profile: BackgroundProfile, params: Params, *,
+def run(state0: FlowState, mesh: Mesh, profile: np.ndarray, params: Params, *,
         T: float, output_dt: float, safety: float = 0.4,
         moment_ps: tuple = (0, 2, 8, 30), gronwall_slack: float = 0.10,
         time_scheme: str = IMEX) -> Trajectory:
     """Integrate from t=0 to T, emitting a DiagnosticsRecord every output_dt.
 
-    A vacuum breach, or a step that fails or loses finiteness, ends the run
+    profile is the sampled background density (mesh.background_profile);
+    the run's one diagnostics.Gronwall checks the moments of orders
+    moment_ps at every frame.  A vacuum breach, or a step that fails or loses finiteness, ends the run
     as status "vacuum" / "numerics"; configuration mistakes raise.
     time_scheme, one of TIME_SCHEMES, picks the stepper and its stability
     limit.  The run is run_batch's batch of one.
     """
-    moment_ps = diagnostics.moment_orders(moment_ps)
-    acc = diagnostics.RunAccumulators()
+    check = diagnostics.Gronwall(params, diagnostics.moment_orders(moment_ps), gronwall_slack)
     frames, records = [], []
 
     def frame(state, rows, batch):
         # a later step may overwrite the loop's arrays: keep copies
         frames.append(FlowState(state.rho[0].copy(), state.vel[0].copy(), state.form, state.t))
         # _emit is looked up per frame, so a replaced module attribute is seen
-        records.append(_emit(frames[-1], mesh, profile, params, acc, moment_ps, gronwall_slack, safety))
+        records.append(_emit(frames[-1], mesh, profile, params, check, records[-1] if records else None,
+                             safety))
 
     (traj,) = run_batch(FlowState(state0.rho[None], state0.vel[None], state0.form), mesh, [params],
                         T=T, output_dt=output_dt, frame=frame, safety=safety, time_scheme=time_scheme)
-    traj.frames, traj.records = frames, records
-    if acc.gronwall is not None:
-        traj.gronwall = acc.gronwall.verdict
+    traj.frames, traj.records, traj.gronwall = frames, records, check.verdict
     return traj
 
 

@@ -17,7 +17,7 @@ from dvns1d import (
     run,
 )
 from dvns1d import diagnostics
-from dvns1d.diagnostics import RunAccumulators, collect
+from dvns1d.diagnostics import collect
 
 P2 = Params(alpha=1.0, gamma=2.0, eps=0.125)
 
@@ -28,12 +28,16 @@ def _flat(L, N, rho_val=1.0):
     return m, prof
 
 
-def _record(rho, vel, form, m, prof, params=P2, acc=None, t=0.0, **kw):
-    """collect's record of the snapshot (rho, vel) given in `form`: both forms
-    from diagnostics.velocities, and a fresh RunAccumulators unless acc is given."""
+def _record(rho, vel, form, m, prof, params=P2, check=None, previous=None, t=0.0,
+            moment_ps=(0, 2, 8, 30)):
+    """collect's record of the snapshot (rho, vel) given in `form`, the frame
+    after the record previous: both forms from diagnostics.velocities, and a
+    fresh Gronwall check of moment_ps unless check is given."""
     u, v = diagnostics.velocities(make_state(rho, vel, form, m, t=t), m, params)
+    if check is None:
+        check = diagnostics.Gronwall(params, moment_ps, 0.1)
     return collect(make_state(rho, u, "U", m, t=t), make_state(rho, v, "V", m, t=t), m, params, prof,
-                   RunAccumulators() if acc is None else acc, **kw)
+                   check, previous)
 
 
 # ----------------------------------------------------------------- energy
@@ -335,11 +339,11 @@ def test_collect_gronwall_bound_matches_the_oracle(origin):
     params = Params(alpha=0.75, gamma=2.5, a=1.3, mu0=0.9)
     m = build_mesh(6.0, 96)
     prof = background_profile(m, 1.0, 1.5)
-    acc = RunAccumulators()
-    hist, first = [], None
+    check = diagnostics.Gronwall(params, (0, 3), 0.1)
+    hist, first, rec = [], None, None
     for k, t in enumerate((0.0, 0.1, 0.25, 0.3)):
-        rho = prof.values + 0.3 * np.exp(-((m.x - 0.2 * k) ** 2))
-        rec = _record(rho, 0.4 * np.sin(m.x + k), origin, m, prof, params, acc, t, moment_ps=(0, 3))
+        rho = prof + 0.3 * np.exp(-((m.x - 0.2 * k) ** 2))
+        rec = _record(rho, 0.4 * np.sin(m.x + k), origin, m, prof, params, check, rec, t)
         first = first or rec
         hist.append((t, rec.wvel_inf, rec.sqrt_rho_u_l2, rec.max_rho))
         times, wvel, sql2, rho_linf = zip(*hist)
@@ -468,7 +472,7 @@ def test_pressure_identity_refinement_rate():
 def test_density_report_at_background():
     m = build_mesh(2.0, 64)
     prof = background_profile(m, 1.0, 2.0)
-    rec = _record(prof.values.copy(), np.zeros(m.N), "U", m, prof)
+    rec = _record(prof.copy(), np.zeros(m.N), "U", m, prof)
     assert rec.rho_h1 == 0.0
     assert rec.min_rho == 1.0 and rec.max_rho == 2.0
 
@@ -477,7 +481,7 @@ def test_density_report_constant_offset():
     # flat background, rho = rhobar + 0.5 on L = 2: the gradient term
     # vanishes and the H1 distance is 0.5 * sqrt(measure) = 1
     m, prof = _flat(2.0, 64)
-    assert _record(prof.values + 0.5, np.zeros(m.N), "U", m, prof).rho_h1 == pytest.approx(1.0, abs=1e-13)
+    assert _record(prof + 0.5, np.zeros(m.N), "U", m, prof).rho_h1 == pytest.approx(1.0, abs=1e-13)
 
 
 def test_density_report_reciprocal_consistency(rng):
@@ -506,12 +510,29 @@ def test_run_records_monotone_time(bump_run):
 
 
 def test_run_cumulative_dissipations(bump_run):
-    _, traj = bump_run
+    m, traj = bump_run
     du = [r.diss_u for r in traj.records]
     dbd = [r.diss_bd for r in traj.records]
     assert du[0] == 0.0 and dbd[0] == 0.0
     assert all(b >= a for a, b in zip(du, du[1:]))
     assert all(b >= a for a, b in zip(dbd, dbd[1:]))
+    # each record carries the trapezoid of the recorded rates (the BD rate
+    # clamped at 0) over the frames so far, bit for bit, in both forms,
+    # under both schemes and at an alpha != 1
+    prof = background_profile(m, 1.0, 1.0)
+    su = make_state(1.0 + 0.5 * np.exp(-m.x**2), 0.3 * np.sin(m.x), "U", m)
+    runs = [traj]
+    for params in (P2, Params(alpha=0.75, gamma=2.0, eps=0.125)):
+        for st in (su, effective_velocity(su, m, params)):
+            for time_scheme in ("imex", "explicit"):
+                runs.append(run(st, m, prof, params, T=0.1, output_dt=0.025, time_scheme=time_scheme))
+    for traj in runs:
+        assert traj.status == "completed" and len(traj.records) == 5
+        du_rates = [r.diss_u_rate for r in traj.records]
+        bd_rates = [max(0.0, r.diss_bd_rate) for r in traj.records]
+        for k, rec in enumerate(traj.records):
+            assert rec.diss_u == _trapezoid(du_rates[:k + 1], traj.times[:k + 1])
+            assert rec.diss_bd == _trapezoid(bd_rates[:k + 1], traj.times[:k + 1])
 
 
 def test_run_moment_keys_and_sandwich(bump_run):

@@ -268,7 +268,7 @@ def test_build_initial_hoff_step():
     m = build_mesh(s.L, s.N)
     prof = background_profile(m, 1.0, 2.0)
     st = build_initial(s, m, prof)
-    assert np.array_equal(st.rho, prof.values)
+    assert np.array_equal(st.rho, prof)
     outside = np.abs(m.x) >= 2.0
     assert np.all(st.vel[outside] == 0.0)  # compactly supported bump
     assert 0.29 < np.max(st.vel) <= 0.3

@@ -50,14 +50,12 @@ def test_mesh_immutable():
 def test_profile_equal_ends_constant():
     m = build_mesh(10.0, 256)
     prof = background_profile(m, 1.0, 1.0)
-    assert np.all(prof.values == 1.0)
-    assert prof.rho_minus == prof.rho_plus == 1.0
+    assert np.all(prof == 1.0)
 
 
 def test_profile_transition():
     m = build_mesh(10.0, 512)
-    prof = background_profile(m, 1.0, 2.0)
-    v = prof.values
+    v = background_profile(m, 1.0, 2.0)
     # exactly constant outside the transition band
     assert np.all(v[m.x <= -1.0] == 1.0)
     assert np.all(v[m.x >= 1.0] == 2.0)
