@@ -227,7 +227,7 @@ def reciprocal_residual(state_t, state_next, mesh: Mesh, params: Params) -> floa
         + 2.0 * v * gw
         - kernels.grad_c(v * w0, mesh.dx)
     )
-    core = resid[2:-2]
+    core = resid[kernels.CLAMP:-kernels.CLAMP]
     return math.sqrt(float(np.sum(core * core)) * mesh.dx)
 
 

@@ -1,10 +1,13 @@
 """Scenario configuration and run orchestration.
 
 A Scenario is loaded from a flat INI config (the keys of _INI: any other
-section or key is an error, and an absent key keeps its dataclass default),
-validated (including the admissibility check on (alpha, gamma)), turned into
-initial data from one of the built-in families, integrated, and written out
-as CSV artifacts:
+section or key is an error, an absent key keeps its dataclass default, and
+an (alpha, gamma) outside the admissible region is a warning) or built in
+Python.  Every entry point (run_scenario, sweep, refinement_study and
+regularization_study) starts with validate_scenario, which checks the
+scenario and returns its mesh, background profile and initial data from one
+of the built-in families.  The runs are then integrated and written out as
+CSV artifacts:
 
   timeseries.csv       one row per output time, every diagnostic column
   fields_<t>.csv       x, rho, u, v snapshots at each output time
@@ -156,7 +159,9 @@ def load_config(path) -> Scenario:
     return scenario
 
 
-def validate_scenario(s: Scenario) -> None:
+def validate_scenario(s: Scenario) -> tuple[Mesh, np.ndarray, FlowState]:
+    """Check s, normalise its solver_form and moment_ps in place, and return
+    its mesh, background profile and initial U-form state."""
     form = s.solver_form.upper() if s.solver_form.lower() != "both" else "both"
     if form not in _FORMS:
         raise ConfigurationError(f"solver_form must be U, V or both, got {s.solver_form!r}")
@@ -176,11 +181,6 @@ def validate_scenario(s: Scenario) -> None:
         raise ConfigurationError("custom-table family requires the 'table' field")
     # building the initial data checks the family, the bump widths and the
     # finiteness and positivity that the data must satisfy
-    _prepare(s)
-
-
-def _prepare(s: Scenario):
-    """The mesh, background profile and initial state of s."""
     mesh = build_mesh(s.L, s.N)
     profile = background_profile(mesh, s.rho_minus, s.rho_plus)
     return mesh, profile, build_initial(s, mesh, profile)
@@ -422,18 +422,16 @@ class _SweepMonitor:
 
 def run_scenario(s: Scenario, outdir) -> int:
     """Integrate the scenario and write its artifact set. Returns exit status."""
+    mesh, profile, state0 = validate_scenario(s)
     out = _resolve_outdir(outdir)
-    mesh, profile, state0 = _prepare(s)
+    trajs = [_integrate_scenario(s, mesh, profile, state0, form) for form in s.forms]
 
-    forms = s.forms
-    trajs = {form: _integrate_scenario(s, mesh, profile, state0, form) for form in forms}
-
-    primary = trajs[forms[0]]
-    for form, name in zip(forms, ("timeseries.csv", "timeseries_v.csv")):
+    primary = trajs[0]
+    for traj, name in zip(trajs, ("timeseries.csv", "timeseries_v.csv")):
         _write_csv(
             out / name,
             _timeseries_header(s.moment_ps),
-            [_timeseries_row(r, s.moment_ps) for r in trajs[form].records],
+            [_timeseries_row(r, s.moment_ps) for r in traj.records],
         )
     x_cells = floatrepr.cells(mesh.x)[0]  # the same in every frame
     for name, frame in zip(_snapshot_names(primary.times), primary.frames):
@@ -446,15 +444,11 @@ def run_scenario(s: Scenario, outdir) -> int:
     _write_csv(
         out / "summary.csv",
         _SUMMARY_HEADER,
-        [_summary_row(s.name, trajs[form], s.inside_theorem) for form in forms],
+        [_summary_row(s.name, traj, s.inside_theorem) for traj in trajs],
     )
-    if len(forms) == 2:
-        tu, tv = trajs[U_FORM], trajs[V_FORM]
-        nshared = min(len(tu.frames), len(tv.frames))
-        rows = [
-            [tu.times[k], float(np.max(np.abs(tu.frames[k].rho - tv.frames[k].rho)))]
-            for k in range(nshared)
-        ]
+    if len(trajs) == 2:
+        tu, tv = trajs
+        rows = [[fu.t, float(np.max(np.abs(fu.rho - fv.rho)))] for fu, fv in zip(tu.frames, tv.frames)]
         _write_csv(out / "formdiff.csv", ["t", "rho_diff_linf"], rows)
     return 0
 
@@ -473,8 +467,8 @@ def sweep(base: Scenario, alpha_grid, gamma_grid, outdir) -> int:
     """
     if not alpha_grid or not gamma_grid:
         raise ConfigurationError("sweep grids must be non-empty")
+    mesh, profile, state0 = validate_scenario(base)
     out = _resolve_outdir(outdir)
-    mesh, profile, state0 = _prepare(base)
     form = base.forms[0]
 
     rows, points = [], []  # points: (row index, params, theorem report)
@@ -486,12 +480,11 @@ def sweep(base: Scenario, alpha_grid, gamma_grid, outdir) -> int:
                 rows.append(None)
             except ValueError as exc:
                 rows.append(_error_row(alpha, gamma, exc))
-    moment_ps = diagnostics.moment_orders(base.moment_ps)
     size = max(1, CELLS // mesh.N)
     for chunk in (points[k:k + size] for k in range(0, len(points), size)):
         states = [state0 if form == U_FORM else effective_velocity(state0, mesh, p) for _, p, _ in chunk]
         batch = FlowState(np.stack([st.rho for st in states]), np.stack([st.vel for st in states]), form)
-        monitor = _SweepMonitor(mesh, [p for _, p, _ in chunk], moment_ps, base.gronwall_slack)
+        monitor = _SweepMonitor(mesh, [p for _, p, _ in chunk], base.moment_ps, base.gronwall_slack)
         trajs = solver.run_batch(batch, mesh, [p for _, p, _ in chunk], T=base.T, output_dt=base.output_dt,
                                  frame=monitor, safety=base.safety, time_scheme=base.time_scheme)
         for j, ((k, params, report), traj) in enumerate(zip(chunk, trajs)):
@@ -536,22 +529,16 @@ def _order_rows(quantity: str, ns: list, values: list, scale: float) -> list:
     for j, (n, val) in enumerate(zip(ns, values)):
         prev = values[j - 1] if j > 0 else None
         if isinstance(val, str):
-            rows.append([quantity, n, "undefined", "undefined", val])
-            continue
-        if isinstance(prev, str):
-            rows.append([quantity, n, val, "undefined", prev])
-            continue
-        order: float | None = None
-        flag = "ok"
-        if val < 1e-13 * max(scale, 1.0):
-            flag = "roundoff"
-        if j > 0:
-            if prev <= val or val <= 0.0 or flag == "roundoff":
-                flag = "undefined" if flag == "ok" else flag
-                order = None
-            else:
-                order = math.log(prev / val) / math.log(ns[j] / ns[j - 1])
-        rows.append([quantity, n, val, order if order is not None else "undefined", flag])
+            val, order, flag = "undefined", "undefined", val
+        elif isinstance(prev, str):
+            order, flag = "undefined", prev
+        elif val < 1e-13 * max(scale, 1.0):  # every value <= 0 included
+            order, flag = "undefined", "roundoff"
+        elif j == 0 or prev <= val:
+            order, flag = "undefined", "undefined" if j else "ok"
+        else:
+            order, flag = math.log(prev / val) / math.log(ns[j] / ns[j - 1]), "ok"
+        rows.append([quantity, n, val, order, flag])
     return rows
 
 
@@ -572,42 +559,27 @@ def refinement_study(s: Scenario, n_list, outdir) -> int:
         raise ConfigurationError(f"refinement needs >= 3 strictly increasing resolutions, got {n_list!r}")
     out = _resolve_outdir(outdir)
 
-    both = s.solver_form == "both"
-    finals = {}
+    members = []  # (mesh, one trajectory per form, the primary first)
     for n in n_list:
-        mesh, profile, state0 = _prepare(dataclasses.replace(s, N=n))
-        traj, *other = [_integrate_scenario(s, mesh, profile, state0, form) for form in s.forms]
-        last, rec = traj.frames[-1], traj.records[-1]
-        entry = {
-            "mesh": mesh,
-            "status": _failed(traj),
-            "rho": last.rho,
-            "vel": last.vel,
-            "resid_recip": rec.resid_recip,
-            "resid_pident": rec.resid_pident,
-        }
-        if both:
-            entry["formdiff"] = _failed(traj, *other) or float(
-                np.max(np.abs(last.rho - other[0].frames[-1].rho)))
-        finals[n] = entry
+        s_n = dataclasses.replace(s, N=n)
+        mesh, profile, state0 = validate_scenario(s_n)
+        members.append((mesh, [_integrate_scenario(s_n, mesh, profile, state0, form) for form in s_n.forms]))
 
     rows = []
     rho_scale = max(s.rho_minus, s.rho_plus)
-    for field_name, scale in (("rho", rho_scale), ("vel", max(abs(s.u_amplitude), 1.0))):
+    for name, scale in (("rho", rho_scale), ("vel", max(abs(s.u_amplitude), 1.0))):
         errs = []
-        for a, b in zip(n_list, n_list[1:]):
-            coarse, fine = finals[a], finals[b]
-            status = coarse["status"] or fine["status"]
-            if status:
-                errs.append(status)
-                continue
-            restricted = _restrict(fine[field_name], a, fine["mesh"].x, coarse["mesh"].x)
-            errs.append(float(np.sum(np.abs(restricted - coarse[field_name])) * coarse["mesh"].dx))
-        rows += _order_rows(field_name, n_list[1:], errs, scale)
+        for (mc, (tc, *_)), (mf, (tf, *_)) in zip(members, members[1:]):
+            fine = _restrict(getattr(tf.frames[-1], name), mc.N, mf.x, mc.x)
+            errs.append(_failed(tc, tf) or float(np.sum(np.abs(fine - getattr(tc.frames[-1], name))) * mc.dx))
+        rows += _order_rows(name, n_list[1:], errs, scale)
     for resid in ("resid_recip", "resid_pident"):
-        rows += _order_rows(resid, n_list, [finals[n]["status"] or finals[n][resid] for n in n_list], 1.0)
-    if both:
-        rows += _order_rows("formdiff_rho", n_list, [finals[n]["formdiff"] for n in n_list], rho_scale)
+        values = [_failed(t) or getattr(t.records[-1], resid) for _, (t, *_) in members]
+        rows += _order_rows(resid, n_list, values, 1.0)
+    if len(members[0][1]) == 2:  # solver_form = both
+        diffs = [_failed(tu, tv) or float(np.max(np.abs(tu.frames[-1].rho - tv.frames[-1].rho)))
+                 for _, (tu, tv) in members]
+        rows += _order_rows("formdiff_rho", n_list, diffs, rho_scale)
 
     _write_csv(out / "orders.csv", ["quantity", "N", "value", "order", "flag"], rows)
     return 0
@@ -619,34 +591,22 @@ def regularization_study(s: Scenario, n_list, outdir) -> int:
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigurationError(f"regularization needs an increasing n list, got {n_list!r}")
     out = _resolve_outdir(outdir)
-    form = s.forms[0]
 
-    results = {}
+    trajs = []
     for n in n_list:
-        params_n = dataclasses.replace(s.params, reg_n=n)
-        s_n = dataclasses.replace(s, params=params_n, mollify_n=n)
-        mesh, profile, state0 = _prepare(s_n)
-        traj = _integrate_scenario(s_n, mesh, profile, state0, form)
-        min_visc = (
-            params_n.mu0 * traj.min_rho_ever ** params_n.alpha
-            if math.isfinite(traj.min_rho_ever) and traj.min_rho_ever > 0.0
-            else math.nan
-        )
-        results[n] = {
-            "status": traj.status,
-            "min_rho": traj.min_rho_ever,
-            "min_visc": min_visc,
-            "floor_active": not (min_visc > 1.0 / n),
-            "rho_final": traj.frames[-1].rho,
-        }
+        s_n = dataclasses.replace(s, params=dataclasses.replace(s.params, reg_n=n), mollify_n=n)
+        mesh, profile, state0 = validate_scenario(s_n)
+        trajs.append(_integrate_scenario(s_n, mesh, profile, state0, s_n.forms[0]))
 
-    ref = results[n_list[-1]]["rho_final"]
+    ref = trajs[-1].frames[-1].rho
     rows = []
-    for n in n_list:
-        r = results[n]
+    for n, traj in zip(n_list, trajs):
+        min_rho = traj.min_rho_ever
+        positive = math.isfinite(min_rho) and min_rho > 0.0
+        min_visc = s.params.mu0 * min_rho ** s.params.alpha if positive else math.nan
         rows.append([
-            n, r["status"], "yes" if r["floor_active"] else "no",
-            r["min_rho"], r["min_visc"], float(np.max(np.abs(r["rho_final"] - ref))),
+            n, traj.status, "no" if min_visc > 1.0 / n else "yes",
+            min_rho, min_visc, float(np.max(np.abs(traj.frames[-1].rho - ref))),
         ])
     _write_csv(
         out / "regularization.csv",

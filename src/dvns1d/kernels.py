@@ -27,6 +27,10 @@ import operator
 
 import numpy as np
 
+# cells frozen to their far-field values at each end: the solver clamps them,
+# diffusion_bands gives them identity rows and the residuals leave them out
+CLAMP = 2
+
 
 class Column:
     """A parameter with a value per row of a batch: each distinct value and its
@@ -212,18 +216,19 @@ def stability_terms(rho, vel, alpha, gamma, a, mu0, floor, diffusive=True):
 
 def diffusion_bands(base, coef, k):
     """Bands of the system base*f - k*dx^2*D_coef f with D_coef the stencil
-    of _diffusion_core, on rows 2..N-3; the two clamped cells at each end
-    are identity rows.  For base > 0 and coef >= 0 it is an M-matrix."""
+    of _diffusion_core, on rows CLAMP..N-1-CLAMP; the clamped cells at each
+    end are identity rows.  For base > 0 and coef >= 0 it is an M-matrix."""
     w = coef[..., :-1] + coef[..., 1:]
     w *= 0.5 * k
     lower = np.zeros(base.shape)
     upper = np.zeros(base.shape)
     diag = base.copy()
-    lower[..., 2:-2] = -w[..., 1:-2]
-    upper[..., 2:-2] = -w[..., 2:-1]
-    diag[..., 2:-2] += w[..., 1:-2]
-    diag[..., 2:-2] += w[..., 2:-1]
-    diag[..., :2] = diag[..., -2:] = 1.0
+    rows, left, right = slice(CLAMP, -CLAMP), slice(CLAMP - 1, -CLAMP), slice(CLAMP, 1 - CLAMP)
+    lower[..., rows] = -w[..., left]
+    upper[..., rows] = -w[..., right]
+    diag[..., rows] += w[..., left]
+    diag[..., rows] += w[..., right]
+    diag[..., :CLAMP] = diag[..., -CLAMP:] = 1.0
     return lower, diag, upper
 
 

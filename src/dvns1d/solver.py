@@ -80,10 +80,6 @@ TIME_SCHEMES = (IMEX, EXPLICIT)
 _ARS_G = 1.0 - 1.0 / math.sqrt(2.0)
 _ARS_D = 1.0 - 1.0 / (2.0 * _ARS_G)
 
-# number of cells frozen to far-field values at each end
-_CLAMP = 2
-
-
 @dataclass(eq=False)
 class FlowState:
     """Density plus one velocity field; `form` says whether vel is u or v.
@@ -233,8 +229,8 @@ def _land(state: FlowState, dt, until) -> tuple:
 
 
 def _clamp_ends(arr: np.ndarray, ref: np.ndarray) -> None:
-    arr[..., :_CLAMP] = ref[..., :_CLAMP]
-    arr[..., -_CLAMP:] = ref[..., -_CLAMP:]
+    arr[..., :kernels.CLAMP] = ref[..., :kernels.CLAMP]
+    arr[..., -kernels.CLAMP:] = ref[..., -kernels.CLAMP:]
 
 
 def _check_vacuum(rho: np.ndarray, t):
@@ -360,7 +356,7 @@ def _stages_v(state: FlowState, mesh: Mesh, p: Params, dt):
         _clamp_ends(est, rho0)
         c = diffusivity(np.where(est > 0.0, est, rho0))
         rhs = known + k * kernels.diffuse(c, rho0, dx)
-        rhs[..., :_CLAMP] = rhs[..., -_CLAMP:] = 0.0  # identity rows
+        rhs[..., :kernels.CLAMP] = rhs[..., -kernels.CLAMP:] = 0.0  # identity rows
         rho = rho0 + kernels.solve_tridiagonal(*kernels.diffusion_bands(ones, c, k / dx**2), rhs)
         _check_vacuum(rho, t)
         v = (q0 + inc[1]) / rho

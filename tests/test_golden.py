@@ -1,4 +1,4 @@
-"""Golden-bytes guard: the artifacts of three small reference scenarios.
+"""Golden-bytes guard: the artifacts of four small reference scenarios.
 
 Each scenario's files are hashed with SHA-256 and compared against digests
 recorded from the reference implementation. A pure refactor or speed-up must
@@ -20,7 +20,7 @@ import warnings
 import pytest
 
 from dvns1d import Params
-from dvns1d.harness import Scenario, refinement_study, run_scenario, sweep
+from dvns1d.harness import Scenario, refinement_study, regularization_study, run_scenario, sweep
 
 
 def _scn(params, time_scheme, **over):
@@ -51,7 +51,17 @@ def _refine(out, time_scheme):
     refinement_study(s, [64, 128, 256], out)
 
 
-SCENARIOS = {"run_both": _run_both, "sweep_nearvac": _sweep_nearvac, "refine": _refine}
+def _regularize(out, time_scheme):
+    # min rho runs from 0.29 (n = 2) to 0.21 (n = 8): the floor 1/n is active
+    # at n = 2 and 4 and not at 8, and the mollifier reaches 4, 2 and 1 cells
+    params = Params(alpha=1.0, gamma=2.0)
+    s = _scn(params, time_scheme, L=8.0, N=128, init_family="near-vacuum", amplitude=-0.8,
+             sigma=0.6, u_amplitude=0.2, T=0.02, output_dt=0.01)
+    regularization_study(s, [2, 4, 8], out)
+
+
+SCENARIOS = {"run_both": _run_both, "sweep_nearvac": _sweep_nearvac, "refine": _refine,
+             "regularize": _regularize}
 
 
 def artifact_digests(name, out, time_scheme="explicit") -> dict:
@@ -66,6 +76,10 @@ GOLDEN = {
     'refine': {
         'orders.csv':
             '7bbafcf8015bfd9d0983506d23329eabcea176ecbea6967fe2fd6ede94e31bcd',
+    },
+    'regularize': {
+        'regularization.csv':
+            'b8b6ba205097ef0df137ec448d7092529df8defcfc483bd841d2503d8db615bc',
     },
     'run_both': {
         'fields_0.000000.csv':
@@ -98,6 +112,10 @@ GOLDEN_IMEX = {
     'refine': {
         'orders.csv':
             '6e147b99302619c4d5df136d909eac19acff57f570ad3448799c168c05e62770',
+    },
+    'regularize': {
+        'regularization.csv':
+            '54bc456353b16e04312f18cd27c9604912fac0c09d76cd146da1acea9fe1c219',
     },
     'run_both': {
         'fields_0.000000.csv':

@@ -239,6 +239,42 @@ def test_validate_scenario_normalizes_form():
     assert s.solver_form == "both"
 
 
+def test_validate_scenario_returns_the_prepared_run():
+    s = _scn(N=64, rho_plus=1.5, amplitude=0.3, u_amplitude=0.2)
+    mesh, profile, state0 = validate_scenario(s)
+    assert (mesh.L, mesh.N) == (s.L, 64)
+    assert np.array_equal(profile, background_profile(mesh, 1.0, 1.5))
+    want = build_initial(s, mesh, profile)
+    assert state0.form == "U" and np.array_equal(state0.rho, want.rho) and np.array_equal(state0.vel, want.vel)
+
+
+_ENTRIES = {
+    "run": run_scenario,
+    "sweep": lambda s, out: sweep(s, [1.0], [2.0], out),
+    "refine": lambda s, out: refinement_study(s, [16, 32, 64], out),
+    "regularize": lambda s, out: regularization_study(s, [1, 2], out),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+def test_entry_points_check_a_scenario_built_in_python(entry, tmp_path):
+    # every entry point validates its Scenario as load_config does: a
+    # lower-case form runs that form, and a bad form or slack is refused
+    def artifacts(out, **over):
+        _ENTRIES[entry](_scn(N=16, amplitude=0.3, u_amplitude=0.2, T=0.02, output_dt=0.01, **over), out)
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    lower = artifacts(tmp_path / "lower", solver_form="u")
+    assert lower == artifacts(tmp_path / "upper", solver_form="U")
+    if entry == "run":
+        assert [r["form"] for r in _rows(tmp_path / "lower" / "summary.csv")] == ["U"]
+    if entry == "sweep":
+        assert [r["status"] for r in _rows(tmp_path / "lower" / "sweep.csv")] == ["completed"]
+    for bad in (dict(solver_form="W"), dict(gronwall_slack=-0.5)):
+        with pytest.raises(ConfigurationError):
+            artifacts(tmp_path / "bad", **bad)
+
+
 # ---------------------------------------------------------- initial data
 
 def test_build_initial_gaussian():

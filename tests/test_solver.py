@@ -268,6 +268,18 @@ def test_step_form_mismatch():
     m, st = _bump_state(64)
     with pytest.raises(ConfigurationError):
         step_v(st, m, SW)
+    _, sv = _bump_state(64, form="V")
+    with pytest.raises(ConfigurationError):
+        step_u(sv, m, SW)
+
+
+def test_run_batch_rejects_points_that_differ_beyond_alpha_and_gamma():
+    # a batch reads a, mu0, the viscosity floor and beta from its first point alone
+    m, st = _bump_state(32)
+    batch = solver.FlowState(np.stack([st.rho, st.rho]), np.stack([st.vel, st.vel]), "U")
+    points = [SW, Params(alpha=1.0, gamma=2.0, eps=0.125, a=2.0)]
+    with pytest.raises(ConfigurationError, match="only in alpha and gamma"):
+        solver.run_batch(batch, m, points, T=0.01, output_dt=0.01, frame=lambda *args: None)
 
 
 def test_constant_state_is_exact_fixed_point():
