@@ -16,8 +16,8 @@ verdict, in Python floats.  A sweep frame calls the same two and keeps no
 record.  The residual of the reciprocal-density equation needs a second
 snapshot and is `reciprocal_residual`'s, which the caller passes in.  A
 frame's fields were checked when its state was made and at every step, so
-both apply the kernels' operators and laws (grad_c, diffuse, viscosity,
-pressure, potential, relative_pressure) to them directly.
+both apply the kernels' operators and laws (grad_c, diffuse, phi_gradient,
+viscosity, pressure, relative_pressure) to them directly.
 """
 
 from __future__ import annotations
@@ -54,16 +54,11 @@ class DiagnosticsRecord:
     outcome (None when the bound is None or inf).  wvel_inf and
     sqrt_rho_u_l2 are the two velocity norms the envelope's rate reads.
     diss_u / diss_bd are cumulative time integrals up to t; the *_rate
-    fields are the instantaneous integrands of those time integrals.
+    fields are the instantaneous integrands of those time integrals.  The
+    float fields, in this order, are the leading columns of timeseries.csv.
     """
 
     t: float
-    v_inf: float
-    wvel_inf: float
-    sqrt_rho_u_l2: float
-    moments: dict
-    gron_bound: dict
-    gron_pass: dict
     mass: float
     energy: float
     bd_entropy: float
@@ -76,13 +71,19 @@ class DiagnosticsRecord:
     max_rho: float
     inv_rho_max: float
     rho_h1: float
+    v_inf: float
+    wvel_inf: float
+    sqrt_rho_u_l2: float
     resid_recip: float
     resid_pident: float
+    moments: dict
+    gron_bound: dict
+    gron_pass: dict
 
 
 def phi_gradient(rho, mesh: Mesh, params: Params) -> np.ndarray:
     """d/dx phi(rho), the difference v - u of the two velocities (per row of a batch)."""
-    return kernels.grad_c(kernels.per_value(kernels.potential, rho, params.alpha, params.mu0), mesh.dx)
+    return kernels.phi_gradient(rho, params.alpha, params.mu0, mesh.dx)
 
 
 def velocities(state, mesh: Mesh, params: Params,

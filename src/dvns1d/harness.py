@@ -254,16 +254,12 @@ def _fmt(value) -> str:
         return "unavailable"
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if isinstance(value, bool):  # a verdict
+        return "pass" if value else "fail"
+    if isinstance(value, (int, np.integer)):
         return str(int(value))
     f = float(value)
     return repr(f) if math.isfinite(f) else "undefined"
-
-
-def _verdict(flag) -> str:
-    if flag is None:
-        return "unavailable"
-    return "pass" if flag else "fail"
 
 
 def _write_csv(path: Path, header: list, rows, first_col=None) -> None:
@@ -302,13 +298,8 @@ def _block_bytes(block: np.ndarray, first_col, r0: int) -> bytes:
     return cells.tobytes().translate(None, b"\0")
 
 
-# the DiagnosticsRecord fields of a timeseries.csv row, in column order
-_TIMESERIES = (
-    "t", "mass", "energy", "bd_entropy", "diss_u", "diss_bd",
-    "diss_u_rate", "diss_bd_rate", "bd_integrand_min",
-    "min_rho", "max_rho", "inv_rho_max", "rho_h1",
-    "v_inf", "wvel_inf", "sqrt_rho_u_l2", "resid_recip", "resid_pident",
-)
+# the DiagnosticsRecord fields of a timeseries.csv row: its floats, in column order
+_TIMESERIES = tuple(f.name for f in dataclasses.fields(diagnostics.DiagnosticsRecord) if f.type == "float")
 
 
 def _timeseries_header(moment_ps) -> list:
@@ -323,7 +314,7 @@ def _timeseries_row(rec, moment_ps) -> list:
     row = [getattr(rec, name) for name in _TIMESERIES]
     row += [rec.moments[p] for p in moment_ps]
     row += [rec.gron_bound[p] for p in moment_ps]
-    row += [_verdict(rec.gron_pass[p]) for p in moment_ps]
+    row += [rec.gron_pass[p] for p in moment_ps]
     return row
 
 
@@ -557,13 +548,12 @@ def refinement_study(s: Scenario, n_list, outdir) -> int:
     n_list = [integer(n, "N", 8) for n in n_list]
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigurationError(f"refinement needs >= 3 strictly increasing resolutions, got {n_list!r}")
+    scenarios = [dataclasses.replace(s, N=n) for n in n_list]
+    prepared = [validate_scenario(s_n) for s_n in scenarios]
     out = _resolve_outdir(outdir)
-
-    members = []  # (mesh, one trajectory per form, the primary first)
-    for n in n_list:
-        s_n = dataclasses.replace(s, N=n)
-        mesh, profile, state0 = validate_scenario(s_n)
-        members.append((mesh, [_integrate_scenario(s_n, mesh, profile, state0, form) for form in s_n.forms]))
+    # (mesh, one trajectory per form, the primary first)
+    members = [(mesh, [_integrate_scenario(s_n, mesh, profile, state0, form) for form in s_n.forms])
+               for s_n, (mesh, profile, state0) in zip(scenarios, prepared)]
 
     rows = []
     rho_scale = max(s.rho_minus, s.rho_plus)
@@ -590,13 +580,11 @@ def regularization_study(s: Scenario, n_list, outdir) -> int:
     n_list = [integer(n, "n", 1) for n in n_list]
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigurationError(f"regularization needs an increasing n list, got {n_list!r}")
+    scenarios = [dataclasses.replace(s, params=dataclasses.replace(s.params, reg_n=n), mollify_n=n)
+                 for n in n_list]
+    prepared = [validate_scenario(s_n) for s_n in scenarios]
     out = _resolve_outdir(outdir)
-
-    trajs = []
-    for n in n_list:
-        s_n = dataclasses.replace(s, params=dataclasses.replace(s.params, reg_n=n), mollify_n=n)
-        mesh, profile, state0 = validate_scenario(s_n)
-        trajs.append(_integrate_scenario(s_n, mesh, profile, state0, s_n.forms[0]))
+    trajs = [_integrate_scenario(s_n, *member, s_n.forms[0]) for s_n, member in zip(scenarios, prepared)]
 
     ref = trajs[-1].frames[-1].rho
     rows = []

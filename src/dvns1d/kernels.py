@@ -75,24 +75,18 @@ def grad_c(f, dx):
     return g
 
 
-def _diffusion_core(a, f, dx):
-    # interior cells of d/dx(a * d/dx f) with arithmetic-mean face coefficients
-    flux = a[..., :-1] + a[..., 1:]
-    flux *= 0.5
-    flux *= f[..., 1:] - f[..., :-1]
-    core = flux[..., 1:] - flux[..., :-1]
-    core /= dx * dx
-    return core
-
-
 def diffuse(a, f, dx):
     """Three-point flux form of d/dx(a * d/dx f) with arithmetic-mean faces.
 
     The first and last cells get 0 (they sit inside the steppers' clamp); for
     a >= 0 and fields vanishing at the boundary it is symmetric negative-semidefinite."""
+    flux = a[..., :-1] + a[..., 1:]
+    flux *= 0.5
+    flux *= f[..., 1:] - f[..., :-1]
     out = np.empty_like(f)
-    out[..., 1:-1] = _diffusion_core(a, f, dx)
-    out[..., 0] = out[..., -1] = 0.0
+    core = np.subtract(flux[..., 1:], flux[..., :-1], out=out[..., 1:-1])
+    core /= dx * dx
+    out.T[0] = out.T[-1] = 0.0
     return out
 
 
@@ -168,9 +162,7 @@ def transport_u(rho, u, dx, alpha, gamma, a, mu0, floor):
 def rhs_u(rho, u, dx, alpha, gamma, a, mu0, floor):
     # d/dt rho = -(rho u)_x,  d/dt m = -(m u)_x - P_x + (mu u_x)_x
     drho, dm = transport_u(rho, u, dx, alpha, gamma, a, mu0, floor)
-    dm[..., 1:-1] += _diffusion_core(viscosity(rho, alpha, mu0, floor), u, dx)
-    dm.T[0] += 0.0
-    dm.T[-1] += 0.0
+    dm += diffuse(viscosity(rho, alpha, mu0, floor), u, dx)
     return drho, dm
 
 
@@ -188,10 +180,15 @@ def potential(rho, alpha, mu0):
     return mu0 * np.power(rho, alpha - 1.0) / (alpha - 1.0)
 
 
+def phi_gradient(rho, alpha, mu0, dx):
+    # d/dx phi(rho) = v - u, per row of a batch
+    return grad_c(per_value(potential, rho, alpha, mu0), dx)
+
+
 def transport_v(rho, v, dx, alpha, gamma, a, mu0, floor):
     # rhs_v without the density diffusion, same signature: d/dt rho = -(rho v)_x,
     # d/dt q = -(q u)_x - P_x for q = rho v, carried by u = v - phi(rho)_x
-    u = grad_c(per_value(potential, rho, alpha, mu0), dx)
+    u = phi_gradient(rho, alpha, mu0, dx)
     np.subtract(v, u, out=u)
     return _transport(rho, v, rho * v, u, dx, gamma, a)
 
@@ -199,9 +196,7 @@ def transport_v(rho, v, dx, alpha, gamma, a, mu0, floor):
 def rhs_v(rho, v, dx, alpha, gamma, a, mu0, floor):
     # d/dt rho = (mu/rho rho_x)_x - (rho v)_x,  d/dt q = -(q u)_x - P_x for q = rho v
     drho, dq = transport_v(rho, v, dx, alpha, gamma, a, mu0, floor)
-    drho[..., 1:-1] += _diffusion_core(diffusivity(rho, alpha, mu0, floor), rho, dx)
-    drho.T[0] += 0.0
-    drho.T[-1] += 0.0
+    drho += diffuse(diffusivity(rho, alpha, mu0, floor), rho, dx)
     return drho, dq
 
 
@@ -216,7 +211,7 @@ def stability_terms(rho, vel, alpha, gamma, a, mu0, floor, diffusive=True):
 
 def diffusion_bands(base, coef, k):
     """Bands of the system base*f - k*dx^2*D_coef f with D_coef the stencil
-    of _diffusion_core, on rows CLAMP..N-1-CLAMP; the clamped cells at each
+    of diffuse, on rows CLAMP..N-1-CLAMP; the clamped cells at each
     end are identity rows.  For base > 0 and coef >= 0 it is an M-matrix."""
     w = coef[..., :-1] + coef[..., 1:]
     w *= 0.5 * k

@@ -143,23 +143,20 @@ def make_state(rho, vel, form: str, mesh: Mesh, t: float = 0.0) -> FlowState:
 
 def _require_admissible(state: FlowState) -> None:
     """DomainError unless every cell of the state is finite and its density positive."""
-    if not (np.isfinite(state.rho).all() and np.isfinite(state.vel).all()):
+    rho = state.rho
+    if not (np.isfinite(rho).all() and np.isfinite(state.vel).all()):
         raise DomainError(f"non-finite field at t={np.max(state.t):g}")
-    _require_positive(state.rho, state.t)
-
-
-def _require_positive(rho: np.ndarray, t) -> None:
     i = int(rho.argmin())
     if rho.flat[i] <= 0.0:
         raise DomainError(f"non-positive density {rho.flat[i]!r} in cell {i % rho.shape[-1]} "
-                          f"at t={np.max(t):g}")
+                          f"at t={np.max(state.t):g}")
 
 
 def effective_velocity(state: FlowState, mesh: Mesh, params: Params) -> FlowState:
     """Map (rho, u) to (rho, v) with v = u + d/dx phi(rho)."""
     if state.form != U_FORM:
         raise ConfigurationError("effective_velocity expects a U-form state")
-    _require_positive(state.rho, state.t)
+    _require_admissible(state)
     _, v = diagnostics.velocities(state, mesh, params)
     return FlowState(state.rho.copy(), v, V_FORM, state.t)
 
@@ -260,23 +257,16 @@ def _midpoint(state: FlowState, mesh: Mesh, params: Params, step: tuple,
     # the intermediate overflow itself is expected, not worth a warning
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
         q0 = vel0 * rho0
-        drho, dq = rhs(rho0, vel0, *args)
-        rho_h = rho0 + 0.5 * dt * drho
-        _clamp_ends(rho_h, rho0)
-        _check_vacuum(rho_h, state.t + 0.5 * dt)
-        # the clamped cells keep vel0 itself: (vel0*rho0)/rho0 may differ in the last bit
-        vel_h = (q0 + 0.5 * dt * dq) / rho_h
-        _clamp_ends(vel_h, vel0)
-
-        drho, dq = rhs(rho_h, vel_h, *args)
-        rho1 = rho0 + dt * drho
-        _clamp_ends(rho1, rho0)
-        min_rho = _check_vacuum(rho1, state.t + dt)
-        vel1 = (q0 + dt * dq) / rho1
-        _clamp_ends(vel1, vel0)
-
-        out = FlowState(rho1, vel1, state.form, t1)
-    return out, StepReport(dt, min_rho, rho1.max(axis=-1), landed)
+        rho, vel = rho0, vel0
+        for h in (0.5 * dt, dt):  # the half stage, then the step from its slopes
+            drho, dq = rhs(rho, vel, *args)
+            rho = rho0 + h * drho
+            _clamp_ends(rho, rho0)
+            min_rho = _check_vacuum(rho, state.t + h)
+            # the clamped cells keep vel0 itself: (vel0*rho0)/rho0 may differ in the last bit
+            vel = (q0 + h * dq) / rho
+            _clamp_ends(vel, vel0)
+    return FlowState(rho, vel, state.form, t1), StepReport(dt, min_rho, rho.max(axis=-1), landed)
 
 
 def _ars(state: FlowState, mesh: Mesh, params: Params, step: tuple, explicit,
@@ -492,7 +482,6 @@ def run_batch(state0: FlowState, mesh: Mesh, points: list, *, T: float, output_d
     trajs = [Trajectory(form=form) for _ in points]
     min_rho = rho.min(axis=-1)
     steps = np.zeros(size, dtype=int)
-    framed = np.zeros(size, dtype=int)  # frames per row: a row's times are the first framed[i]
     running = np.ones(size, dtype=bool)
     times = np.zeros((size, 1))
     tiny = 1e-12 * max(T, 1.0)
@@ -547,12 +536,12 @@ def run_batch(state0: FlowState, mesh: Mesh, points: list, *, T: float, output_d
             trajs[rows[k]].status, trajs[rows[k]].breach_time = "numerics", float(t1[k])
         return True
 
-    t, frame_no, frame_times = 0.0, 1, []
+    t, frame_no = 0.0, 1
     while running.any():
         rows, sel = rows_of(running)
         frame(FlowState(rho[sel], vel[sel], form, t), rows, batch(rows))
-        framed[sel] += 1
-        frame_times.append(t)
+        for i in rows.tolist():
+            trajs[i].times.append(t)
         if t >= T - tiny:
             break
         target = min(frame_no * output_dt, T)
@@ -563,6 +552,6 @@ def run_batch(state0: FlowState, mesh: Mesh, points: list, *, T: float, output_d
                 for k in range(len(rows)):
                     advance(rows[k:k + 1], rows[k:k + 1], target)
         t, frame_no = target, frame_no + 1
-    for traj, n, k, low in zip(trajs, framed.tolist(), steps.tolist(), min_rho.tolist()):
-        traj.times, traj.steps, traj.min_rho_ever = frame_times[:n], k, low
+    for traj, k, low in zip(trajs, steps.tolist(), min_rho.tolist()):
+        traj.steps, traj.min_rho_ever = k, low
     return trajs

@@ -260,6 +260,7 @@ _ENTRIES = {
 def test_entry_points_check_a_scenario_built_in_python(entry, tmp_path):
     # every entry point validates its Scenario as load_config does: a
     # lower-case form runs that form, and a bad form or slack is refused
+    # before the output directory is made
     def artifacts(out, **over):
         _ENTRIES[entry](_scn(N=16, amplitude=0.3, u_amplitude=0.2, T=0.02, output_dt=0.01, **over), out)
         return {p.name: p.read_bytes() for p in out.iterdir()}
@@ -273,6 +274,7 @@ def test_entry_points_check_a_scenario_built_in_python(entry, tmp_path):
     for bad in (dict(solver_form="W"), dict(gronwall_slack=-0.5)):
         with pytest.raises(ConfigurationError):
             artifacts(tmp_path / "bad", **bad)
+        assert not (tmp_path / "bad").exists()
 
 
 # ---------------------------------------------------------- initial data
@@ -942,6 +944,14 @@ def test_cli_outdir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("DVNS1D_OUTDIR", str(env_dir))
     assert main(["run", str(_cfg(tmp_path, RUN_CFG))]) == 0
     assert (env_dir / "summary.csv").exists()
+
+
+def test_cli_outdir_defaults_to_runs_name(tmp_path, monkeypatch):
+    # with neither --outdir nor the environment variable: ./runs/<name>
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DVNS1D_OUTDIR", raising=False)
+    assert main(["run", str(_cfg(tmp_path, RUN_CFG))]) == 0
+    assert (tmp_path / "runs" / "clismoke" / "summary.csv").exists()
 
 
 def test_cli_flag_beats_env(tmp_path, monkeypatch):

@@ -93,6 +93,47 @@ def test_stationary_shock_stays_put(point, form, N):
     assert abs(end - half) <= 0.25 * dx, (half, end, dx)
 
 
+def _stationary_l1(params, form, time_scheme, N, T=1.0):
+    """L1 distance of the run's density at T to the layer it started from."""
+    x, u_s, m = _profile(params.alpha, params.gamma, params.a, params.mu0)
+    mesh = build_mesh(L, N)
+    u = np.interp(mesh.x, x, u_s)
+    state = make_state(m / u, u, "U", mesh)
+    if form == "V":
+        state = effective_velocity(state, mesh, params)
+    traj = run(state, mesh, background_profile(mesh, RHO_MINUS, RHO_PLUS), params, T=T,
+               output_dt=T, time_scheme=time_scheme)
+    assert traj.status == "completed"
+    return float(np.sum(np.abs(traj.frames[-1].rho - m / u)) * mesh.dx)
+
+
+# (point, form, scheme, L1 at N = 256 as measured): alpha inside (1/2, 1]
+# and beyond it, gamma on both sides of alpha + 1/2 (1.4 < 1.5 at alpha = 1),
+# a != 1 and mu0 != 1, both forms and both schemes
+ORDER = [
+    ((0.7, 2.0, 1.0, 1.0), "U", "imex", 5.419e-2),
+    ((0.7, 2.0, 1.0, 1.0), "V", "imex", 6.019e-2),
+    ((0.55, 1.4, 0.5, 2.0), "U", "imex", 7.297e-3),
+    ((0.55, 1.4, 0.5, 2.0), "V", "imex", 8.204e-3),
+    ((1.0, 3.0, 2.0, 0.5), "U", "explicit", 1.047e-1),
+    ((1.0, 3.0, 2.0, 0.5), "V", "explicit", 1.118e-1),
+    ((1.0, 1.4, 1.0, 1.0), "U", "imex", 2.532e-2),
+    ((1.0, 1.4, 1.0, 1.0), "V", "imex", 2.796e-2),
+    ((1.5, 3.0, 2.0, 0.5), "U", "imex", 1.055e-1),
+    ((1.5, 3.0, 2.0, 0.5), "V", "imex", 1.110e-1),
+]
+
+
+@pytest.mark.parametrize("point, form, time_scheme, measured", ORDER)
+def test_stationary_shock_converges_at_first_order(point, form, time_scheme, measured):
+    # first order: from N = 128 to 256 the L1 error of rho at T = 1 falls
+    # by at least 2^0.9 (0.91-0.99 as measured)
+    alpha, gamma, a, mu0 = point
+    params = Params(alpha=alpha, gamma=gamma, a=a, mu0=mu0)
+    coarse, fine = (_stationary_l1(params, form, time_scheme, n) for n in (128, 256))
+    assert math.log2(coarse / fine) >= 0.9 and fine <= 1.1 * measured, (coarse, fine)
+
+
 def _moving_l1(params, form, time_scheme, N, X0=3.0, T=2.0):
     """L1 distance of the run's density at T to the exact moving shock."""
     x, u_s, m = _profile(params.alpha, params.gamma, params.a, params.mu0)

@@ -113,6 +113,11 @@ def test_form_conversion_rejects_wrong_form():
     sv = make_state(np.ones(8), np.zeros(8), "V", m)
     with pytest.raises(ConfigurationError):
         effective_velocity(sv, m, SW)
+    # a U state whose velocity lost finiteness after it was made has no v
+    su = make_state(np.ones(8), np.zeros(8), "U", m)
+    su.vel[3] = np.nan
+    with pytest.raises(DomainError):
+        effective_velocity(su, m, SW)
 
 
 # ---------------------------------------------------------------- time step
